@@ -44,7 +44,7 @@ class Generator:
     def __post_init__(self):
         if self.degree < 1:
             raise PreconditionError(f"generator {self.name!r} must have degree >= 1")
-        if not self.name.isidentifier():
+        if not isinstance(self.name, str) or not self.name.isidentifier():
             raise PreconditionError(f"generator name {self.name!r} is not an identifier")
 
 
@@ -176,7 +176,7 @@ class RingPresentation:
         try:
             gens = [(g["name"], int(g["degree"])) for g in data["generators"]]
             cap = int(data["degree_cap"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ExpressionError(f"malformed ring presentation: {exc}") from exc
         return cls(gens, cap)
 

@@ -10,6 +10,10 @@ from fractions import Fraction
 
 from .errors import ExpressionError
 
+# parentheses and unary minus signs nest at most this deep; the parser
+# recurses once per level
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
 )
@@ -38,6 +42,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -97,13 +102,18 @@ class _Parser:
             return self.ring.constant(numerator)
         if kind == "ident":
             return self.ring.gen(value)
+        if kind not in ("(", "-"):
+            raise ExpressionError(f"unexpected token {kind!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"expression nests deeper than {MAX_NESTING} levels")
         if kind == "(":
             inner = self.parse_expression()
             self.expect(")")
-            return inner
-        if kind == "-":
-            return -self.parse_factor()
-        raise ExpressionError(f"unexpected token {kind!r}")
+        else:
+            inner = -self.parse_factor()
+        self.depth -= 1
+        return inner
 
 
 def parse_polynomial(text: str, ring):

@@ -11,39 +11,50 @@ the conventional order ("c1 - g", "c2 - 1/4*cb1^2", ...).
 from .errors import PreconditionError
 from .gcring import RingPresentation
 
-SPACE_NAMES = (
-    "BU1",
-    "BUn",
-    "BUnQ",
-    "BU1xBUn",
-    "BUn_l",
-    "BSUnQ",
-    "BU6n_l",
-    "BU6nQ",
-    "BLU1",
-    "BLUn",
-    "BLUnQ",
-    "BLU1xBLUn",
-    "BLUbar_n_l",
-    "BL0UnQ",
-    "BLUn_l",
-    "BLSUnQ",
-    "BhatLSUn_l",
-    "BhatLSUnQ",
-    "BSpinc",
-    "BLSpinc",
-    "S1",
-)
 
-_NEEDS_N = {"BUn", "BUnQ", "BU1xBUn", "BUn_l", "BSUnQ", "BU6n_l", "BU6nQ"}
-_NEEDS_L = {"BUn_l", "BU6n_l", "BLUbar_n_l", "BLUn_l", "BhatLSUn_l"}
+def _chern(n, lo, suffix=""):
+    """c_lo .. c_n, of degrees 2*lo .. 2n."""
+    return [(f"c{k}{suffix}", 2 * k) for k in range(lo, n + 1)]
+
+
+# name -> (generators as a function of n, needs n, needs l)
+_SPACES = {
+    "BU1": (lambda n: [("g", 2)], False, False),
+    "BUn": (lambda n: _chern(n, 1), True, False),
+    "BUnQ": (lambda n: _chern(n, 1, "Q"), True, False),
+    "BU1xBUn": (lambda n: [("g", 2)] + _chern(n, 1), True, False),
+    "BUn_l": (lambda n: [("cb1", 2)] + _chern(n, 2), True, True),
+    "BSUnQ": (lambda n: _chern(n, 2, "Q"), True, False),
+    "BU6n_l": (lambda n: [("cb1", 2)] + _chern(n, 3), True, True),
+    "BU6nQ": (lambda n: _chern(n, 3, "Q"), True, False),
+    "BLU1": (lambda n: [("h", 1), ("g", 2)], False, False),
+    "BLUn": (lambda n: [("z1", 1), ("c1", 2), ("z2", 3), ("c2", 4)], False, False),
+    "BLUnQ": (lambda n: [("z1Q", 1), ("c1Q", 2), ("z2Q", 3), ("c2Q", 4)], False, False),
+    "BLU1xBLUn": (
+        lambda n: [("h", 1), ("g", 2), ("z1", 1), ("c1", 2), ("z2", 3), ("c2", 4)],
+        False,
+        False,
+    ),
+    "BLUbar_n_l": (lambda n: [("zb1", 1), ("g", 2), ("c1", 2), ("z2", 3), ("c2", 4)], False, True),
+    "BL0UnQ": (lambda n: [("c1Q", 2), ("z2Q", 3)], False, False),
+    "BLUn_l": (lambda n: [("zb1", 1), ("cb1", 2), ("z2", 3), ("c2", 4)], False, True),
+    "BLSUnQ": (lambda n: [("z2Q", 3), ("c2Q", 4)], False, False),
+    "BhatLSUn_l": (lambda n: [("zb1", 1), ("cb1", 2), ("c2", 4)], False, True),
+    "BhatLSUnQ": (lambda n: [("c2Q", 4)], False, False),
+    "BSpinc": (lambda n: [("t", 2), ("q1", 4)], False, False),
+    "BLSpinc": (lambda n: [("sp1", 1), ("t", 2), ("mu", 3)], False, False),
+    "S1": (lambda n: [("h", 1)], False, False),
+}
+
+SPACE_NAMES = tuple(_SPACES)
 
 
 def check_parameters(name: str, n, l) -> None:
-    if name in _NEEDS_N:
+    _, needs_n, needs_l = _SPACES.get(name, (None, False, False))
+    if needs_n:
         if n is None or n < 1:
             raise PreconditionError(f"space {name} needs a positive rank n")
-    if name in _NEEDS_L:
+    if needs_l:
         if l is None or l < 1:
             raise PreconditionError(f"space {name} needs a positive order l")
         if l == 1:
@@ -57,53 +68,7 @@ def check_parameters(name: str, n, l) -> None:
 def space_ring(name: str, n: int | None = None, l: int | None = None, degree_cap: int = 12) -> RingPresentation:
     """Presentation of H^{<= degree_cap} for the named space."""
     check_parameters(name, n, l)
-
-    def chern(lo, suffix=""):
-        return [(f"c{k}{suffix}", 2 * k) for k in range(lo, (n or 0) + 1)]
-
-    if name == "BU1":
-        gens = [("g", 2)]
-    elif name == "BUn":
-        gens = chern(1)
-    elif name == "BUnQ":
-        gens = chern(1, suffix="Q")
-    elif name == "BU1xBUn":
-        gens = [("g", 2)] + chern(1)
-    elif name == "BUn_l":
-        gens = [("cb1", 2)] + chern(2)
-    elif name == "BSUnQ":
-        gens = chern(2, suffix="Q")
-    elif name == "BU6n_l":
-        gens = [("cb1", 2)] + chern(3)
-    elif name == "BU6nQ":
-        gens = chern(3, suffix="Q")
-    elif name == "BLU1":
-        gens = [("h", 1), ("g", 2)]
-    elif name == "BLUn":
-        gens = [("z1", 1), ("c1", 2), ("z2", 3), ("c2", 4)]
-    elif name == "BLUnQ":
-        gens = [("z1Q", 1), ("c1Q", 2), ("z2Q", 3), ("c2Q", 4)]
-    elif name == "BLU1xBLUn":
-        gens = [("h", 1), ("g", 2), ("z1", 1), ("c1", 2), ("z2", 3), ("c2", 4)]
-    elif name == "BLUbar_n_l":
-        gens = [("zb1", 1), ("g", 2), ("c1", 2), ("z2", 3), ("c2", 4)]
-    elif name == "BL0UnQ":
-        gens = [("c1Q", 2), ("z2Q", 3)]
-    elif name == "BLUn_l":
-        gens = [("zb1", 1), ("cb1", 2), ("z2", 3), ("c2", 4)]
-    elif name == "BLSUnQ":
-        gens = [("z2Q", 3), ("c2Q", 4)]
-    elif name == "BhatLSUn_l":
-        gens = [("zb1", 1), ("cb1", 2), ("c2", 4)]
-    elif name == "BhatLSUnQ":
-        gens = [("c2Q", 4)]
-    elif name == "BSpinc":
-        gens = [("t", 2), ("q1", 4)]
-    elif name == "BLSpinc":
-        gens = [("sp1", 1), ("t", 2), ("mu", 3)]
-    elif name == "S1":
-        gens = [("h", 1)]
-    else:
+    if name not in _SPACES:
         raise PreconditionError(f"unknown space {name!r}")
-    cap = max(degree_cap, max(d for _, d in gens))
-    return RingPresentation(gens, cap)
+    gens = _SPACES[name][0](n)
+    return RingPresentation(gens, max(degree_cap, max((d for _, d in gens), default=0)))

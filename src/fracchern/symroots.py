@@ -111,10 +111,6 @@ def find_asymmetry(p: GradedPolynomial, model: RootModel):
     return None
 
 
-def is_symmetric(p: GradedPolynomial, model: RootModel) -> bool:
-    return find_asymmetry(p, model) is None
-
-
 def _sigma_power_product(model: RootModel, multiplicities: tuple) -> GradedPolynomial:
     """prod_k sigma_k^{m_k} with caching (multiplicities indexed from 1)."""
     cached = model._sigma_power_cache.get(multiplicities)
@@ -191,22 +187,30 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     return out
 
 
+def shifted_chern_sum(
+    ring: RingPresentation, twist: str, prefix: str, n: int, l: int, k: int, terms: int | None = None
+) -> GradedPolynomial:
+    """The first ``terms`` (default all k+1) summands of
+
+        sum_{i=0..k} (-1/l)^i C(n-k+i, i) twist^i prefix_{k-i}    (prefix_0 = 1)
+
+    over ring, whose generators include twist and prefix1..prefixk."""
+    t_idx = ring.index[twist]
+    out = {}
+    for i in range(k + 1 if terms is None else terms):
+        exps = [0] * len(ring.generators)
+        exps[t_idx] = i
+        if k - i >= 1:
+            exps[ring.index[f"{prefix}{k - i}"]] = 1
+        out[tuple(exps)] = Fraction(-1, l) ** i * comb(n - k + i, i)
+    return ring.from_exponents(out)
+
+
 def fractional_chern_closed(model: RootModel, k: int) -> GradedPolynomial:
     """Closed form sum_{i=0..k} (-1/l)^i C(n-k+i, i) a^i e_{k-i} (e_0 = 1)."""
-    n, l = model.n, model.l
-    if not 0 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 0..{n}")
-    e_ring = model.e_ring
-    out = e_ring.zero()
-    a_idx = e_ring.index["a"]
-    for i in range(k + 1):
-        coef = Fraction(-1, l) ** i * comb(n - k + i, i)
-        exps = [0] * len(e_ring.generators)
-        exps[a_idx] = i
-        if k - i >= 1:
-            exps[e_ring.index[f"e{k - i}"]] = 1
-        out = out + e_ring.from_exponents({tuple(exps): coef})
-    return out
+    if not 0 <= k <= model.n:
+        raise PreconditionError(f"k={k} out of range 0..{model.n}")
+    return shifted_chern_sum(model.e_ring, "a", "e", model.n, model.l, k)
 
 
 def fractional_chern_brute(model: RootModel, k: int) -> GradedPolynomial:
@@ -229,20 +233,9 @@ def change_trivialization_ring(model: RootModel) -> RingPresentation:
 def change_trivialization(model: RootModel, k: int) -> GradedPolynomial:
     """Fractional classes after moving the trivialization by x:
     sum_{i=0..k} (-1/l)^i C(n-k+i, i) x^i f_{k-i} (f_0 = 1)."""
-    n, l = model.n, model.l
-    if not 0 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 0..{n}")
-    ring = change_trivialization_ring(model)
-    out = ring.zero()
-    x_idx = ring.index["x"]
-    for i in range(k + 1):
-        coef = Fraction(-1, l) ** i * comb(n - k + i, i)
-        exps = [0] * len(ring.generators)
-        exps[x_idx] = i
-        if k - i >= 1:
-            exps[ring.index[f"f{k - i}"]] = 1
-        out = out + ring.from_exponents({tuple(exps): coef})
-    return out
+    if not 0 <= k <= model.n:
+        raise PreconditionError(f"k={k} out of range 0..{model.n}")
+    return shifted_chern_sum(change_trivialization_ring(model), "x", "f", model.n, model.l, k)
 
 
 @dataclass

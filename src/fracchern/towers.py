@@ -22,31 +22,10 @@ from . import transgression
 from .errors import ExpressionError, PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, transplant
 from .spaces import SPACE_NAMES, space_ring
+from .symroots import shifted_chern_sum
 from .transgression import DerivationTable, free_suspend
 
 LEVELS = ("fracSU", "fracU6", "loopU", "loopSU")
-
-MORPHISM_NAMES = (
-    "phi",
-    "phi2",
-    "phi3",
-    "xi2",
-    "xi3",
-    "Lphi",
-    "Lphi2",
-    "Bi2l",
-    "Bi3l",
-    "Biota2l",
-    "BhatLi2l",
-    "Biota3l",
-    "Br",
-    "BLr",
-    "Bmu_s",
-    "Bepsilon",
-    "Brho_s",
-    "BLrho_s",
-    "BLi2l",
-)
 
 
 def _check_n_l(n: int, l: int, require_higher: bool = False) -> int:
@@ -63,6 +42,12 @@ def _cap(n: int, degree_cap: int | None) -> int:
     return max(degree_cap or 12, 2 * n)
 
 
+def _c2_twist(n: int, l: int) -> Fraction:
+    """s(n-1)/(2l): the twist-squared coefficient of the level-2 class
+    c2 - s(n-1)/(2l)*cb1^2."""
+    return Fraction(n // l * (n - 1), 2 * l)
+
+
 # ---------------------------------------------------------------------------
 # universal pullback classes
 # ---------------------------------------------------------------------------
@@ -77,16 +62,7 @@ def phi_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grade
     if not 0 <= k <= n:
         raise PreconditionError(f"k={k} out of range 0..{n}")
     ring = space_ring("BU1xBUn", n=n, degree_cap=_cap(n, degree_cap))
-    out = ring.zero()
-    g_idx = ring.index["g"]
-    for i in range(k + 1):
-        coef = Fraction(-1, l) ** i * comb(n - k + i, i)
-        exps = [0] * len(ring.generators)
-        exps[g_idx] = i
-        if k - i >= 1:
-            exps[ring.index[f"c{k - i}"]] = 1
-        out = out + ring.from_exponents({tuple(exps): coef})
-    return out
+    return shifted_chern_sum(ring, "g", "c", n, l, k)
 
 
 def phi2_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> GradedPolynomial:
@@ -99,20 +75,8 @@ def phi2_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grad
     if not 2 <= k <= n:
         raise PreconditionError(f"k={k} must satisfy 2 <= k <= n")
     ring = space_ring("BUn_l", n=n, l=l, degree_cap=_cap(n, degree_cap))
-    out = ring.zero()
-    cb_idx = ring.index["cb1"]
-    for i in range(k - 1):
-        coef = Fraction(-1, l) ** i * comb(n - k + i, i)
-        exps = [0] * len(ring.generators)
-        exps[cb_idx] = i
-        exps[ring.index[f"c{k - i}"]] = 1
-        out = out + ring.from_exponents({tuple(exps): coef})
-    top = [0] * len(ring.generators)
-    top[cb_idx] = k
-    out = out + ring.from_exponents(
-        {tuple(top): Fraction(-1, l) ** k * (1 - k) * comb(n, k)}
-    )
-    return out
+    top = ring.gen("cb1") ** k * (Fraction(-1, l) ** k * (1 - k) * comb(n, k))
+    return shifted_chern_sum(ring, "cb1", "c", n, l, k, terms=k - 1) + top
 
 
 def _lphi_z2_image(n: int, l: int, degree_cap: int) -> GradedPolynomial:
@@ -129,6 +93,65 @@ def _lphi_z2_image(n: int, l: int, degree_cap: int) -> GradedPolynomial:
     loop_ring = table.target
     correction = loop_ring.poly(f"(z1 - {s}*h)*(c1 - {s}*g)")
     return suspended - correction
+
+
+def _phi3_images(tgt, n, l, s):
+    """phi2 images of c3Q..cnQ pushed along the level-2 covering Bi3l."""
+    bi3l = builtin_morphism("Bi3l", n, l, tgt.degree_cap)
+    return {f"c{k}Q": bi3l(phi2_pullback(n, l, k, tgt.degree_cap)) for k in range(3, n + 1)}
+
+
+def _lphi_images(tgt, n, l, s):
+    """The level-0 loop pullback: phi images moved to the loop ring, and
+    z2Q through the transgression of phi*(c2Q)."""
+    return {
+        "z1Q": f"z1 - {s}*h",
+        "c1Q": transplant(phi_pullback(n, l, 1, tgt.degree_cap), tgt),
+        "z2Q": _lphi_z2_image(n, l, tgt.degree_cap),
+        "c2Q": transplant(phi_pullback(n, l, 2, tgt.degree_cap), tgt),
+    }
+
+
+# name -> (source space, target space, needs l > 1, images(target ring, n, l, s)).
+# Images are expressions over the target or polynomials built over it; a
+# source generator left out maps to its namesake in the target.
+_MORPHISMS = {
+    "phi": ("BUnQ", "BU1xBUn", False, lambda tgt, n, l, s: {
+        f"c{k}Q": phi_pullback(n, l, k, tgt.degree_cap) for k in range(1, n + 1)
+    }),
+    "phi2": ("BSUnQ", "BUn_l", True, lambda tgt, n, l, s: {
+        f"c{k}Q": phi2_pullback(n, l, k, tgt.degree_cap) for k in range(2, n + 1)
+    }),
+    "phi3": ("BU6nQ", "BU6n_l", True, _phi3_images),
+    "xi2": ("BL0UnQ", "BLUbar_n_l", True, lambda tgt, n, l, s: {
+        "c1Q": f"c1 - {s}*g", "z2Q": f"z2 + 1/{l}*zb1*c1"
+    }),
+    "xi3": ("BhatLSUnQ", "BhatLSUn_l", True, lambda tgt, n, l, s: {
+        "c2Q": f"c2 - {_c2_twist(n, l)}*cb1^2"
+    }),
+    "Lphi": ("BLUnQ", "BLU1xBLUn", False, _lphi_images),
+    "Lphi2": ("BLSUnQ", "BLUn_l", True, lambda tgt, n, l, s: {
+        "z2Q": f"z2 + {Fraction(s, l)}*zb1*cb1", "c2Q": f"c2 - {_c2_twist(n, l)}*cb1^2"
+    }),
+    "Bi2l": ("BU1xBUn", "BUn_l", True, lambda tgt, n, l, s: {"g": "cb1", "c1": f"{s}*cb1"}),
+    "Bi3l": ("BUn_l", "BU6n_l", True, lambda tgt, n, l, s: {"c2": f"{_c2_twist(n, l)}*cb1^2"}),
+    "Biota2l": ("BLU1xBLUn", "BLUbar_n_l", True, lambda tgt, n, l, s: {"h": "zb1", "z1": f"{s}*zb1"}),
+    "BhatLi2l": ("BLUbar_n_l", "BLUn_l", True, lambda tgt, n, l, s: {"g": "cb1", "c1": f"{s}*cb1"}),
+    "Biota3l": ("BLUn_l", "BhatLSUn_l", True, lambda tgt, n, l, s: {
+        "z2": f"-{Fraction(s, l)}*zb1*cb1"
+    }),
+    "Br": ("BSpinc", "BUn", False, lambda tgt, n, l, s: {"t": "c1", "q1": "-c2"}),
+    "BLr": ("BLSpinc", "BLUn", False, lambda tgt, n, l, s: {"sp1": "z1", "t": "c1", "mu": "-z2"}),
+    "Bmu_s": ("BU1", "BU1xBUn", False, lambda tgt, n, l, s: {"g": f"c1 - {s}*g"}),
+    "Bepsilon": ("S1", "BLUn", False, lambda tgt, n, l, s: {"h": "z1"}),
+    "Brho_s": ("BUn", "BUn_l", False, lambda tgt, n, l, s: {"c1": f"{s}*cb1"}),
+    "BLrho_s": ("BLUn", "BLUn_l", False, lambda tgt, n, l, s: {"z1": f"{s}*zb1", "c1": f"{s}*cb1"}),
+    "BLi2l": ("BLU1xBLUn", "BLUn_l", True, lambda tgt, n, l, s: {
+        "h": "zb1", "g": "cb1", "z1": f"{s}*zb1", "c1": f"{s}*cb1"
+    }),
+}
+
+MORPHISM_NAMES = tuple(_MORPHISMS)
 
 
 @dataclass
@@ -151,143 +174,16 @@ class MorphismTable:
 def builtin_morphism(name: str, n: int, l: int, degree_cap: int | None = None) -> MorphismTable:
     """Generator-image table for a named map of the towers."""
     cap = _cap(n, degree_cap)
-    higher = name not in ("phi", "Lphi", "Br", "BLr", "Bmu_s", "Bepsilon", "Brho_s", "BLrho_s")
+    # an unknown name is checked like a map of the higher towers first
+    source, target, higher, images = _MORPHISMS.get(name, (None, None, True, None))
     s = _check_n_l(n, l, require_higher=higher)
-
-    def ring(space):
-        return space_ring(space, n=n, l=l, degree_cap=cap)
-
-    if name == "phi":
-        images = {f"c{k}Q": phi_pullback(n, l, k, cap) for k in range(1, n + 1)}
-        m = RingMorphism(ring("BUnQ"), ring("BU1xBUn"), images)
-    elif name == "phi2":
-        images = {f"c{k}Q": phi2_pullback(n, l, k, cap) for k in range(2, n + 1)}
-        m = RingMorphism(ring("BSUnQ"), ring("BUn_l"), images)
-    elif name == "phi3":
-        bi3l = builtin_morphism("Bi3l", n, l, cap).morphism
-        images = {f"c{k}Q": bi3l(phi2_pullback(n, l, k, cap)) for k in range(3, n + 1)}
-        m = RingMorphism(ring("BU6nQ"), ring("BU6n_l"), images)
-    elif name == "xi2":
-        tgt = ring("BLUbar_n_l")
-        m = RingMorphism(
-            ring("BL0UnQ"),
-            tgt,
-            {"c1Q": tgt.poly(f"c1 - {s}*g"), "z2Q": tgt.poly(f"z2 + 1/{l}*zb1*c1")},
-        )
-    elif name == "xi3":
-        tgt = ring("BhatLSUn_l")
-        coef = Fraction(s * (n - 1), 2 * l)
-        m = RingMorphism(ring("BhatLSUnQ"), tgt, {"c2Q": tgt.poly(f"c2 - {coef}*cb1^2")})
-    elif name == "Lphi":
-        tgt = ring("BLU1xBLUn")
-        images = {
-            "z1Q": tgt.poly(f"z1 - {s}*h"),
-            "c1Q": transplant(phi_pullback(n, l, 1, cap), tgt),
-            "z2Q": _lphi_z2_image(n, l, cap),
-            "c2Q": transplant(phi_pullback(n, l, 2, cap), tgt),
-        }
-        m = RingMorphism(ring("BLUnQ"), tgt, images)
-    elif name == "Lphi2":
-        tgt = ring("BLUn_l")
-        coef = Fraction(s * (n - 1), 2 * l)
-        m = RingMorphism(
-            ring("BLSUnQ"),
-            tgt,
-            {
-                "z2Q": tgt.poly(f"z2 + {Fraction(s, l)}*zb1*cb1"),
-                "c2Q": tgt.poly(f"c2 - {coef}*cb1^2"),
-            },
-        )
-    elif name == "Bi2l":
-        tgt = ring("BUn_l")
-        images = {"g": tgt.gen("cb1"), "c1": tgt.gen("cb1") * s}
-        images.update({f"c{k}": tgt.gen(f"c{k}") for k in range(2, n + 1)})
-        m = RingMorphism(ring("BU1xBUn"), tgt, images)
-    elif name == "Bi3l":
-        tgt = ring("BU6n_l")
-        coef = Fraction(s * (n - 1), 2 * l)
-        images = {"cb1": tgt.gen("cb1"), "c2": tgt.poly(f"{coef}*cb1^2")}
-        images.update({f"c{k}": tgt.gen(f"c{k}") for k in range(3, n + 1)})
-        m = RingMorphism(ring("BUn_l"), tgt, images)
-    elif name == "Biota2l":
-        tgt = ring("BLUbar_n_l")
-        m = RingMorphism(
-            ring("BLU1xBLUn"),
-            tgt,
-            {
-                "h": tgt.gen("zb1"),
-                "g": tgt.gen("g"),
-                "z1": tgt.gen("zb1") * s,
-                "c1": tgt.gen("c1"),
-                "z2": tgt.gen("z2"),
-                "c2": tgt.gen("c2"),
-            },
-        )
-    elif name == "BhatLi2l":
-        tgt = ring("BLUn_l")
-        m = RingMorphism(
-            ring("BLUbar_n_l"),
-            tgt,
-            {
-                "g": tgt.gen("cb1"),
-                "zb1": tgt.gen("zb1"),
-                "c1": tgt.gen("cb1") * s,
-                "z2": tgt.gen("z2"),
-                "c2": tgt.gen("c2"),
-            },
-        )
-    elif name == "Biota3l":
-        tgt = ring("BhatLSUn_l")
-        m = RingMorphism(
-            ring("BLUn_l"),
-            tgt,
-            {
-                "zb1": tgt.gen("zb1"),
-                "cb1": tgt.gen("cb1"),
-                "z2": tgt.poly(f"-{Fraction(s, l)}*zb1*cb1"),
-                "c2": tgt.gen("c2"),
-            },
-        )
-    elif name == "Br":
-        tgt = ring("BUn")
-        m = RingMorphism(ring("BSpinc"), tgt, {"t": "c1", "q1": "-c2"})
-    elif name == "BLr":
-        tgt = ring("BLUn")
-        m = RingMorphism(ring("BLSpinc"), tgt, {"sp1": "z1", "t": "c1", "mu": "-z2"})
-    elif name == "Bmu_s":
-        tgt = ring("BU1xBUn")
-        m = RingMorphism(ring("BU1"), tgt, {"g": tgt.poly(f"c1 - {s}*g")})
-    elif name == "Bepsilon":
-        m = RingMorphism(ring("S1"), ring("BLUn"), {"h": "z1"})
-    elif name == "Brho_s":
-        tgt = ring("BUn_l")
-        images = {"c1": tgt.gen("cb1") * s}
-        images.update({f"c{k}": tgt.gen(f"c{k}") for k in range(2, n + 1)})
-        m = RingMorphism(ring("BUn"), tgt, images)
-    elif name == "BLrho_s":
-        tgt = ring("BLUn_l")
-        m = RingMorphism(
-            ring("BLUn"),
-            tgt,
-            {"z1": tgt.gen("zb1") * s, "c1": tgt.gen("cb1") * s, "z2": "z2", "c2": "c2"},
-        )
-    elif name == "BLi2l":
-        tgt = ring("BLUn_l")
-        m = RingMorphism(
-            ring("BLU1xBLUn"),
-            tgt,
-            {
-                "h": tgt.gen("zb1"),
-                "g": tgt.gen("cb1"),
-                "z1": tgt.gen("zb1") * s,
-                "c1": tgt.gen("cb1") * s,
-                "z2": tgt.gen("z2"),
-                "c2": tgt.gen("c2"),
-            },
-        )
-    else:
+    if images is None:
         raise PreconditionError(f"unknown morphism table {name!r}")
-    return MorphismTable(name, n, l, m)
+    tgt = space_ring(target, n=n, l=l, degree_cap=cap)
+    src = space_ring(source, n=n, l=l, degree_cap=cap)
+    given = images(tgt, n, l, s)
+    full = {g: given[g] if g in given else tgt.gen(g) for g in src.names}
+    return MorphismTable(name, n, l, RingMorphism(src, tgt, full))
 
 
 def xi2_pullback(n: int, l: int, which: str, degree_cap: int | None = None) -> GradedPolynomial:
@@ -373,7 +269,12 @@ class AbelianGroupDesc:
     def from_json(cls, data) -> "AbelianGroupDesc":
         if not isinstance(data, dict):
             raise ExpressionError("group descriptor must be an object")
-        return cls(int(data.get("rank", 0)), tuple(int(t) for t in data.get("torsion", ())))
+        try:
+            return cls(int(data.get("rank", 0)), tuple(int(t) for t in data.get("torsion", ())))
+        except (TypeError, ValueError):
+            raise ExpressionError(
+                f"group descriptor needs an integer rank and integer torsion orders, got {data!r}"
+            ) from None
 
 
 def count_structures(level: str, hM: dict | None, hLM: dict | None = None) -> AbelianGroupDesc:
@@ -452,10 +353,57 @@ class BundleDescriptor:
         return self.loop
 
 
-def _parse_classes(ring, entries, expected_degrees, what):
+_REQUIRED = object()
+
+
+def _field(data, path: str, default=_REQUIRED):
+    """The value at a dotted path of the descriptor JSON, or ``default``
+    when a key on the path is absent.  Errors name the path."""
+    value, walked = data, ""
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            raise ExpressionError(f"{walked or 'descriptor'}: expected an object")
+        walked = f"{walked}.{key}" if walked else key
+        if key not in value:
+            if default is _REQUIRED:
+                raise ExpressionError(f"descriptor missing field {walked!r}")
+            return default
+        value = value[key]
+    return value
+
+
+def _integer(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ExpressionError(f"{path}: expected an integer, got {value!r}") from None
+
+
+def _expression(ring, text, path: str) -> GradedPolynomial:
+    if not isinstance(text, str):
+        raise ExpressionError(f"{path}: expected an expression string, got {text!r}")
+    return ring.poly(text)
+
+
+def _class(ring, data, path: str) -> GradedPolynomial:
+    return _expression(ring, _field(data, path), path)
+
+
+def _expressions(data, path: str) -> dict:
+    """An optional object of expression strings, such as pi_star."""
+    value = _field(data, path, {})
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ExpressionError(f"{path}: expected an object of expression strings")
+    return dict(value)
+
+
+def _parse_classes(ring, data, path, expected_degrees, what):
+    entries = _field(data, path, [])
+    if not isinstance(entries, list):
+        raise ExpressionError(f"{path}: expected a list")
     out = []
     for k, text in enumerate(entries, start=1):
-        poly = ring.poly(text)
+        poly = _expression(ring, text, f"{path}[{k - 1}]")
         degree = expected_degrees(k)
         if not poly.is_zero and not poly.is_homogeneous(degree):
             raise ExpressionError(
@@ -465,46 +413,47 @@ def _parse_classes(ring, entries, expected_degrees, what):
     return out
 
 
-def _parse_groups(data) -> dict:
-    return {int(k): AbelianGroupDesc.from_json(v) for k, v in data.items()}
+def _parse_groups(data, path):
+    groups = _field(data, path, None)
+    if groups is None:
+        return None
+    if not isinstance(groups, dict):
+        raise ExpressionError(f"{path}: expected an object")
+    return {
+        _integer(degree, f"{path}.{degree}"): AbelianGroupDesc.from_json(group)
+        for degree, group in groups.items()
+    }
 
 
 def descriptor_from_json(data: dict) -> BundleDescriptor:
-    try:
-        n = int(data["n"])
-        l = int(data["l"])
-        ring_y = RingPresentation.from_json(data["ringY"])
-        ring_m = RingPresentation.from_json(data["ringM"])
-        classes = data["classes"]
-    except KeyError as exc:
-        raise ExpressionError(f"descriptor missing field {exc}") from exc
+    n = _integer(_field(data, "n"), "n")
+    l = _integer(_field(data, "l"), "l")
+    ring_y = RingPresentation.from_json(_field(data, "ringY"))
+    ring_m = RingPresentation.from_json(_field(data, "ringM"))
+    _field(data, "classes")
     _check_n_l(n, l)
-    pi_star = RingMorphism(ring_m, ring_y, dict(data.get("pi_star", {})))
-    a = ring_y.poly(classes["a"])
+    pi_star = RingMorphism(ring_m, ring_y, _expressions(data, "pi_star"))
+    a = _class(ring_y, data, "classes.a")
     if not a.is_zero and not a.is_homogeneous(2):
         raise ExpressionError("class a must have degree 2")
-    c = _parse_classes(ring_y, classes.get("c", []), lambda k: 2 * k, "c_k(E)")
-    frac = _parse_classes(ring_m, classes.get("frac", []), lambda k: 2 * k, "fractional class")
+    c = _parse_classes(ring_y, data, "classes.c", lambda k: 2 * k, "c_k(E)")
+    frac = _parse_classes(ring_m, data, "classes.frac", lambda k: 2 * k, "fractional class")
     loop = None
-    if "loop" in data:
-        lo = data["loop"]
-        ring_ly = RingPresentation.from_json(lo["ringLY"])
-        ring_lm = RingPresentation.from_json(lo["ringLM"])
-        lo_pi = RingMorphism(ring_lm, ring_ly, dict(lo.get("pi_star", {})))
-        lcl = lo["classes"]
-        la = ring_ly.poly(lcl["a"])
-        afrak = ring_ly.poly(lcl["afrak"])
-        z = _parse_classes(ring_ly, lcl.get("z", []), lambda k: 2 * k - 1, "z_k(LE)")
-        lc = _parse_classes(ring_ly, lcl.get("c", []), lambda k: 2 * k, "c_k(LE)")
-        zfrac = _parse_classes(ring_lm, lcl.get("zfrac", []), lambda k: 2 * k - 1, "loop fractional z")
-        lfrac = _parse_classes(ring_lm, lcl.get("frac", []), lambda k: 2 * k, "loop fractional c")
-        nu_y = None
-        if "nuY" in lo:
-            nu_y = DerivationTable(ring_y, ring_ly, dict(lo["nuY"]))
-        nu_m = None
-        if "nuM" in lo:
-            nu_m = DerivationTable(ring_m, ring_lm, dict(lo["nuM"]))
-        conditions = lo.get("side_conditions", {})
+    if _field(data, "loop", None) is not None:
+        ring_ly = RingPresentation.from_json(_field(data, "loop.ringLY"))
+        ring_lm = RingPresentation.from_json(_field(data, "loop.ringLM"))
+        lo_pi = RingMorphism(ring_lm, ring_ly, _expressions(data, "loop.pi_star"))
+        la = _class(ring_ly, data, "loop.classes.a")
+        afrak = _class(ring_ly, data, "loop.classes.afrak")
+        z = _parse_classes(ring_ly, data, "loop.classes.z", lambda k: 2 * k - 1, "z_k(LE)")
+        lc = _parse_classes(ring_ly, data, "loop.classes.c", lambda k: 2 * k, "c_k(LE)")
+        zfrac = _parse_classes(ring_lm, data, "loop.classes.zfrac", lambda k: 2 * k - 1, "loop fractional z")
+        lfrac = _parse_classes(ring_lm, data, "loop.classes.frac", lambda k: 2 * k, "loop fractional c")
+        nu_y = nu_m = None
+        if _field(data, "loop.nuY", None) is not None:
+            nu_y = DerivationTable(ring_y, ring_ly, _expressions(data, "loop.nuY"))
+        if _field(data, "loop.nuM", None) is not None:
+            nu_m = DerivationTable(ring_m, ring_lm, _expressions(data, "loop.nuM"))
         loop = LoopData(
             ring_ly,
             ring_lm,
@@ -517,10 +466,9 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
             lfrac,
             nu_y,
             nu_m,
-            dict(conditions.get("Y", {})),
-            dict(conditions.get("M", {})),
+            _expressions(data, "loop.side_conditions.Y"),
+            _expressions(data, "loop.side_conditions.M"),
         )
-    cohom = data.get("cohomology", {})
     return BundleDescriptor(
         n,
         l,
@@ -531,8 +479,8 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
         c,
         frac,
         loop,
-        _parse_groups(cohom["hM"]) if "hM" in cohom else None,
-        _parse_groups(cohom["hLM"]) if "hLM" in cohom else None,
+        _parse_groups(data, "cohomology.hM"),
+        _parse_groups(data, "cohomology.hLM"),
     )
 
 
@@ -601,6 +549,18 @@ def _expected_pullback(level: str, d: BundleDescriptor):
     raise PreconditionError(f"unknown level {level!r}")
 
 
+def _pair(level: str, d: BundleDescriptor):
+    """(upstairs class, downstairs class, pullback along pi) of a level."""
+    if level == "fracSU":
+        return d.chern(1) - d.a * d.s, d.fractional(1), d.pi_star
+    if level == "fracU6":
+        return d.chern(2) - d.a * d.a * _c2_twist(d.n, d.l), d.fractional(2), d.pi_star
+    lo = d.require_loop()
+    if level == "loopU":
+        return lo.z[0] - lo.afrak * d.s, lo.zfrac[0], lo.pi_star
+    return lo.z[1] + lo.z[0] * lo.c[0] * Fraction(1, d.n), lo.zfrac[1], lo.pi_star
+
+
 def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
     """The obstruction pair of the level, with its pullback compatibility:
 
@@ -612,42 +572,20 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
     if level not in LEVELS:
         raise PreconditionError(f"unknown level {level!r}")
     _check_n_l(d.n, d.l, require_higher=True)
-    s = d.s
-    note = ""
-    if level == "fracSU":
-        up = d.chern(1) - d.a * s
-        down = d.fractional(1)
-        pi = d.pi_star
-    elif level == "fracU6":
-        previous = obstruction("fracSU", d)
-        if not previous.vanishes:
-            raise PreconditionError(
-                "fracU6 requires a fractional SU structure (fracSU obstruction is nonzero)"
-            )
-        up = d.chern(2) - d.a * d.a * Fraction(s * (d.n - 1), 2 * d.l)
-        down = d.fractional(2)
-        pi = d.pi_star
-    elif level == "loopU":
+    if level in ("fracU6", "loopSU") and not obstruction("fracSU", d).vanishes:
+        raise PreconditionError(
+            f"{level} requires a fractional SU structure (fracSU obstruction is nonzero)"
+        )
+    if level == "loopSU":
         lo = d.require_loop()
-        up = lo.z[0] - lo.afrak * s
-        down = lo.zfrac[0]
-        pi = lo.pi_star
-    else:  # loopSU
-        previous = obstruction("fracSU", d)
-        if not previous.vanishes:
-            raise PreconditionError(
-                "loopSU requires a fractional SU structure (fracSU obstruction is nonzero)"
-            )
-        lo = d.require_loop()
-        if lo.c[0] != lo.a * s or lo.z[0] != lo.afrak * s:
+        if lo.c[0] != lo.a * d.s or lo.z[0] != lo.afrak * d.s:
             raise PreconditionError(
                 "loopSU side conditions c1(LE) = s*a, z1(LE) = s*af do not hold"
             )
-        up = lo.z[1] + lo.z[0] * lo.c[0] * Fraction(1, d.n)
-        down = lo.zfrac[1]
-        pi = lo.pi_star
+    up, down, pi = _pair(level, d)
     compatible = pi(down) == _expected_pullback(level, d)
     vanishes = up.is_zero and down.is_zero
+    note = ""
     if vanishes and level in ("loopU", "loopSU"):
         note = (
             "lifting this loop structure to its non-loop counterpart is "
@@ -682,11 +620,7 @@ def lift_consequences(level: str, d: BundleDescriptor) -> list:
         checks.append(IdentityCheck("c1(E) = s*a", d.chern(1), d.a * s))
     if level == "fracU6":
         checks.append(
-            IdentityCheck(
-                "c2(E) = s(n-1)/(2l)*a^2",
-                d.chern(2),
-                d.a * d.a * Fraction(s * (d.n - 1), 2 * d.l),
-            )
+            IdentityCheck("c2(E) = s(n-1)/(2l)*a^2", d.chern(2), d.a * d.a * _c2_twist(d.n, d.l))
         )
     if level in ("loopU", "loopSU"):
         lo = d.require_loop()
@@ -745,19 +679,11 @@ def transgress_obstruction(level: str, d: BundleDescriptor) -> TransgressionRepo
     lo = d.require_loop()
     if lo.nu_y is None or lo.nu_m is None:
         raise PreconditionError("descriptor loop data carries no transgression tables")
-    s = d.s
-    if level == "fracSU->loopU":
-        up = d.chern(1) - d.a * s
-        down = d.fractional(1)
-        loop_up = lo.z[0] - lo.afrak * s
-        loop_down = lo.zfrac[0]
-    elif level == "fracU6->loopSU":
-        up = d.chern(2) - d.a * d.a * Fraction(s * (d.n - 1), 2 * d.l)
-        down = d.fractional(2)
-        loop_up = lo.z[1] + lo.z[0] * lo.c[0] * Fraction(1, d.n)
-        loop_down = lo.zfrac[1]
-    else:
+    if level not in ("fracSU->loopU", "fracU6->loopSU"):
         raise PreconditionError(f"unknown transgression level {level!r}")
+    base, loop_level = level.split("->")
+    up, down, _ = _pair(base, d)
+    loop_up, loop_down, _ = _pair(loop_level, d)
     nu_up = free_suspend(lo.nu_y, up)
     nu_down = free_suspend(lo.nu_m, down)
     subs_y = RingMorphism.substitution(lo.ring_ly, lo.side_conditions_y)

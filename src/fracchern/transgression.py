@@ -90,39 +90,26 @@ def free_suspend(table: DerivationTable, p: GradedPolynomial) -> GradedPolynomia
     return out
 
 
+# source space -> (loop space, nu on generators as a function of n and l);
+# values of generators the source ring lacks (c2 when n = 1) are dropped
+_TABLES = {
+    "BUn": ("BLUn", lambda n, l: {"c1": "z1", "c2": "z2 + z1*c1"}),
+    "BUn_l": ("BLUn_l", lambda n, l: {"cb1": "zb1", "c2": f"z2 + {(n // l) ** 2}*zb1*cb1"}),
+    "BSpinc": ("BLSpinc", lambda n, l: {"t": "sp1", "q1": "mu - sp1*t"}),
+    "BU1": ("BLU1", lambda n, l: {"g": "h"}),
+    "BU1xBUn": ("BLU1xBLUn", lambda n, l: {"g": "h", "c1": "z1", "c2": "z2 + z1*c1"}),
+}
+
+
 def builtin_table(space_name: str, n: int | None = None, l: int | None = None, degree_cap: int = 12) -> DerivationTable:
     """Transgression tables of the classifying spaces used by the towers."""
-    if space_name == "BUn":
-        src = spaces.space_ring("BUn", n=n, degree_cap=degree_cap)
-        tgt = spaces.space_ring("BLUn", degree_cap=degree_cap)
-        values = {"c1": tgt.gen("z1")}
-        if n >= 2:
-            values["c2"] = tgt.poly("z2 + z1*c1")
-        return DerivationTable(src, tgt, values)
-    if space_name == "BUn_l":
-        src = spaces.space_ring("BUn_l", n=n, l=l, degree_cap=degree_cap)
-        tgt = spaces.space_ring("BLUn_l", n=n, l=l, degree_cap=degree_cap)
-        s = n // l
-        values = {"cb1": tgt.gen("zb1")}
-        if n >= 2:
-            values["c2"] = tgt.poly(f"z2 + {s * s}*zb1*cb1")
-        return DerivationTable(src, tgt, values)
-    if space_name == "BSpinc":
-        src = spaces.space_ring("BSpinc", degree_cap=degree_cap)
-        tgt = spaces.space_ring("BLSpinc", degree_cap=degree_cap)
-        return DerivationTable(src, tgt, {"t": tgt.gen("sp1"), "q1": tgt.poly("mu - sp1*t")})
-    if space_name == "BU1":
-        src = spaces.space_ring("BU1", degree_cap=degree_cap)
-        tgt = spaces.space_ring("BLU1", degree_cap=degree_cap)
-        return DerivationTable(src, tgt, {"g": tgt.gen("h")})
-    if space_name == "BU1xBUn":
-        src = spaces.space_ring("BU1xBUn", n=n, degree_cap=degree_cap)
-        tgt = spaces.space_ring("BLU1xBLUn", degree_cap=degree_cap)
-        values = {"g": tgt.gen("h"), "c1": tgt.gen("z1")}
-        if n >= 2:
-            values["c2"] = tgt.poly("z2 + z1*c1")
-        return DerivationTable(src, tgt, values)
-    raise PreconditionError(f"no builtin transgression table for {space_name!r}")
+    if space_name not in _TABLES:
+        raise PreconditionError(f"no builtin transgression table for {space_name!r}")
+    loop_name, values = _TABLES[space_name]
+    src = spaces.space_ring(space_name, n=n, l=l, degree_cap=degree_cap)
+    tgt = spaces.space_ring(loop_name, n=n, l=l, degree_cap=degree_cap)
+    kept = {name: value for name, value in values(n, l).items() if name in src.index}
+    return DerivationTable(src, tgt, kept)
 
 
 @dataclass

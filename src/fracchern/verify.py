@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import qtheta, symroots, towers, transgression
 from .errors import EngineError
-from .gcring import RingMorphism, RingPresentation
+from .gcring import RingPresentation
 from .spaces import space_ring
 from .symroots import RootModel
 from .towers import BundleDescriptor, load_descriptor
@@ -131,14 +131,11 @@ def transgression_suite(max_n: int = 6):
         return False, "nu(c2) mismatch"
     checks = 2
 
-    spin = space_ring("BSpinc")
-    lspin = space_ring("BLSpinc")
-    bun = space_ring("BUn", n=2)
-    blun = space_ring("BLUn")
-    br = RingMorphism(spin, bun, {"t": "c1", "q1": "-c2"})
-    blr = RingMorphism(lspin, blun, {"sp1": "z1", "t": "c1", "mu": "-z2"})
     report = transgression.naturality_check(
-        br, blr, transgression.builtin_table("BSpinc"), transgression.builtin_table("BUn", n=2)
+        towers.builtin_morphism("Br", 2, 1).morphism,
+        towers.builtin_morphism("BLr", 2, 1).morphism,
+        transgression.builtin_table("BSpinc"),
+        table,
     )
     if not report.ok:
         return False, "comparison-map naturality square failed"
@@ -146,27 +143,16 @@ def transgression_suite(max_n: int = 6):
 
     for n in range(2, max_n + 1):
         for l in [d for d in _divisors(n) if d > 1]:
-            s = n // l
-            src = space_ring("BUn", n=n)
-            tgt_l = space_ring("BUn_l", n=n, l=l)
-            images = {"c1": tgt_l.gen("cb1") * s}
-            images.update({f"c{k}": tgt_l.gen(f"c{k}") for k in range(2, n + 1)})
-            brho = RingMorphism(src, tgt_l, images)
-            blun_l = space_ring("BLUn_l", n=n, l=l)
-            blrho = RingMorphism(
-                space_ring("BLUn"),
-                blun_l,
-                {"z1": blun_l.gen("zb1") * s, "c1": blun_l.gen("cb1") * s, "z2": "z2", "c2": "c2"},
-            )
-            nu_l = transgression.builtin_table("BUn_l", n=n, l=l)
+            cap = max(12, 2 * n)
+            blrho = towers.builtin_morphism("BLrho_s", n, l, cap).morphism
+            nu_n = transgression.builtin_table("BUn", n=n, degree_cap=cap)
+            nu_l = transgression.builtin_table("BUn_l", n=n, l=l, degree_cap=cap)
             report = transgression.naturality_check(
-                brho, blrho, transgression.builtin_table("BUn", n=n), nu_l
+                towers.builtin_morphism("Brho_s", n, l, cap).morphism, blrho, nu_n, nu_l
             )
             if not report.ok:
                 return False, f"covering naturality failed at n={n}, l={l}"
-            derived = blrho(
-                transgression.free_suspend(transgression.builtin_table("BUn", n=n), src.gen("c2"))
-            )
+            derived = blrho(transgression.free_suspend(nu_n, nu_n.source.gen("c2")))
             if derived != transgression.free_suspend(nu_l, nu_l.source.gen("c2")):
                 return False, f"nu(c2) re-derivation failed at n={n}, l={l}"
             checks += 2

@@ -66,6 +66,10 @@ def test_transgress(capsys):
     code, out, _ = run(capsys, "transgress", "--space", "BSpinc", "--expr", "q1")
     assert code == 0
     assert out.strip() == "mu - sp1*t"
+    nested = "(" * 50 + "c1^2" + ")" * 50
+    code, out, _ = run(capsys, "transgress", "--space", "BUn", "--expr", nested, "--n", "2")
+    assert code == 0
+    assert out.strip() == "2*z1*c1"
 
 
 def test_count(capsys):
@@ -140,6 +144,38 @@ def test_bad_json_exit_code(capsys, tmp_path):
 def test_bad_expression_exit_code(capsys):
     code, _, err = run(capsys, "transgress", "--space", "BUn", "--expr", "c1 +", "--n", "2")
     assert code == 1
+    deep = "(" * 5000 + "c1" + ")" * 5000
+    code, _, err = run(capsys, "transgress", "--space", "BUn", "--expr", deep, "--n", "2")
+    assert code == 1
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def _without_class_a(d):
+    del d["classes"]["a"]
+    return d
+
+
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (_without_class_a, "classes.a"),
+        (lambda d: {**d, "n": "four"}, "n"),
+        (lambda d: {**d, "classes": {**d["classes"], "c": [5]}}, "classes.c[0]"),
+        (lambda d: [d], "descriptor"),
+        (lambda d: {**d, "cohomology": {"hM": {"x": {"rank": 1}}}}, "cohomology.hM.x"),
+    ],
+    ids=["missing_class_a", "n_not_integer", "class_not_string", "top_level_list", "degree_not_integer"],
+)
+def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        payload = json.dumps(mutate(json.load(fh)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "obstruction", "--level", "fracSU", "--descriptor", "-")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("parse error: ")
+    assert f"{field}:" in line or f"'{field}'" in line
 
 
 def test_missing_file_exit_code(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fracchern import towers as tw
 from fracchern.errors import ExpressionError, PreconditionError
-from fracchern.gcring import RingMorphism
+from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.spaces import SPACE_NAMES, space_ring
 from fracchern.symroots import RootModel, fractional_chern_closed
 from fracchern.verify import load_fixture
@@ -29,10 +29,15 @@ def test_space_generator_tables():
     for name in SPACE_NAMES:
         ring = space_ring(name, n=4, l=2)
         assert ring.degree_cap >= max((g.degree for g in ring.generators), default=0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="unknown space 'BNowhere'"):
         space_ring("BNowhere")
     with pytest.raises(PreconditionError):
         space_ring("BUn_l", n=4, l=1)
+    # spaces whose generators start above c_n have none
+    assert space_ring("BSUnQ", n=1).names == ()
+    assert space_ring("BU6nQ", n=1).names == ()
+    assert space_ring("BU6nQ", n=2, degree_cap=4) == RingPresentation([], 4)
+    assert tw.builtin_morphism("phi3", 2, 2).images == {}
 
 
 # -- universal pullbacks --------------------------------------------------------
@@ -124,8 +129,22 @@ def test_builtin_morphism_cited_images():
     beps = tw.builtin_morphism("Bepsilon", 2, 1)
     assert beps.images["h"].render() == "z1"
 
-    with pytest.raises(PreconditionError):
+    rendered = {
+        name: {g: p.render() for g, p in tw.builtin_morphism(name, 6, 3).images.items()}
+        for name in ("Brho_s", "BLrho_s", "BLr", "Lphi2", "xi3")
+    }
+    assert rendered == {
+        "Brho_s": {"c1": "2*cb1", "c2": "c2", "c3": "c3", "c4": "c4", "c5": "c5", "c6": "c6"},
+        "BLrho_s": {"z1": "2*zb1", "c1": "2*cb1", "z2": "z2", "c2": "c2"},
+        "BLr": {"sp1": "z1", "t": "c1", "mu": "-z2"},
+        "Lphi2": {"z2Q": "z2 + 2/3*zb1*cb1", "c2Q": "c2 - 5/3*cb1^2"},
+        "xi3": {"c2Q": "c2 - 5/3*cb1^2"},
+    }
+
+    with pytest.raises(PreconditionError, match="unknown morphism table 'Bzilch'"):
         tw.builtin_morphism("Bzilch", 4, 2)
+    with pytest.raises(PreconditionError, match="unknown space 'BNowhere'"):
+        space_ring("BNowhere", n=4, l=2)
     with pytest.raises(PreconditionError):
         tw.builtin_morphism("Bi2l", 4, 3)
 

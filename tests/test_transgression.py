@@ -14,7 +14,10 @@ def test_builtin_table_values():
     assert spin.values["q1"].render() == "mu - sp1*t"
     unl = tg.builtin_table("BUn_l", n=6, l=2)
     assert unl.values["c2"].render() == "z2 + 9*zb1*cb1"
-    with pytest.raises(PreconditionError):
+    # c2 has no value where the source ring stops at c1
+    assert set(tg.builtin_table("BUn", n=1).values) == {"c1"}
+    assert set(tg.builtin_table("BU1xBUn", n=1).values) == {"g", "c1"}
+    with pytest.raises(PreconditionError, match="no builtin transgression table for 'BTorus'"):
         tg.builtin_table("BTorus")
 
 
