@@ -1,30 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled polynomial kernel against the pure-Python one.
+"""Micro-cases for the polynomial multiplication kernel.
 
 Times ``mul_terms`` on workloads taken from the hot paths (theta
 coefficient products, Koszul-signed loop-ring products, the rank-8
-shifted-product expansion), then times a full Witten-character build
-through each kernel in a subprocess (FRACCHERN_PURE_PYTHON toggles the
-fallback at import time).
+shifted-product expansion); each line is the best of ``--repeat`` runs.
 
 Usage: python benchmarks/bench_poly.py [--repeat N]
 """
 
 import argparse
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
-from fracchern import _poly_py
+from fracchern import _kernel
 from fracchern.gcring import RingPresentation
-
-try:
-    from fracchern import _poly_cy
-except ImportError:
-    _poly_cy = None
 
 
 def dense_poly(ring, rng, terms):
@@ -85,51 +75,14 @@ def time_kernel(impl, ring, pairs, repeat):
     return best
 
 
-def gch_subprocess(pure: bool) -> float:
-    env = dict(os.environ)
-    env.pop("FRACCHERN_PURE_PYTHON", None)
-    if pure:
-        env["FRACCHERN_PURE_PYTHON"] = "1"
-    code = (
-        "import time\n"
-        "from fracchern.symroots import RootModel\n"
-        "from fracchern import qtheta\n"
-        "start = time.perf_counter()\n"
-        "model = RootModel(3, 3, degree_cap=8)\n"
-        "for kind in qtheta.WittenKind:\n"
-        "    qtheta.gch_witten(model, kind, 4, method='both')\n"
-        "print(time.perf_counter() - start)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return float(out.stdout.strip())
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--skip-subprocess", action="store_true")
     args = parser.parse_args()
 
-    if _poly_cy is None:
-        print("compiled kernel not available; timing the pure kernel only")
-    print(f"{'workload':<44} {'python':>9} {'cython':>9} {'speedup':>8}")
     for name, ring, pairs in workloads():
-        t_py = time_kernel(_poly_py, ring, pairs, args.repeat)
-        if _poly_cy is not None:
-            t_cy = time_kernel(_poly_cy, ring, pairs, args.repeat)
-            print(f"{name:<44} {t_py*1e3:8.1f}ms {t_cy*1e3:8.1f}ms {t_py/t_cy:7.2f}x")
-        else:
-            print(f"{name:<44} {t_py*1e3:8.1f}ms {'-':>9} {'-':>8}")
-
-    if not args.skip_subprocess and _poly_cy is not None:
-        t_pure = gch_subprocess(pure=True)
-        t_fast = gch_subprocess(pure=False)
-        print(
-            f"{'full Witten character, n=3 (subprocess)':<44} "
-            f"{t_pure*1e3:8.1f}ms {t_fast*1e3:8.1f}ms {t_pure/t_fast:7.2f}x"
-        )
+        t = time_kernel(_kernel, ring, pairs, args.repeat)
+        print(f"{name:<44} {t*1e3:8.1f}ms")
 
 
 if __name__ == "__main__":

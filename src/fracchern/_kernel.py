@@ -1,24 +1,4 @@
-"""Select the polynomial multiplication kernel.
+"""The polynomial multiplication kernel (see _poly_py)."""
 
-The compiled Cython kernel is preferred; the pure-Python twin is used
-when the extension is missing or FRACCHERN_PURE_PYTHON is set.  Both
-expose ``mul_terms`` with identical semantics (see _poly_py).
-"""
-
-import os
-
-from . import _poly_py
-
-if os.environ.get("FRACCHERN_PURE_PYTHON"):
-    _impl = _poly_py
-else:
-    try:
-        from . import _poly_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _poly_py
-
-mul_terms = _impl.mul_terms
-KERNEL_NAME = _impl.KERNEL_NAME
-
-FIELD_BITS = _poly_py.FIELD_BITS
-FIELD_MASK = _poly_py.FIELD_MASK
+from . import _poly_py as _impl
+from ._poly_py import FIELD_BITS, FIELD_MASK, KERNEL_NAME, mul_terms

@@ -1,12 +1,9 @@
-"""Pure-Python multiplication kernel for graded-commutative polynomials.
+"""The multiplication kernel for graded-commutative polynomials.
 
 Monomials are packed into single Python ints, 16 bits of exponent per
 generator (field i holds the exponent of generator i).  Merging two
 monomials is then plain integer addition; exponents never reach 2**15,
-so fields cannot carry into each other.
-
-The compiled twin of this module is ``_poly_cy`` (same API); ``_kernel``
-picks whichever is available at import time.
+so fields cannot carry into each other.  ``_kernel`` re-exports it.
 """
 
 from fractions import Fraction
@@ -18,7 +15,7 @@ FIELD_MASK = (1 << FIELD_BITS) - 1
 KERNEL_NAME = "python"
 
 
-def _prepare(terms, degrees, odd_mask_by_gen, ngens):
+def _prepare(terms, degrees, odd_mask_by_gen):
     """Turn {packed: Fraction} into (common_den, [(packed, deg, odd_mask, int_coef)])."""
     den = 1
     for c in terms.values():
@@ -65,8 +62,8 @@ def mul_terms(terms_a, terms_b, degrees, odd_mask_by_gen, cap):
     """
     if not terms_a or not terms_b:
         return {}
-    den_a, ea = _prepare(terms_a, degrees, odd_mask_by_gen, len(degrees))
-    den_b, eb = _prepare(terms_b, degrees, odd_mask_by_gen, len(degrees))
+    den_a, ea = _prepare(terms_a, degrees, odd_mask_by_gen)
+    den_b, eb = _prepare(terms_b, degrees, odd_mask_by_gen)
     acc = {}
     for mono_a, deg_a, odd_a, num_a in ea:
         room = cap - deg_a

@@ -51,8 +51,9 @@ class Generator:
 class RingPresentation:
     """Free graded-commutative algebra on ordered generators, capped in degree."""
 
-    # exponents are packed into 16-bit fields and odd-generator sets into a
-    # 64-bit mask in the multiplication kernels
+    # a monomial is one int of 16-bit exponent fields (see _poly_py): a cap
+    # below 2**15 bounds every exponent, so adding two monomials never
+    # carries between fields; 64 generators bound a monomial at 1024 bits
     MAX_GENERATORS = 64
     MAX_DEGREE_CAP = (1 << (FIELD_BITS - 1)) - 1
 

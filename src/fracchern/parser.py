@@ -27,7 +27,14 @@ def _tokenize(text: str):
         if not m:
             raise ExpressionError(f"bad character in expression at {text[pos:]!r}")
         if m.lastgroup == "number":
-            tokens.append(("num", int(m.group("number"))))
+            digits = m.group("number")
+            try:
+                tokens.append(("num", int(digits)))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ExpressionError(
+                    f"integer literal at position {m.start('number')} is too long "
+                    f"({len(digits)} digits)"
+                ) from None
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident")))
         else:

@@ -297,6 +297,13 @@ def count_structures(level: str, hM: dict | None, hLM: dict | None = None) -> Ab
 # ---------------------------------------------------------------------------
 
 
+def _class_at(classes: list, k: int, missing: str) -> GradedPolynomial:
+    """classes[k - 1], or a PreconditionError saying ``missing``."""
+    if not 1 <= k <= len(classes):
+        raise PreconditionError(missing)
+    return classes[k - 1]
+
+
 @dataclass
 class LoopData:
     ring_ly: RingPresentation
@@ -312,6 +319,15 @@ class LoopData:
     nu_m: DerivationTable | None = None
     side_conditions_y: dict = field(default_factory=dict)
     side_conditions_m: dict = field(default_factory=dict)
+
+    def z_class(self, k: int) -> GradedPolynomial:
+        return _class_at(self.z, k, f"loop data has no class z{k}(LE)")
+
+    def c_class(self, k: int) -> GradedPolynomial:
+        return _class_at(self.c, k, f"loop data has no class c{k}(LE)")
+
+    def zfrac_class(self, k: int) -> GradedPolynomial:
+        return _class_at(self.zfrac, k, f"loop data has no fractional loop class of index {k}")
 
 
 @dataclass
@@ -338,14 +354,10 @@ class BundleDescriptor:
         return self.n // self.l
 
     def chern(self, k: int) -> GradedPolynomial:
-        if not 1 <= k <= len(self.c):
-            raise PreconditionError(f"descriptor has no class c{k}(E)")
-        return self.c[k - 1]
+        return _class_at(self.c, k, f"descriptor has no class c{k}(E)")
 
     def fractional(self, k: int) -> GradedPolynomial:
-        if not 1 <= k <= len(self.frac):
-            raise PreconditionError(f"descriptor has no fractional class of index {k}")
-        return self.frac[k - 1]
+        return _class_at(self.frac, k, f"descriptor has no fractional class of index {k}")
 
     def require_loop(self) -> LoopData:
         if self.loop is None:
@@ -538,12 +550,12 @@ def _expected_pullback(level: str, d: BundleDescriptor):
         )
     lo = d.require_loop()
     if level == "loopU":
-        return lo.z[0] - lo.afrak * s
+        return lo.z_class(1) - lo.afrak * s
     if level == "loopSU":
         return (
-            lo.z[1]
-            + lo.afrak * lo.c[0] * Fraction(1, l)
-            + lo.z[0] * lo.a * Fraction(1, l)
+            lo.z_class(2)
+            + lo.afrak * lo.c_class(1) * Fraction(1, l)
+            + lo.z_class(1) * lo.a * Fraction(1, l)
             - lo.afrak * lo.a * Fraction(s, l)
         )
     raise PreconditionError(f"unknown level {level!r}")
@@ -557,8 +569,9 @@ def _pair(level: str, d: BundleDescriptor):
         return d.chern(2) - d.a * d.a * _c2_twist(d.n, d.l), d.fractional(2), d.pi_star
     lo = d.require_loop()
     if level == "loopU":
-        return lo.z[0] - lo.afrak * d.s, lo.zfrac[0], lo.pi_star
-    return lo.z[1] + lo.z[0] * lo.c[0] * Fraction(1, d.n), lo.zfrac[1], lo.pi_star
+        return lo.z_class(1) - lo.afrak * d.s, lo.zfrac_class(1), lo.pi_star
+    up = lo.z_class(2) + lo.z_class(1) * lo.c_class(1) * Fraction(1, d.n)
+    return up, lo.zfrac_class(2), lo.pi_star
 
 
 def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
@@ -578,7 +591,7 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
         )
     if level == "loopSU":
         lo = d.require_loop()
-        if lo.c[0] != lo.a * d.s or lo.z[0] != lo.afrak * d.s:
+        if lo.c_class(1) != lo.a * d.s or lo.z_class(1) != lo.afrak * d.s:
             raise PreconditionError(
                 "loopSU side conditions c1(LE) = s*a, z1(LE) = s*af do not hold"
             )
@@ -624,14 +637,14 @@ def lift_consequences(level: str, d: BundleDescriptor) -> list:
         )
     if level in ("loopU", "loopSU"):
         lo = d.require_loop()
-        checks.append(IdentityCheck("z1(LE) = s*af", lo.z[0], lo.afrak * s))
+        checks.append(IdentityCheck("z1(LE) = s*af", lo.z_class(1), lo.afrak * s))
     if level == "loopSU":
         lo = d.require_loop()
-        checks.append(IdentityCheck("c1(LE) = s*a", lo.c[0], lo.a * s))
+        checks.append(IdentityCheck("c1(LE) = s*a", lo.c_class(1), lo.a * s))
         checks.append(
             IdentityCheck(
                 "z2(LE) = -(s/l)*af*a",
-                lo.z[1],
+                lo.z_class(2),
                 -lo.afrak * lo.a * Fraction(s, d.l),
             )
         )

@@ -148,6 +148,11 @@ def test_bad_expression_exit_code(capsys):
     code, _, err = run(capsys, "transgress", "--space", "BUn", "--expr", deep, "--n", "2")
     assert code == 1
     assert err.startswith("parse error: ") and "Traceback" not in err
+    huge = "c1 + " + "1" * 5000
+    code, _, err = run(capsys, "transgress", "--space", "BUn", "--expr", huge, "--n", "2")
+    assert code == 1
+    assert err.startswith("parse error: ") and "Traceback" not in err
+    assert "position 5" in err
 
 
 def _without_class_a(d):
@@ -176,6 +181,29 @@ def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field
     [line] = err.splitlines()
     assert line.startswith("parse error: ")
     assert f"{field}:" in line or f"'{field}'" in line
+
+
+@pytest.mark.parametrize(
+    "level,cls,missing",
+    [
+        ("loopU", "z", "z1(LE)"),
+        ("loopU", "zfrac", "fractional loop class of index 1"),
+        ("loopSU", "z", "z1(LE)"),
+        ("loopSU", "c", "c1(LE)"),
+        ("loopSU", "zfrac", "fractional loop class of index 2"),
+    ],
+    ids=["loopU-z", "loopU-zfrac", "loopSU-z", "loopSU-c", "loopSU-zfrac"],
+)
+def test_short_loop_class_list_is_a_precondition(capsys, monkeypatch, level, cls, missing):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        d = json.load(fh)
+    d["loop"]["classes"][cls] = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(d)))
+    code, out, err = run(capsys, "obstruction", "--level", level, "--descriptor", "-")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("precondition violated: ") and missing in line
 
 
 def test_missing_file_exit_code(capsys):

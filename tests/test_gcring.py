@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from fracchern import _kernel, _poly_py
+from fracchern import _kernel
 from fracchern.errors import PreconditionError, PresentationMismatch
-from fracchern.gcring import Generator, RingMorphism, RingPresentation, transplant
+from fracchern.gcring import (
+    Generator,
+    GradedPolynomial,
+    RingMorphism,
+    RingPresentation,
+    transplant,
+)
 
 from conftest import random_polynomial
 
@@ -201,18 +207,44 @@ def test_inverse_unit(even_ring):
         even_ring.gen("a").inverse_unit()
 
 
-def test_kernel_implementations_agree(loop_ring):
+def naive_product(p, q):
+    """p*q from exponent tuples alone: the Koszul sign counts the pairs
+    (odd generator of q, higher-index odd generator of p) that swap."""
+    ring = p.ring
+    odd = [g.is_odd for g in ring.generators]
+    out = {}
+    for ea, ca in p.terms():
+        for eb, cb in q.terms():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if any(o and e > 1 for o, e in zip(odd, exps)):
+                continue
+            if ring.monomial_degree(exps) > ring.degree_cap:
+                continue
+            swaps = sum(
+                ea[i]
+                for j in range(len(odd))
+                if odd[j] and eb[j]
+                for i in range(j + 1, len(odd))
+                if odd[i]
+            )
+            out[exps] = out.get(exps, 0) + (-1) ** swaps * ca * cb
+    return ring.from_exponents(out)
+
+
+def test_kernel_matches_naive_product(loop_ring):
     rng = random.Random(7)
-    for _ in range(30):
+    truncated = odd_signed = 0
+    for _ in range(200):
         p = random_polynomial(loop_ring, rng)
         q = random_polynomial(loop_ring, rng)
-        via_selected = _kernel.mul_terms(
+        terms = _kernel.mul_terms(
             p._terms, q._terms, loop_ring.degrees, loop_ring.odd_mask_by_gen, loop_ring.degree_cap
         )
-        via_python = _poly_py.mul_terms(
-            p._terms, q._terms, loop_ring.degrees, loop_ring.odd_mask_by_gen, loop_ring.degree_cap
-        )
-        assert via_selected == via_python
+        assert GradedPolynomial(loop_ring, terms) == naive_product(p, q)
+        truncated += p.degree() + q.degree() > loop_ring.degree_cap
+        odd_signed += any(e[2] for e, _ in p.terms()) and any(e[0] for e, _ in q.terms())
+    # the random pairs reach both the cap and the Koszul signs
+    assert truncated and odd_signed
 
 
 def test_morphism_rejects_foreign_polynomial(even_ring, loop_ring):
