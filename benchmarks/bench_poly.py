@@ -1,19 +1,16 @@
-#!/usr/bin/env python3
 """Micro-cases for the polynomial multiplication kernel.
 
-Times ``mul_terms`` on workloads taken from the hot paths (theta
-coefficient products, Koszul-signed loop-ring products, the rank-8
-shifted-product expansion); each line is the best of ``--repeat`` runs.
-
-Usage: python benchmarks/bench_poly.py [--repeat N]
+Operands for ``mul_terms`` taken from the hot paths (theta coefficient
+products, Koszul-signed loop-ring products, the rank-8 shifted-product
+expansion).  ``perfbench/kernel_cases.py`` loads this file by path and
+times the cases as the ``kernel.case_*_s`` metrics of
+``python3 perfbench/run.py --trace 1``.
 """
 
-import argparse
 import random
 import time
 from fractions import Fraction
 
-from fracchern import _kernel
 from fracchern.gcring import RingPresentation
 
 
@@ -74,16 +71,3 @@ def time_kernel(impl, ring, pairs, repeat):
         best = min(best, time.perf_counter() - start)
     return best
 
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args()
-
-    for name, ring, pairs in workloads():
-        t = time_kernel(_kernel, ring, pairs, args.repeat)
-        print(f"{name:<44} {t*1e3:8.1f}ms")
-
-
-if __name__ == "__main__":
-    main()

@@ -10,15 +10,13 @@ UTF-8 text and deterministic.  Exit codes: 0 success, 1 parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import qtheta, symroots, towers, transgression, verify
 from .errors import ExpressionError, PreconditionError, VerificationError
+from .spaces import DEFAULT_CAP, working_cap
 from .symroots import RootModel
-
-DEFAULT_CAP = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,10 +42,11 @@ def _degree_cap() -> int:
 
 
 def _open_descriptor(path: str):
-    if path == "-":
-        return towers.descriptor_from_json(json.load(sys.stdin))
-    with open(path, "r", encoding="utf-8") as fh:
-        return towers.descriptor_from_json(json.load(fh))
+    return towers.load_descriptor(sys.stdin if path == "-" else path)
+
+
+def _model(args) -> RootModel:
+    return RootModel(args.n, args.l, degree_cap=working_cap(args.n, _degree_cap()))
 
 
 def _render_class(poly) -> str:
@@ -58,8 +57,7 @@ def _render_class(poly) -> str:
 
 
 def _cmd_frac_chern(args) -> int:
-    cap = max(_degree_cap(), 2 * args.n)
-    model = RootModel(args.n, args.l, degree_cap=cap)
+    model = _model(args)
     if args.oracle:
         closed = symroots.fractional_chern_closed(model, args.k)
         brute = symroots.fractional_chern_brute(model, args.k)
@@ -79,14 +77,13 @@ def _cmd_frac_chern(args) -> int:
 
 
 def _cmd_change_triv(args) -> int:
-    cap = max(_degree_cap(), 2 * args.n)
-    model = RootModel(args.n, args.l, degree_cap=cap)
+    model = _model(args)
     print(symroots.change_trivialization(model, args.k).render())
     return 0
 
 
 def _cmd_universal(args) -> int:
-    cap = max(_degree_cap(), 2 * args.n)
+    cap = _degree_cap()
     if args.map == "phi":
         value = towers.phi_pullback(args.n, args.l, args.k, cap)
     elif args.map == "phi2":
@@ -129,8 +126,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gch(args) -> int:
-    cap = max(_degree_cap(), 2 * args.n)
-    model = RootModel(args.n, args.l, degree_cap=cap)
+    model = _model(args)
     kind = qtheta.WittenKind.parse(args.kind)
     series = qtheta.gch_witten(model, kind, args.q_order, method=args.method)
     if args.normalize:
@@ -161,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_nl(p, l_required=True):
+    def add_nl(p):
         p.add_argument("--n", type=int, required=True, help="bundle rank")
-        p.add_argument("--l", type=int, required=l_required, default=1, help="twist order (divides n)")
+        p.add_argument("--l", type=int, required=True, help="twist order (divides n)")
 
     p = sub.add_parser("frac-chern", help="fractional Chern class c_k^{l,a}")
     add_nl(p)
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ExpressionError, json.JSONDecodeError) as exc:
+    except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:
@@ -235,9 +231,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -15,11 +15,20 @@ order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import FIELD_BITS, FIELD_MASK, mul_terms
 from .errors import ExpressionError, PreconditionError, PresentationMismatch
+
+
+def json_int(value, field: str) -> int:
+    """int() of a JSON value, where a float must be a finite integer: 4.0
+    is 4, while 4.9, 1e400 and -Infinity raise a ValueError naming ``field``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def as_fraction(value) -> Fraction:
@@ -175,11 +184,19 @@ class RingPresentation:
     @classmethod
     def from_json(cls, data: dict) -> "RingPresentation":
         try:
-            gens = [(g["name"], int(g["degree"])) for g in data["generators"]]
-            cap = int(data["degree_cap"])
+            gens = [(g["name"], json_int(g["degree"], "degree")) for g in data["generators"]]
+            cap = json_int(data["degree_cap"], "degree_cap")
         except (KeyError, TypeError, ValueError) as exc:
             raise ExpressionError(f"malformed ring presentation: {exc}") from exc
         return cls(gens, cap)
+
+
+def _coefficient_text(magnitude: Fraction) -> str:
+    try:
+        return str(magnitude)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"a coefficient has more than {limit} digits to print") from None
 
 
 class GradedPolynomial:
@@ -362,9 +379,9 @@ class GradedPolynomial:
             if factors:
                 body = "*".join(factors)
                 if magnitude != 1:
-                    body = f"{magnitude}*{body}"
+                    body = f"{_coefficient_text(magnitude)}*{body}"
             else:
-                body = str(magnitude)
+                body = _coefficient_text(magnitude)
             if i == 0:
                 chunks.append(body if coef > 0 else f"-{body}")
             else:
@@ -404,6 +421,18 @@ def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomia
     return target.from_exponents(out_terms)
 
 
+def element_of_degree(target: RingPresentation, value, degree: int, what: str) -> GradedPolynomial:
+    """``value`` as an element of ``target`` homogeneous of ``degree`` (or
+    zero); a string is parsed over ``target``.  ``what`` names it in errors."""
+    if isinstance(value, str):
+        value = target.poly(value)
+    if value.ring != target:
+        raise PresentationMismatch(f"{what} is not over the target")
+    if not value.is_homogeneous(degree):
+        raise PreconditionError(f"{what} must be homogeneous of degree {degree}")
+    return value
+
+
 class RingMorphism:
     """Degree-preserving ring homomorphism given by generator images."""
 
@@ -414,16 +443,9 @@ class RingMorphism:
         for g in source.generators:
             if g.name not in images:
                 raise PreconditionError(f"no image given for generator {g.name}")
-            img = images[g.name]
-            if isinstance(img, str):
-                img = target.poly(img)
-            if img.ring != target:
-                raise PresentationMismatch(f"image of {g.name} is not over the target")
-            if not img.is_zero and not img.is_homogeneous(g.degree):
-                raise PreconditionError(
-                    f"image of {g.name} must be homogeneous of degree {g.degree}"
-                )
-            imgs[g.name] = img
+            imgs[g.name] = element_of_degree(
+                target, images[g.name], g.degree, f"image of {g.name}"
+            )
         self.images = imgs
 
     @classmethod
@@ -437,7 +459,7 @@ class RingMorphism:
         for name, value in replacements.items():
             if name not in ring.index:
                 raise ExpressionError(f"unknown generator {name!r}")
-            images[name] = ring.poly(value) if isinstance(value, str) else value
+            images[name] = value
         return cls(ring, ring, images)
 
     @classmethod

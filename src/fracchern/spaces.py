@@ -11,6 +11,25 @@ the conventional order ("c1 - g", "c2 - 1/4*cb1^2", ...).
 from .errors import PreconditionError
 from .gcring import RingPresentation
 
+# the cohomology degree kept by every rank-n computation unless asked otherwise
+DEFAULT_CAP = 12
+
+
+def check_n_l(n: int, l: int, require_higher: bool = False) -> int:
+    """s = n/l for a rank-n module twisted by an order-l gerbe, l | n."""
+    if n < 1 or l < 1:
+        raise PreconditionError("n and l must be positive")
+    if n % l:
+        raise PreconditionError(f"l={l} must divide n={n}")
+    if require_higher and l == 1:
+        raise PreconditionError("the higher towers require l > 1")
+    return n // l
+
+
+def working_cap(n: int, degree_cap: int | None = None) -> int:
+    """``degree_cap`` (DEFAULT_CAP if not given), raised to 2n for rank n."""
+    return max(degree_cap or DEFAULT_CAP, 2 * n)
+
 
 def _chern(n, lo, suffix=""):
     """c_lo .. c_n, of degrees 2*lo .. 2n."""
@@ -65,7 +84,7 @@ def check_parameters(name: str, n, l) -> None:
             raise PreconditionError(f"l={l} must divide n={n}")
 
 
-def space_ring(name: str, n: int | None = None, l: int | None = None, degree_cap: int = 12) -> RingPresentation:
+def space_ring(name: str, n: int | None = None, l: int | None = None, degree_cap: int = DEFAULT_CAP) -> RingPresentation:
     """Presentation of H^{<= degree_cap} for the named space."""
     check_parameters(name, n, l)
     if name not in _SPACES:

@@ -20,21 +20,18 @@ from math import comb
 
 from .errors import EngineError, PreconditionError, SymmetryError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation
+from .spaces import check_n_l, working_cap
 
 
 class RootModel:
     """Splitting-principle workspace for rank n and twist order l (l | n)."""
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
-        if n < 1 or l < 1:
-            raise PreconditionError("n and l must be positive")
-        if n % l:
-            raise PreconditionError(f"l={l} must divide n={n}")
+        self.s = check_n_l(n, l)
         if degree_cap is None:
-            degree_cap = max(2 * n, 12)
+            degree_cap = working_cap(n)
         self.n = n
         self.l = l
-        self.s = n // l
         self.extra_even = tuple(extra_even)
         gens = [("a", 2)] + [(name, 2) for name in self.extra_even]
         gens += [(f"x{i}", 2) for i in range(1, n + 1)]

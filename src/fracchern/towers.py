@@ -20,26 +20,15 @@ from math import comb
 
 from . import transgression
 from .errors import ExpressionError, PreconditionError, VerificationError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, transplant
-from .spaces import SPACE_NAMES, space_ring
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, element_of_degree, json_int, transplant
+from .spaces import SPACE_NAMES, check_n_l, space_ring, working_cap
 from .symroots import shifted_chern_sum
 from .transgression import DerivationTable, free_suspend
 
-LEVELS = ("fracSU", "fracU6", "loopU", "loopSU")
+# level -> (side, degree) of the group H^degree(side) counting its structures
+_GROUPS = {"fracSU": ("M", 1), "fracU6": ("M", 3), "loopU": ("LM", 0), "loopSU": ("LM", 2)}
 
-
-def _check_n_l(n: int, l: int, require_higher: bool = False) -> int:
-    if n < 1 or l < 1:
-        raise PreconditionError("n and l must be positive")
-    if n % l:
-        raise PreconditionError(f"l={l} must divide n={n}")
-    if require_higher and l == 1:
-        raise PreconditionError("the higher towers require l > 1")
-    return n // l
-
-
-def _cap(n: int, degree_cap: int | None) -> int:
-    return max(degree_cap or 12, 2 * n)
+LEVELS = tuple(_GROUPS)
 
 
 def _c2_twist(n: int, l: int) -> Fraction:
@@ -58,10 +47,10 @@ def phi_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grade
 
         sum_{i=0..k} (-1/l)^i C(n-k+i, i) g^i c_{k-i}
     """
-    _check_n_l(n, l)
+    check_n_l(n, l)
     if not 0 <= k <= n:
         raise PreconditionError(f"k={k} out of range 0..{n}")
-    ring = space_ring("BU1xBUn", n=n, degree_cap=_cap(n, degree_cap))
+    ring = space_ring("BU1xBUn", n=n, degree_cap=working_cap(n, degree_cap))
     return shifted_chern_sum(ring, "g", "c", n, l, k)
 
 
@@ -71,10 +60,10 @@ def phi2_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grad
         sum_{i=0..k-2} (-1/l)^i C(n-k+i, i) cb1^i c_{k-i}
           + (-1/l)^k (1-k) C(n, k) cb1^k
     """
-    _check_n_l(n, l, require_higher=True)
+    check_n_l(n, l, require_higher=True)
     if not 2 <= k <= n:
         raise PreconditionError(f"k={k} must satisfy 2 <= k <= n")
-    ring = space_ring("BUn_l", n=n, l=l, degree_cap=_cap(n, degree_cap))
+    ring = space_ring("BUn_l", n=n, l=l, degree_cap=working_cap(n, degree_cap))
     top = ring.gen("cb1") ** k * (Fraction(-1, l) ** k * (1 - k) * comb(n, k))
     return shifted_chern_sum(ring, "cb1", "c", n, l, k, terms=k - 1) + top
 
@@ -173,10 +162,10 @@ class MorphismTable:
 
 def builtin_morphism(name: str, n: int, l: int, degree_cap: int | None = None) -> MorphismTable:
     """Generator-image table for a named map of the towers."""
-    cap = _cap(n, degree_cap)
+    cap = working_cap(n, degree_cap)
     # an unknown name is checked like a map of the higher towers first
     source, target, higher, images = _MORPHISMS.get(name, (None, None, True, None))
-    s = _check_n_l(n, l, require_higher=higher)
+    s = check_n_l(n, l, require_higher=higher)
     if images is None:
         raise PreconditionError(f"unknown morphism table {name!r}")
     tgt = space_ring(target, n=n, l=l, degree_cap=cap)
@@ -196,7 +185,7 @@ def xi2_pullback(n: int, l: int, which: str, degree_cap: int | None = None) -> G
     """
     if which not in ("c1Q", "z2Q"):
         raise PreconditionError("which must be 'c1Q' or 'z2Q'")
-    cap = _cap(n, degree_cap)
+    cap = working_cap(n, degree_cap)
     table = builtin_morphism("xi2", n, l, cap)
     value = table.images[which]
     if which == "z2Q":
@@ -213,8 +202,8 @@ def lphi2_z2(n: int, l: int, degree_cap: int | None = None) -> GradedPolynomial:
     """Loop pullback of z2Q to BLU(n)_l: z2 + s/l*zb1*cb1, cross-checked by
     two independent routes (transgression of the level-1 pullback, and the
     loop-tower factorization)."""
-    _check_n_l(n, l, require_higher=True)
-    cap = _cap(n, degree_cap)
+    check_n_l(n, l, require_higher=True)
+    cap = working_cap(n, degree_cap)
     value = builtin_morphism("Lphi2", n, l, cap).images["z2Q"]
 
     # route 1: suspend phi2*(c2Q) over BU(n)_l
@@ -270,7 +259,8 @@ class AbelianGroupDesc:
         if not isinstance(data, dict):
             raise ExpressionError("group descriptor must be an object")
         try:
-            return cls(int(data.get("rank", 0)), tuple(int(t) for t in data.get("torsion", ())))
+            rank = json_int(data.get("rank", 0), "rank")
+            return cls(rank, tuple(json_int(t, "torsion") for t in data.get("torsion", ())))
         except (TypeError, ValueError):
             raise ExpressionError(
                 f"group descriptor needs an integer rank and integer torsion orders, got {data!r}"
@@ -280,10 +270,9 @@ class AbelianGroupDesc:
 def count_structures(level: str, hM: dict | None, hLM: dict | None = None) -> AbelianGroupDesc:
     """The group parametrizing level structures: H^1(M), H^3(M), H^0(LM)
     or H^2(LM)."""
-    wanted = {"fracSU": ("M", 1), "fracU6": ("M", 3), "loopU": ("LM", 0), "loopSU": ("LM", 2)}
-    if level not in wanted:
+    if level not in _GROUPS:
         raise PreconditionError(f"unknown level {level!r}")
-    side, degree = wanted[level]
+    side, degree = _GROUPS[level]
     table = hM if side == "M" else hLM
     if table is None or degree not in table:
         raise PreconditionError(
@@ -386,7 +375,7 @@ def _field(data, path: str, default=_REQUIRED):
 
 def _integer(value, path: str) -> int:
     try:
-        return int(value)
+        return json_int(value, path)
     except (TypeError, ValueError):
         raise ExpressionError(f"{path}: expected an integer, got {value!r}") from None
 
@@ -416,12 +405,10 @@ def _parse_classes(ring, data, path, expected_degrees, what):
     out = []
     for k, text in enumerate(entries, start=1):
         poly = _expression(ring, text, f"{path}[{k - 1}]")
-        degree = expected_degrees(k)
-        if not poly.is_zero and not poly.is_homogeneous(degree):
-            raise ExpressionError(
-                f"{what} #{k} must be homogeneous of degree {degree}: got {poly}"
-            )
-        out.append(poly)
+        try:
+            out.append(element_of_degree(ring, poly, expected_degrees(k), f"{what} #{k}"))
+        except PreconditionError as exc:
+            raise ExpressionError(f"{exc}: got {poly}") from None
     return out
 
 
@@ -443,7 +430,7 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
     ring_y = RingPresentation.from_json(_field(data, "ringY"))
     ring_m = RingPresentation.from_json(_field(data, "ringM"))
     _field(data, "classes")
-    _check_n_l(n, l)
+    check_n_l(n, l)
     pi_star = RingMorphism(ring_m, ring_y, _expressions(data, "pi_star"))
     a = _class(ring_y, data, "classes.a")
     if not a.is_zero and not a.is_homogeneous(2):
@@ -496,12 +483,24 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
     )
 
 
+def _json_int_literal(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ExpressionError(f"integer literal of {len(text)} characters is too long") from None
+
+
 def load_descriptor(path_or_file) -> BundleDescriptor:
-    if hasattr(path_or_file, "read"):
-        data = json.load(path_or_file)
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    """Read a descriptor from a path or an open text file.  A file that
+    cannot be opened, is not UTF-8 or is not JSON is an ExpressionError."""
+    try:
+        if hasattr(path_or_file, "read"):
+            data = json.load(path_or_file, parse_int=_json_int_literal)
+        else:
+            with open(path_or_file, "r", encoding="utf-8") as fh:
+                data = json.load(fh, parse_int=_json_int_literal)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ExpressionError(str(exc)) from None
     return descriptor_from_json(data)
 
 
@@ -535,43 +534,31 @@ class ObstructionPair:
         return self.render()
 
 
-def _expected_pullback(level: str, d: BundleDescriptor):
-    """pi* of the downstairs class written in upstairs classes (exact
-    consequence of the root-shift formulas, no side conditions)."""
-    s = d.s
-    n, l = d.n, d.l
+def _level(level: str, d: BundleDescriptor):
+    """(upstairs class, downstairs class, pullback along pi, pi* of the
+    downstairs class in upstairs classes) of a level; the last follows
+    exactly from the root-shift formulas, with no side conditions."""
+    s, n, l = d.s, d.n, d.l
     if level == "fracSU":
-        return d.chern(1) - d.a * s
+        up = d.chern(1) - d.a * s
+        return up, d.fractional(1), d.pi_star, up
     if level == "fracU6":
-        return (
-            d.chern(2)
-            - d.a * d.chern(1) * Fraction(n - 1, l)
-            + d.a * d.a * Fraction(s * (n - 1), 2 * l)
-        )
+        twist = d.a * d.a * _c2_twist(n, l)
+        up = d.chern(2) - twist
+        expected = d.chern(2) - d.a * d.chern(1) * Fraction(n - 1, l) + twist
+        return up, d.fractional(2), d.pi_star, expected
     lo = d.require_loop()
     if level == "loopU":
-        return lo.z_class(1) - lo.afrak * s
-    if level == "loopSU":
-        return (
-            lo.z_class(2)
-            + lo.afrak * lo.c_class(1) * Fraction(1, l)
-            + lo.z_class(1) * lo.a * Fraction(1, l)
-            - lo.afrak * lo.a * Fraction(s, l)
-        )
-    raise PreconditionError(f"unknown level {level!r}")
-
-
-def _pair(level: str, d: BundleDescriptor):
-    """(upstairs class, downstairs class, pullback along pi) of a level."""
-    if level == "fracSU":
-        return d.chern(1) - d.a * d.s, d.fractional(1), d.pi_star
-    if level == "fracU6":
-        return d.chern(2) - d.a * d.a * _c2_twist(d.n, d.l), d.fractional(2), d.pi_star
-    lo = d.require_loop()
-    if level == "loopU":
-        return lo.z_class(1) - lo.afrak * d.s, lo.zfrac_class(1), lo.pi_star
-    up = lo.z_class(2) + lo.z_class(1) * lo.c_class(1) * Fraction(1, d.n)
-    return up, lo.zfrac_class(2), lo.pi_star
+        up = lo.z_class(1) - lo.afrak * s
+        return up, lo.zfrac_class(1), lo.pi_star, up
+    up = lo.z_class(2) + lo.z_class(1) * lo.c_class(1) * Fraction(1, n)
+    expected = (
+        lo.z_class(2)
+        + lo.afrak * lo.c_class(1) * Fraction(1, l)
+        + lo.z_class(1) * lo.a * Fraction(1, l)
+        - lo.afrak * lo.a * Fraction(s, l)
+    )
+    return up, lo.zfrac_class(2), lo.pi_star, expected
 
 
 def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
@@ -584,7 +571,7 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
     """
     if level not in LEVELS:
         raise PreconditionError(f"unknown level {level!r}")
-    _check_n_l(d.n, d.l, require_higher=True)
+    check_n_l(d.n, d.l, require_higher=True)
     if level in ("fracU6", "loopSU") and not obstruction("fracSU", d).vanishes:
         raise PreconditionError(
             f"{level} requires a fractional SU structure (fracSU obstruction is nonzero)"
@@ -595,8 +582,8 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
             raise PreconditionError(
                 "loopSU side conditions c1(LE) = s*a, z1(LE) = s*af do not hold"
             )
-    up, down, pi = _pair(level, d)
-    compatible = pi(down) == _expected_pullback(level, d)
+    up, down, pi, expected = _level(level, d)
+    compatible = pi(down) == expected
     vanishes = up.is_zero and down.is_zero
     note = ""
     if vanishes and level in ("loopU", "loopSU"):
@@ -695,8 +682,8 @@ def transgress_obstruction(level: str, d: BundleDescriptor) -> TransgressionRepo
     if level not in ("fracSU->loopU", "fracU6->loopSU"):
         raise PreconditionError(f"unknown transgression level {level!r}")
     base, loop_level = level.split("->")
-    up, down, _ = _pair(base, d)
-    loop_up, loop_down, _ = _pair(loop_level, d)
+    up, down, _, _ = _level(base, d)
+    loop_up, loop_down, _, _ = _level(loop_level, d)
     nu_up = free_suspend(lo.nu_y, up)
     nu_down = free_suspend(lo.nu_m, down)
     subs_y = RingMorphism.substitution(lo.ring_ly, lo.side_conditions_y)

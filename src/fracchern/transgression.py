@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import spaces
 from .errors import PreconditionError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, element_of_degree
 
 
 @dataclass
@@ -41,15 +41,9 @@ class DerivationTable:
                 raise PreconditionError(
                     f"odd generator {name} cannot carry a transgression value"
                 )
-            if isinstance(value, str):
-                value = self.target.poly(value)
-            if value.ring != self.target:
-                raise PreconditionError(f"value of {name} is not over the target ring")
-            if not value.is_zero and not value.is_homogeneous(gen.degree - 1):
-                raise PreconditionError(
-                    f"value of {name} must be homogeneous of degree {gen.degree - 1}"
-                )
-            checked[name] = value
+            checked[name] = element_of_degree(
+                self.target, value, gen.degree - 1, f"value of {name}"
+            )
         self.values = checked
 
 
@@ -101,7 +95,7 @@ _TABLES = {
 }
 
 
-def builtin_table(space_name: str, n: int | None = None, l: int | None = None, degree_cap: int = 12) -> DerivationTable:
+def builtin_table(space_name: str, n: int | None = None, l: int | None = None, degree_cap: int = spaces.DEFAULT_CAP) -> DerivationTable:
     """Transgression tables of the classifying spaces used by the towers."""
     if space_name not in _TABLES:
         raise PreconditionError(f"no builtin transgression table for {space_name!r}")

@@ -15,7 +15,7 @@ from importlib import resources
 from . import qtheta, symroots, towers, transgression
 from .errors import EngineError
 from .gcring import RingPresentation
-from .spaces import space_ring
+from .spaces import space_ring, working_cap
 from .symroots import RootModel
 from .towers import BundleDescriptor, load_descriptor
 
@@ -110,7 +110,7 @@ def tower_composition(max_n: int = 6):
                 if bi2l(towers.phi_pullback(n, l, k)) != towers.phi2_pullback(n, l, k):
                     return False, f"composition mismatch at n={n}, l={l}, k={k}"
                 checks += 1
-            ring = space_ring("BUn_l", n=n, l=l, degree_cap=max(12, 2 * n))
+            ring = space_ring("BUn_l", n=n, l=l, degree_cap=working_cap(n))
             expect = ring.gen("c2") - ring.gen("cb1") ** 2 * Fraction(s * (n - 1), 2 * l)
             if towers.phi2_pullback(n, l, 2) != expect:
                 return False, f"k=2 shape mismatch at n={n}, l={l}"
@@ -143,7 +143,7 @@ def transgression_suite(max_n: int = 6):
 
     for n in range(2, max_n + 1):
         for l in [d for d in _divisors(n) if d > 1]:
-            cap = max(12, 2 * n)
+            cap = working_cap(n)
             blrho = towers.builtin_morphism("BLrho_s", n, l, cap).morphism
             nu_n = transgression.builtin_table("BUn", n=n, degree_cap=cap)
             nu_l = transgression.builtin_table("BUn_l", n=n, l=l, degree_cap=cap)
@@ -191,7 +191,7 @@ def loop_tower(max_n: int = 6):
 def obstruction_transgression():
     """nu maps each non-loop obstruction pair to its loop pair."""
     checks = 0
-    for name in ("symbolic_n4l2.json", "su_n4l2.json", "u6_n4l2.json"):
+    for name in FIXTURE_NAMES:
         d = load_fixture(name)
         for level in ("fracSU->loopU", "fracU6->loopSU"):
             report = towers.transgress_obstruction(level, d)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -160,6 +161,9 @@ def _without_class_a(d):
     return d
 
 
+INF = float("inf")
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -168,8 +172,20 @@ def _without_class_a(d):
         (lambda d: {**d, "classes": {**d["classes"], "c": [5]}}, "classes.c[0]"),
         (lambda d: [d], "descriptor"),
         (lambda d: {**d, "cohomology": {"hM": {"x": {"rank": 1}}}}, "cohomology.hM.x"),
+        (lambda d: {**d, "n": 4.9}, "n"),
+        (lambda d: {**d, "n": INF}, "n"),
+        (lambda d: {**d, "l": -INF}, "l"),
+        (lambda d: {**d, "ringY": {"generators": [{"name": "a", "degree": INF}]}}, "degree"),
+        (lambda d: {**d, "ringY": {**d["ringY"], "degree_cap": -INF}}, "degree_cap"),
+        (lambda d: {**d, "cohomology": {"hM": {"1": {"rank": INF}}}}, "rank"),
+        (lambda d: {**d, "cohomology": {"hM": {"1": {"torsion": [-INF]}}}}, "torsion"),
     ],
-    ids=["missing_class_a", "n_not_integer", "class_not_string", "top_level_list", "degree_not_integer"],
+    ids=[
+        "missing_class_a", "n_not_integer", "class_not_string", "top_level_list",
+        "degree_not_integer", "n_not_integral", "n_infinite", "l_infinite",
+        "generator_degree_infinite", "degree_cap_infinite", "rank_infinite",
+        "torsion_infinite",
+    ],
 )
 def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field):
     with open(fixture_path("su_n4l2.json")) as fh:
@@ -206,9 +222,46 @@ def test_short_loop_class_list_is_a_precondition(capsys, monkeypatch, level, cls
     assert line.startswith("precondition violated: ") and missing in line
 
 
-def test_missing_file_exit_code(capsys):
-    code, _, _ = run(capsys, "count", "--level", "fracSU", "--descriptor", "/nonexistent.json")
-    assert code == 1
+def test_integral_floats_read_as_integers(capsys, monkeypatch):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        d = json.load(fh)
+    d["n"], d["ringY"]["degree_cap"] = 4.0, 12.0
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(d)))
+    code, out, _ = run(capsys, "obstruction", "--level", "fracSU", "--descriptor", "-")
+    _, expected, _ = run(
+        capsys, "obstruction", "--level", "fracSU", "--descriptor", fixture_path("su_n4l2.json")
+    )
+    assert code == 0 and out == expected
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return "/nonexistent.json"
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "d.json"
+    if kind == "not_utf8":
+        path.write_bytes(b'{"n": "\xff\xfe"}')
+    else:  # an integer past Python's int/str conversion limit
+        path.write_text('{"n": ' + "1" * 5000 + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "huge_integer"])
+def test_missing_file_exit_code(capsys, tmp_path, kind):
+    path = _unreadable(tmp_path, kind)
+    code, out, err = run(capsys, "count", "--level", "fracSU", "--descriptor", path)
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_coefficient_too_long_to_print(capsys):
+    expr = "(2^10000)*(2^10000)*c1"
+    code, out, err = run(capsys, "transgress", "--space", "BUn", "--n", "2", "--expr", expr)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("precondition violated: ") and str(sys.get_int_max_str_digits()) in line
 
 
 def test_argparse_errors_exit_one(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,10 @@ def test_render_cases(even_ring, loop_ring):
     assert even_ring.constant(Fraction(-3, 2)).render() == "-3/2"
     assert (-even_ring.gen("c2")).render() == "-c2"
     assert (loop_ring.gen("z2") * -2 + loop_ring.gen("z1")).render() == "z1 - 2*z2"
+    limit = str(sys.get_int_max_str_digits())
+    for too_long in (even_ring.constant(2**20000), even_ring.gen("c1") * Fraction(1, 3**10000)):
+        with pytest.raises(PreconditionError, match=limit):
+            too_long.render()
 
 
 def test_generator_validation():

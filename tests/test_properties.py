@@ -1,0 +1,142 @@
+"""Property-based tests: ring laws, parse/render round-trip, morphisms, and
+the CLI exit-code contract on mutated descriptors."""
+
+import contextlib
+import io
+import json
+from importlib import resources
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracchern import cli
+from fracchern.gcring import RingMorphism, RingPresentation
+from fracchern.towers import LEVELS
+from fracchern.verify import FIXTURE_NAMES
+
+# fixed examples, so that a failure repeats and the file stays fast
+checked = settings(derandomize=True, deadline=None, max_examples=50)
+
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def rings(draw, cap=None):
+    """A presentation on 1-5 generators of degree 1-4, at least one odd."""
+    degrees = draw(st.lists(st.integers(1, min(4, cap or 4)), min_size=1, max_size=5))
+    if not any(d % 2 for d in degrees):
+        degrees[0] = 1
+    if cap is None:
+        cap = draw(st.integers(max(degrees), 10))
+    return RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], cap)
+
+
+def polynomials(ring):
+    """Sums of up to 6 monomials; odd generators appear at most once."""
+    exponents = st.tuples(*[st.integers(0, 1 if d % 2 else 3) for d in ring.degrees])
+    return st.dictionaries(exponents, coefficients, max_size=6).map(
+        lambda terms: ring.from_exponents(
+            {e: c for e, c in terms.items() if ring.monomial_degree(e) <= ring.degree_cap}
+        )
+    )
+
+
+@st.composite
+def ring_with(draw, count):
+    ring = draw(rings())
+    return ring, [draw(polynomials(ring)) for _ in range(count)]
+
+
+@checked
+@given(ring_with(1))
+def test_parse_render_roundtrip(case):
+    ring, [p] = case
+    assert ring.poly(p.render()) == p
+
+
+@checked
+@given(ring_with(3))
+def test_associative_and_distributive(case):
+    _, [p, q, r] = case
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+
+
+@checked
+@given(ring_with(2))
+def test_graded_commutative(case):
+    ring, [p, q] = case
+    for dp in range(ring.degree_cap + 1):
+        x = p.homogeneous_part(dp)
+        for dq in range(ring.degree_cap + 1):
+            y = q.homogeneous_part(dq)
+            assert x * y == y * x * (-1) ** (dp * dq)
+
+
+@st.composite
+def morphisms(draw):
+    """A degree-preserving morphism into a ring of the same cap, with two
+    source elements.  Each image is a random degree-d part of the target."""
+    source = draw(rings())
+    target = draw(rings(cap=source.degree_cap))
+    images = {
+        g.name: draw(polynomials(target)).homogeneous_part(g.degree) for g in source.generators
+    }
+    p, q = draw(polynomials(source)), draw(polynomials(source))
+    return RingMorphism(source, target, images), p, q
+
+
+@checked
+@given(morphisms())
+def test_morphism_is_multiplicative(case):
+    f, p, q = case
+    assert f(p * q) == f(p) * f(q)
+    assert f(p + q) == f(p) + f(q)
+    assert f(f.source.one()) == f.target.one()
+
+
+# each replaces one leaf of a shipped fixture, as raw JSON text
+LEAF_VALUES = ("1e400", "4.9", "-1", "true", "null", '""', '"((("', "[]", "{}", "1" * 5000)
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path
+
+
+def _fixture(name):
+    return json.loads(resources.files("fracchern").joinpath("fixtures", name).read_text())
+
+
+FIXTURE_LEAVES = [(name, path) for name in FIXTURE_NAMES for path in _leaves(_fixture(name))]
+
+
+def _mutated(name, path, raw):
+    data = _fixture(name)
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = "@leaf@"
+    return json.dumps(data).replace('"@leaf@"', raw)
+
+
+@settings(checked, max_examples=150)
+@given(st.sampled_from(FIXTURE_LEAVES), st.sampled_from(LEAF_VALUES), st.sampled_from(LEVELS))
+def test_cli_mutated_descriptor_exit_codes(leaf, raw, level):
+    text = _mutated(*leaf, raw)
+    for command in ("count", "obstruction"):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--level", level, "--descriptor", "-"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or len(err.getvalue().splitlines()) == 1
