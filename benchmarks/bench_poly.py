@@ -65,9 +65,7 @@ def time_kernel(impl, ring, pairs, repeat):
     for _ in range(repeat):
         start = time.perf_counter()
         for p, q in pairs:
-            impl.mul_terms(
-                p._terms, q._terms, ring.degrees, ring.odd_mask_by_gen, ring.degree_cap
-            )
+            impl.mul_terms(p._terms, q._terms, ring.odd_fields, ring.key_limit)
         best = min(best, time.perf_counter() - start)
     return best
 

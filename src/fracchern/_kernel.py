@@ -1,4 +1,4 @@
 """The polynomial multiplication kernel (see _poly_py)."""
 
 from . import _poly_py as _impl
-from ._poly_py import FIELD_BITS, FIELD_MASK, KERNEL_NAME, mul_terms
+from ._poly_py import KERNEL_NAME, mul_terms

@@ -8,9 +8,11 @@ Elements are kept in a canonical normal form -- a map from monomial to
 nonzero coefficient -- so equality is structural and rendering is
 deterministic.
 
-Monomials are stored packed into single ints (see _poly_py); the public
-surface always deals in exponent tuples over the declared generator
-order.
+Each monomial is one int key, laid out here and nowhere else: with g
+generators it is ``degree << 16*g | e_0 << 16*(g-1) | ... | e_{g-1}``.  So
+sorted keys are in render order (degree, then exponents), adding two keys
+multiplies the monomials, and the constant term's key is 0.  The public
+surface always deals in exponent tuples over the declared generator order.
 """
 
 from __future__ import annotations
@@ -19,16 +21,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernel import FIELD_BITS, FIELD_MASK, mul_terms
+from ._kernel import mul_terms
 from .errors import ExpressionError, PreconditionError, PresentationMismatch
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def json_int(value, field: str) -> int:
-    """int() of a JSON value, where a float must be a finite integer: 4.0
-    is 4, while 4.9, 1e400 and -Infinity raise a ValueError naming ``field``."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{field}: expected an integer, got {value!r}")
-    return int(value)
+    """A JSON integer or a finite integral float: 4 and 4.0 are 4, while "4",
+    true, 4.9, 1e400 and -Infinity raise a ValueError naming ``field``."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field}: expected an integer, got {value!r}")
 
 
 def as_fraction(value) -> Fraction:
@@ -60,9 +65,9 @@ class Generator:
 class RingPresentation:
     """Free graded-commutative algebra on ordered generators, capped in degree."""
 
-    # a monomial is one int of 16-bit exponent fields (see _poly_py): a cap
-    # below 2**15 bounds every exponent, so adding two monomials never
-    # carries between fields; 64 generators bound a monomial at 1024 bits
+    # a key is 16-bit exponent fields under a degree field: a cap below
+    # 2**15 bounds every exponent, so adding two keys never carries between
+    # fields; 64 generators bound a key at 1040 bits
     MAX_GENERATORS = 64
     MAX_DEGREE_CAP = (1 << (FIELD_BITS - 1)) - 1
 
@@ -88,10 +93,13 @@ class RingPresentation:
         self.names = names
         self.degrees = tuple(g.degree for g in gens)
         self.index = {name: i for i, name in enumerate(names)}
-        # odd_mask_by_gen[i] == 1 << i for odd generators, 0 for even ones
-        self.odd_mask_by_gen = tuple(
-            (1 << i) if g.is_odd else 0 for i, g in enumerate(gens)
-        )
+        # a key's degree is key >> degree_shift, so keys above the cap are
+        # >= key_limit; odd_fields has the lowest bit of each odd field
+        self.degree_shift = FIELD_BITS * len(gens)
+        self.key_limit = (degree_cap + 1) << self.degree_shift
+        self.odd_fields = 0
+        for g in gens:
+            self.odd_fields = (self.odd_fields << FIELD_BITS) | g.is_odd
 
     # -- identity -----------------------------------------------------------
 
@@ -111,19 +119,16 @@ class RingPresentation:
     # -- monomial packing ---------------------------------------------------
 
     def pack(self, exponents) -> int:
-        packed = 0
-        for i, e in enumerate(exponents):
-            packed |= e << (FIELD_BITS * i)
-        return packed
+        key = self.monomial_degree(exponents)
+        for e in exponents:
+            key = (key << FIELD_BITS) | e
+        return key
 
-    def unpack(self, packed: int) -> tuple:
-        out = [0] * len(self.generators)
-        i = 0
-        while packed:
-            out[i] = packed & FIELD_MASK
-            packed >>= FIELD_BITS
-            i += 1
-        return tuple(out)
+    def unpack(self, key: int) -> tuple:
+        return tuple(
+            (key >> shift) & FIELD_MASK
+            for shift in range(self.degree_shift - FIELD_BITS, -1, -FIELD_BITS)
+        )
 
     def monomial_degree(self, exponents) -> int:
         return sum(e * d for e, d in zip(exponents, self.degrees))
@@ -161,9 +166,9 @@ class RingPresentation:
                     raise PreconditionError("negative exponent")
                 if g.is_odd and e > 1:
                     raise PreconditionError(f"odd generator {g.name} squared is zero")
-            if self.monomial_degree(exps) > self.degree_cap:
-                raise PreconditionError("monomial exceeds degree cap")
             key = self.pack(exps)
+            if key >= self.key_limit:
+                raise PreconditionError("monomial exceeds degree cap")
             packed_terms[key] = packed_terms.get(key, Fraction(0)) + c
         return GradedPolynomial(self, {k: v for k, v in packed_terms.items() if v})
 
@@ -216,9 +221,7 @@ class GradedPolynomial:
     def terms(self):
         """Sorted [(exponent tuple, coefficient)]: by total degree, then
         exponent-vector lexicographic in declared generator order."""
-        decoded = [(self.ring.unpack(m), c) for m, c in self._terms.items()]
-        decoded.sort(key=lambda t: (self.ring.monomial_degree(t[0]), t[0]))
-        return decoded
+        return [(self.ring.unpack(m), self._terms[m]) for m in sorted(self._terms)]
 
     @property
     def is_zero(self) -> bool:
@@ -226,22 +229,17 @@ class GradedPolynomial:
 
     def degree(self) -> int:
         """Largest total degree among stored terms (0 for the zero element)."""
-        if not self._terms:
-            return 0
-        return max(self.ring.monomial_degree(self.ring.unpack(m)) for m in self._terms)
+        return max(self._terms, default=0) >> self.ring.degree_shift
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = {self.ring.monomial_degree(self.ring.unpack(m)) for m in self._terms}
+        degs = {m >> self.ring.degree_shift for m in self._terms}
         if d is None:
             return len(degs) <= 1
         return degs <= {d}
 
     def homogeneous_part(self, d: int) -> "GradedPolynomial":
-        kept = {
-            m: c
-            for m, c in self._terms.items()
-            if self.ring.monomial_degree(self.ring.unpack(m)) == d
-        }
+        shift = self.ring.degree_shift
+        kept = {m: c for m, c in self._terms.items() if m >> shift == d}
         return GradedPolynomial(self.ring, kept)
 
     @property
@@ -253,6 +251,8 @@ class GradedPolynomial:
         return self._terms.get(0, Fraction(0))
 
     def coefficient(self, exponents) -> Fraction:
+        if len(exponents) != len(self.ring.generators):
+            raise PreconditionError("exponent tuple length mismatch")
         return self._terms.get(self.ring.pack(exponents), Fraction(0))
 
     # -- arithmetic -----------------------------------------------------------
@@ -307,13 +307,7 @@ class GradedPolynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = mul_terms(
-            self._terms,
-            q._terms,
-            self.ring.degrees,
-            self.ring.odd_mask_by_gen,
-            self.ring.degree_cap,
-        )
+        out = mul_terms(self._terms, q._terms, self.ring.odd_fields, self.ring.key_limit)
         return GradedPolynomial(self.ring, out)
 
     __rmul__ = __mul__

@@ -376,8 +376,24 @@ def _field(data, path: str, default=_REQUIRED):
 def _integer(value, path: str) -> int:
     try:
         return json_int(value, path)
-    except (TypeError, ValueError):
-        raise ExpressionError(f"{path}: expected an integer, got {value!r}") from None
+    except ValueError as exc:
+        raise ExpressionError(str(exc)) from None
+
+
+def _degree_key(key: str, path: str) -> int:
+    """A cohomology degree: JSON object keys are strings, read by int()."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ExpressionError(f"{path}: expected an integer, got {key!r}") from None
+
+
+def _ring(data, path: str) -> RingPresentation:
+    value = _field(data, path)
+    try:
+        return RingPresentation.from_json(value)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{path}: {exc}") from None
 
 
 def _expression(ring, text, path: str) -> GradedPolynomial:
@@ -419,7 +435,7 @@ def _parse_groups(data, path):
     if not isinstance(groups, dict):
         raise ExpressionError(f"{path}: expected an object")
     return {
-        _integer(degree, f"{path}.{degree}"): AbelianGroupDesc.from_json(group)
+        _degree_key(degree, f"{path}.{degree}"): AbelianGroupDesc.from_json(group)
         for degree, group in groups.items()
     }
 
@@ -427,8 +443,8 @@ def _parse_groups(data, path):
 def descriptor_from_json(data: dict) -> BundleDescriptor:
     n = _integer(_field(data, "n"), "n")
     l = _integer(_field(data, "l"), "l")
-    ring_y = RingPresentation.from_json(_field(data, "ringY"))
-    ring_m = RingPresentation.from_json(_field(data, "ringM"))
+    ring_y = _ring(data, "ringY")
+    ring_m = _ring(data, "ringM")
     _field(data, "classes")
     check_n_l(n, l)
     pi_star = RingMorphism(ring_m, ring_y, _expressions(data, "pi_star"))
@@ -439,8 +455,8 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
     frac = _parse_classes(ring_m, data, "classes.frac", lambda k: 2 * k, "fractional class")
     loop = None
     if _field(data, "loop", None) is not None:
-        ring_ly = RingPresentation.from_json(_field(data, "loop.ringLY"))
-        ring_lm = RingPresentation.from_json(_field(data, "loop.ringLM"))
+        ring_ly = _ring(data, "loop.ringLY")
+        ring_lm = _ring(data, "loop.ringLM")
         lo_pi = RingMorphism(ring_lm, ring_ly, _expressions(data, "loop.pi_star"))
         la = _class(ring_ly, data, "loop.classes.a")
         afrak = _class(ring_ly, data, "loop.classes.afrak")

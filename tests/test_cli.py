@@ -179,12 +179,21 @@ INF = float("inf")
         (lambda d: {**d, "ringY": {**d["ringY"], "degree_cap": -INF}}, "degree_cap"),
         (lambda d: {**d, "cohomology": {"hM": {"1": {"rank": INF}}}}, "rank"),
         (lambda d: {**d, "cohomology": {"hM": {"1": {"torsion": [-INF]}}}}, "torsion"),
+        (lambda d: {**d, "n": "4"}, "n"),
+        (lambda d: {**d, "n": True, "l": True}, "n"),
+        (lambda d: {**d, "ringY": {**d["ringY"], "degree_cap": "12"}}, "degree_cap"),
+        (lambda d: {**d, "cohomology": {"hM": {"1": {"rank": True}}}}, "rank"),
+        (lambda d: {**d, "cohomology": {"hM": {"1": {"rank": "2"}}}}, "rank"),
+        (lambda d: {**d, "cohomology": {"hM": {"1": {"torsion": "23"}}}}, "torsion"),
+        (lambda d: {**d, "ringM": {**d["ringM"], "degree_cap": -INF}}, "ringM"),
+        (lambda d: {**d, "loop": {**d["loop"], "ringLY": {"degree_cap": 12}}}, "loop.ringLY"),
     ],
     ids=[
         "missing_class_a", "n_not_integer", "class_not_string", "top_level_list",
         "degree_not_integer", "n_not_integral", "n_infinite", "l_infinite",
         "generator_degree_infinite", "degree_cap_infinite", "rank_infinite",
-        "torsion_infinite",
+        "torsion_infinite", "n_string", "n_l_true", "degree_cap_string", "rank_true",
+        "rank_string", "torsion_string", "ringM_degree_cap_infinite", "ringLY_no_generators",
     ],
 )
 def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field):

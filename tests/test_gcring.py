@@ -190,6 +190,11 @@ def test_exponent_validation(loop_ring):
         loop_ring.from_exponents({(2, 0, 0, 0): Fraction(1)})
     with pytest.raises(PreconditionError):
         loop_ring.from_exponents({(0, 7, 0, 0): Fraction(1)})
+    # a key holds every exponent, so a short tuple is refused, not padded
+    z1 = loop_ring.gen("z1")
+    assert z1.coefficient((1, 0, 0, 0)) == 1
+    with pytest.raises(PreconditionError):
+        z1.coefficient((1,))
 
 
 def test_presentation_json_roundtrip(even_ring):
@@ -243,7 +248,7 @@ def test_kernel_matches_naive_product(loop_ring):
         p = random_polynomial(loop_ring, rng)
         q = random_polynomial(loop_ring, rng)
         terms = _kernel.mul_terms(
-            p._terms, q._terms, loop_ring.degrees, loop_ring.odd_mask_by_gen, loop_ring.degree_cap
+            p._terms, q._terms, loop_ring.odd_fields, loop_ring.key_limit
         )
         assert GradedPolynomial(loop_ring, terms) == naive_product(p, q)
         truncated += p.degree() + q.degree() > loop_ring.degree_cap
@@ -266,3 +271,12 @@ def test_presentation_size_limits():
     # 64 generators and the maximal cap are accepted
     wide = RingPresentation([(f"x{i}", 2) for i in range(64)], 128)
     assert (wide.gen("x0") * wide.gen("x63")).render() == "x0*x63"
+    # full-width keys: odd first and last generators, the largest cap
+    cap = RingPresentation.MAX_DEGREE_CAP
+    ends = RingPresentation([("z0", 1)] + [(f"x{i}", 2) for i in range(1, 63)] + [("z63", 1)], cap)
+    z0, z63, top = ends.gen("z0"), ends.gen("z63"), ends.gen("x1") ** (cap // 2)
+    assert z63 * z0 == -(z0 * z63)
+    assert (z63 * z0).render() == "-z0*z63"
+    assert (top * z63).render() == f"x1^{cap // 2}*z63"  # exactly at the cap: kept
+    assert (top * z63).degree() == cap
+    assert (top * z63 * z0).is_zero and (top * (z0 * z63)).is_zero  # one above: dropped

@@ -75,6 +75,24 @@ def test_graded_commutative(case):
             assert x * y == y * x * (-1) ** (dp * dq)
 
 
+@checked
+@given(ring_with(1))
+def test_key_reads_match_decoded_exponents(case):
+    """The reads of packed keys against the exponents and monomial_degree."""
+    ring, [p] = case
+    terms = p.terms()
+    order = [(ring.monomial_degree(e), e) for e, _ in terms]
+    assert all(x < y for x, y in zip(order, order[1:]))
+    assert ring.from_exponents(dict(terms)) == p
+    degrees = {d for d, _ in order}
+    assert p.degree() == max(degrees, default=0)
+    assert p.is_homogeneous() == (len(degrees) <= 1)
+    for d in range(ring.degree_cap + 1):
+        assert p.is_homogeneous(d) == (degrees <= {d})
+        part = {e: c for e, c in terms if ring.monomial_degree(e) == d}
+        assert p.homogeneous_part(d) == ring.from_exponents(part)
+
+
 @st.composite
 def morphisms(draw):
     """A degree-preserving morphism into a ring of the same cap, with two
