@@ -389,30 +389,84 @@ class GradedPolynomial:
         return f"<{self.render()}>"
 
 
+def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPolynomial:
+    """Apply a generator-to-generator map to p by rewriting its keys.
+
+    ``moves`` has one entry per generator of p's ring: None sends it to
+    zero, ``(j, s)`` sends it to s times target generator j, which must have
+    the same degree.  So a monomial keeps its degree field; each exponent
+    field moves to its target field and scales the coefficient by s**e.
+    Monomials above the target cap, or with two odd generators on one
+    target field, vanish; the rest take the Koszul sign of sorting their odd
+    generators' target indices, read in source order.
+    """
+    source = p.ring
+    src_shift, dst_shift = source.degree_shift, target.degree_shift
+    # fields sent to zero, and fields copied where they are (even, scale 1,
+    # same shift)
+    dropped = kept = 0
+    moved = []  # (source shift, target shift, scalar, target index if odd)
+    for i, move in enumerate(moves):
+        shift = src_shift - FIELD_BITS * (i + 1)
+        if move is None:
+            dropped |= FIELD_MASK << shift
+            continue
+        j, s = move
+        to = dst_shift - FIELD_BITS * (j + 1)
+        odd = source.generators[i].is_odd
+        if to == shift and s == 1 and not odd:
+            kept |= FIELD_MASK << shift
+        else:
+            moved.append((shift, to, s, j if odd else None))
+    limit = target.key_limit
+    out = {}
+    for key, c in p._terms.items():
+        if key & dropped:
+            continue
+        new = (key >> src_shift << dst_shift) | (key & kept)
+        seen = 0  # bit j: an odd generator already landed on target field j
+        swaps = 0
+        for shift, to, s, j in moved:
+            e = (key >> shift) & FIELD_MASK
+            if not e:
+                continue
+            new += e << to
+            if s != 1:
+                c = c * s**e
+            if j is not None:
+                if seen >> j & 1:
+                    break  # the square of an odd generator
+                swaps += (seen >> j).bit_count()
+                seen |= 1 << j
+        else:
+            if new < limit:
+                out[new] = out.get(new, 0) + (-c if swaps & 1 else c)
+    return GradedPolynomial(target, {m: c for m, c in out.items() if c})
+
+
 def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomial:
     """Rebuild p over another presentation, matching generators by name.
 
     Every generator actually appearing in p must exist in the target with
     the same degree; generators of either ring not involved are ignored.
     """
-    out_terms = {}
-    for exps, coef in p.terms():
-        new = [0] * len(target.generators)
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            name = p.ring.names[i]
-            j = target.index.get(name)
-            if j is None:
-                raise PreconditionError(
-                    f"generator {name} does not exist in the target presentation"
-                )
-            if target.degrees[j] != p.ring.degrees[i]:
-                raise PreconditionError(f"generator {name} changes degree")
-            new[j] = e
-        key = tuple(new)
-        out_terms[key] = out_terms.get(key, Fraction(0)) + coef
-    return target.from_exponents(out_terms)
+    moves, faults = [], {}
+    for i, g in enumerate(p.ring.generators):
+        j = target.index.get(g.name)
+        if j is None:
+            faults[i] = f"generator {g.name} does not exist in the target presentation"
+        elif target.degrees[j] != g.degree:
+            faults[i] = f"generator {g.name} changes degree"
+        moves.append(None if i in faults else (j, 1))
+    if faults:
+        # the first fault met in render order
+        for exps, _ in p.terms():
+            for i, e in enumerate(exps):
+                if e and i in faults:
+                    raise PreconditionError(faults[i])
+    if p.degree() > target.degree_cap:
+        raise PreconditionError("monomial exceeds degree cap")
+    return remap_keys(p, target, moves)
 
 
 def element_of_degree(target: RingPresentation, value, degree: int, what: str) -> GradedPolynomial:
@@ -425,6 +479,22 @@ def element_of_degree(target: RingPresentation, value, degree: int, what: str) -
     if not value.is_homogeneous(degree):
         raise PreconditionError(f"{what} must be homogeneous of degree {degree}")
     return value
+
+
+def _generator_moves(images):
+    """``remap_keys`` moves for images that are each zero or a scalar times
+    one generator, else None."""
+    moves = []
+    for img in images:
+        terms = img.terms()
+        if not terms:
+            moves.append(None)
+        elif len(terms) == 1 and sum(terms[0][0]) == 1:
+            exps, s = terms[0]
+            moves.append((exps.index(1), s))
+        else:
+            return None
+    return tuple(moves)
 
 
 class RingMorphism:
@@ -441,6 +511,7 @@ class RingMorphism:
                 target, images[g.name], g.degree, f"image of {g.name}"
             )
         self.images = imgs
+        self._moves = _generator_moves(imgs.values())
 
     @classmethod
     def identity(cls, ring: RingPresentation) -> "RingMorphism":
@@ -467,6 +538,13 @@ class RingMorphism:
     def __call__(self, p: GradedPolynomial) -> GradedPolynomial:
         if p.ring != self.source:
             raise PresentationMismatch("polynomial is not over the morphism source")
+        if self._moves is not None:
+            return remap_keys(p, self.target, self._moves)
+        return self._apply_generic(p)
+
+    def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:
+        """Sum over p's terms of the product of generator-image powers: the
+        route for any images, and the reference for ``remap_keys``."""
         power_cache: dict = {}
         out = self.target.zero()
         for exps, coef in p.terms():

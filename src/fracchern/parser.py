@@ -8,11 +8,14 @@ language emitted by GradedPolynomial.render(), so parse/render round-trip.
 import re
 from fractions import Fraction
 
-from .errors import ExpressionError
+from .errors import ExpressionError, PreconditionError
 
 # parentheses and unary minus signs nest at most this deep; the parser
 # recurses once per level
 MAX_NESTING = 100
+
+# the constant term of a literal power may have at most this many bits
+MAX_SCALAR_BITS = 1 << 20
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
@@ -91,6 +94,14 @@ class _Parser:
             kind, v = self.next()
             if kind != "num":
                 raise ExpressionError("exponent must be an integer literal")
+            # the constant term of base**v is c**v; 0, 1 and -1 stay small
+            c = base.constant_term()
+            if c and abs(c) != 1:
+                bits = v * max(c.numerator.bit_length(), c.denominator.bit_length())
+                if bits > MAX_SCALAR_BITS:
+                    raise PreconditionError(
+                        f"a power's constant term would need more than {MAX_SCALAR_BITS} bits"
+                    )
             base = base ** v
         return base
 

@@ -45,6 +45,8 @@ class RootModel:
         )
         self._sigma_cache: dict[int, GradedPolynomial] = {}
         self._sigma_power_cache: dict[tuple, GradedPolynomial] = {}
+        # the adjacent root transpositions, renames built on first use
+        self._swaps: list[RingMorphism] | None = None
 
     def root(self, i: int) -> GradedPolynomial:
         return self.ring.gen(f"x{i}")
@@ -99,10 +101,12 @@ def shifted_total_chern(model: RootModel) -> GradedPolynomial:
 
 def find_asymmetry(p: GradedPolynomial, model: RootModel):
     """Return the first adjacent root transposition not fixing p, or None."""
-    for i in range(1, model.n):
-        swap = RingMorphism.rename(
-            model.ring, model.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"}
-        )
+    if model._swaps is None:
+        model._swaps = [
+            RingMorphism.rename(model.ring, model.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"})
+            for i in range(1, model.n)
+        ]
+    for i, swap in enumerate(model._swaps, start=1):
         if swap(p) != p:
             return (f"x{i}", f"x{i+1}")
     return None

@@ -435,9 +435,16 @@ def _parse_groups(data, path):
     if not isinstance(groups, dict):
         raise ExpressionError(f"{path}: expected an object")
     return {
-        _degree_key(degree, f"{path}.{degree}"): AbelianGroupDesc.from_json(group)
+        _degree_key(degree, f"{path}.{degree}"): _group(group, f"{path}.{degree}")
         for degree, group in groups.items()
     }
+
+
+def _group(value, path: str) -> AbelianGroupDesc:
+    try:
+        return AbelianGroupDesc.from_json(value)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{path}: {exc}") from None
 
 
 def descriptor_from_json(data: dict) -> BundleDescriptor:

@@ -1,8 +1,11 @@
-"""Acceptance suite: one test per criterion, exact equality throughout.
+"""Acceptance suite: one test per criterion, exact equality throughout,
+and wider sweeps of criteria 1 and 9 under the same time budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines; ``fracchern verify`` prints the same sweeps.
 """
+
+import time
 
 import pytest
 
@@ -28,3 +31,18 @@ def test_criterion(results, number, description):
     budget = _BUDGET_SECONDS.get(number)
     if budget is not None:
         assert result.seconds < budget, f"criterion {number} took {result.seconds:.1f}s"
+
+
+@pytest.mark.parametrize(
+    "number,sweep,args",
+    [(1, verify.closed_vs_brute, (9,)), (9, verify.q_series, (4, 6))],
+    ids=["criterion_1_n_le_9", "criterion_9_n_le_4_q_order_6"],
+)
+def test_wider_sweep(number, sweep, args):
+    """The criterion's sweep over a wider range, under the same budget."""
+    start = time.time()
+    ok, detail = sweep(*args)
+    seconds = time.time() - start
+    print(f"[{number}] {detail} in {seconds:.1f}s")
+    assert ok, detail
+    assert seconds < _BUDGET_SECONDS[number], f"criterion {number} took {seconds:.1f}s"

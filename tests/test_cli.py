@@ -161,6 +161,11 @@ def _without_class_a(d):
     return d
 
 
+def _with_group(d, table, degree, group):
+    d["cohomology"][table][degree] = group
+    return d
+
+
 INF = float("inf")
 
 
@@ -187,6 +192,8 @@ INF = float("inf")
         (lambda d: {**d, "cohomology": {"hM": {"1": {"torsion": "23"}}}}, "torsion"),
         (lambda d: {**d, "ringM": {**d["ringM"], "degree_cap": -INF}}, "ringM"),
         (lambda d: {**d, "loop": {**d["loop"], "ringLY": {"degree_cap": 12}}}, "loop.ringLY"),
+        (lambda d: _with_group(d, "hM", "3", {"rank": 0, "torsion": ["3"]}), "cohomology.hM.3"),
+        (lambda d: _with_group(d, "hLM", "0", {"rank": 1.5}), "cohomology.hLM.0"),
     ],
     ids=[
         "missing_class_a", "n_not_integer", "class_not_string", "top_level_list",
@@ -194,6 +201,7 @@ INF = float("inf")
         "generator_degree_infinite", "degree_cap_infinite", "rank_infinite",
         "torsion_infinite", "n_string", "n_l_true", "degree_cap_string", "rank_true",
         "rank_string", "torsion_string", "ringM_degree_cap_infinite", "ringLY_no_generators",
+        "hM_3_torsion", "hLM_0_rank",
     ],
 )
 def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field):
@@ -271,6 +279,23 @@ def test_coefficient_too_long_to_print(capsys):
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert line.startswith("precondition violated: ") and str(sys.get_int_max_str_digits()) in line
+
+
+@pytest.mark.parametrize("expr", ["2^10000000000*c1", "(2 + c1)^10000000000"])
+def test_huge_constant_power_is_refused(capsys, expr):
+    # refused from the size estimate, before any power is computed
+    code, out, err = run(capsys, "transgress", "--space", "BUn", "--n", "2", "--expr", expr)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("precondition violated: ") and "bits" in line
+
+
+def test_powers_within_the_bit_limit_render(capsys):
+    code, out, _ = run(capsys, "transgress", "--space", "BUn", "--n", "2", "--expr", "2^1000*c1")
+    assert code == 0 and out == f"{2**1000}*z1\n"
+    expr = "0^10000000000 + (-1)^10000000001*c1 + (1 + c1)^3"
+    code, out, _ = run(capsys, "transgress", "--space", "BUn", "--n", "2", "--expr", expr)
+    assert code == 0 and out == "2*z1 + 6*z1*c1 + 3*z1*c1^2\n"
 
 
 def test_argparse_errors_exit_one(capsys):

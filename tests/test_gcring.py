@@ -108,6 +108,27 @@ def _truncate(p, cap):
     return out
 
 
+def test_transplant_matches_names_and_names_the_first_fault():
+    source = RingPresentation([("a", 2), ("b", 1), ("c", 2), ("z", 3)], 8)
+    target = RingPresentation([("z", 3), ("a", 2), ("c", 4), ("b", 1)], 6)
+    p = source.poly("3*a^2 - 1/2*a*z + b*z")
+    # z*b is -b*z, as in the source's order
+    assert transplant(p, target) == target.poly("3*a^2 - 1/2*z*a - z*b")
+    nameless = RingPresentation([("a", 2), ("c", 4)], 8)
+    faults = [
+        (nameless, "a*b", "generator b does not exist in the target presentation"),
+        (target, "c", "generator c changes degree"),
+        # render order meets c (degree 2) before b*a (degree 3)
+        (nameless, "a*b + c", "generator c changes degree"),
+        (target, "a^4", "monomial exceeds degree cap"),
+        (nameless, "a^4 + b", "generator b does not exist in the target presentation"),
+    ]
+    for ring, text, message in faults:
+        with pytest.raises(PreconditionError) as info:
+            transplant(source.poly(text), ring)
+        assert str(info.value) == message
+
+
 def test_apply_morphism_expands_square(even_ring):
     shift = RingMorphism.substitution(even_ring, {"c1": "c1 - 2*a"})
     assert shift(even_ring.poly("c1^2")) == even_ring.poly("c1^2 - 4*a*c1 + 4*a^2")

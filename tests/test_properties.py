@@ -4,6 +4,7 @@ the CLI exit-code contract on mutated descriptors."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
@@ -113,6 +114,43 @@ def test_morphism_is_multiplicative(case):
     assert f(p * q) == f(p) * f(q)
     assert f(p + q) == f(p) + f(q)
     assert f(f.source.one()) == f.target.one()
+
+
+SCALARS = st.sampled_from([1, -1, 2, Fraction(-1, 3)]) | coefficients.filter(bool)
+
+
+@st.composite
+def generator_maps(draw):
+    """A map sending each generator to zero or a scalar times one target
+    generator, with an element of the source.  The target's cap may be
+    below the source's, its generators come in shuffled order, and two odd
+    generators may land on one target generator."""
+    source = draw(rings())
+    cap = draw(st.integers(1, source.degree_cap + 2))
+    kept = [g for g in source.generators if g.degree <= cap]
+    if draw(st.booleans()):
+        # a rename: the kept generators under their own names
+        target = RingPresentation(draw(st.permutations(kept)), cap)
+        images = {g.name: target.gen(g.name) * draw(SCALARS) for g in kept}
+    else:
+        extra = draw(st.lists(st.integers(1, min(4, cap)), max_size=2))
+        degrees = draw(st.permutations([g.degree for g in kept] + extra))
+        target = RingPresentation([(f"h{i}", d) for i, d in enumerate(degrees)], cap)
+        images = {}
+        for g in source.generators:
+            names = [h.name for h in target.generators if h.degree == g.degree]
+            if names and draw(st.booleans()):
+                images[g.name] = target.gen(draw(st.sampled_from(names))) * draw(SCALARS)
+    images = {g.name: images.get(g.name, target.zero()) for g in source.generators}
+    return RingMorphism(source, target, images), draw(polynomials(source))
+
+
+@settings(checked, max_examples=300)
+@given(generator_maps())
+def test_key_remap_matches_generic_path(case):
+    f, p = case
+    assert f._moves is not None
+    assert f(p) == f._apply_generic(p)
 
 
 # each replaces one leaf of a shipped fixture, as raw JSON text

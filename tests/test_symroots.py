@@ -70,6 +70,32 @@ def test_express_rejects_asymmetric():
     assert info.value.transposition == ("x1", "x2")
 
 
+def _asymmetry_by_rename(p, model):
+    """The rename route: one rename morphism per adjacent transposition,
+    applied as a product of generator images."""
+    for i in range(1, model.n):
+        swap = RingMorphism.rename(
+            model.ring, model.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"}
+        )
+        if swap._apply_generic(p) != p:
+            return (f"x{i}", f"x{i+1}")
+    return None
+
+
+def test_find_asymmetry_matches_rename_route(rng):
+    m = sr.RootModel(4, 2, degree_cap=8, extra_even=("b",))
+    e2 = sr.elementary_symmetric(2, m)
+    b = m.ring.gen("b")
+    symmetric = [m.ring.zero(), sr.shifted_total_chern(m), e2 * e2 * b - m.ring.gen("a")]
+    asymmetric = [random_polynomial(m.ring, rng) for _ in range(20)]
+    asymmetric += [m.ring.poly("x1 + x2 + x3"), e2 - m.ring.poly("x3*x4*b")]
+    for p in symmetric + asymmetric:
+        assert sr.find_asymmetry(p, m) == _asymmetry_by_rename(p, m)
+    assert all(sr.find_asymmetry(p, m) is None for p in symmetric)
+    found = {sr.find_asymmetry(p, m) for p in asymmetric}
+    assert {("x1", "x2"), ("x2", "x3"), ("x3", "x4")} <= found
+
+
 def test_express_roundtrip_random(rng):
     m = sr.RootModel(3, 3, degree_cap=10)
     back = m.elementary_to_roots()
