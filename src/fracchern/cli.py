@@ -58,8 +58,8 @@ def _render_class(poly) -> str:
 
 def _cmd_frac_chern(args) -> int:
     model = _model(args)
+    closed = symroots.fractional_chern_closed(model, args.k)
     if args.oracle:
-        closed = symroots.fractional_chern_closed(model, args.k)
         brute = symroots.fractional_chern_brute(model, args.k)
         print(_render_class(closed))
         print(_render_class(brute))
@@ -72,7 +72,7 @@ def _cmd_frac_chern(args) -> int:
         part = symroots.shifted_total_chern(model).homogeneous_part(2 * args.k)
         print(_render_class(part))
     else:
-        print(_render_class(symroots.fractional_chern_closed(model, args.k)))
+        print(_render_class(closed))
     return 0
 
 

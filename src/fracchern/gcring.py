@@ -223,6 +223,13 @@ class GradedPolynomial:
         exponent-vector lexicographic in declared generator order."""
         return [(self.ring.unpack(m), self._terms[m]) for m in sorted(self._terms)]
 
+    def leading_term(self):
+        """The last of ``terms()``, read from the largest key alone."""
+        if not self._terms:
+            raise PreconditionError("the zero polynomial has no leading term")
+        m = max(self._terms)
+        return self.ring.unpack(m), self._terms[m]
+
     @property
     def is_zero(self) -> bool:
         return not self._terms

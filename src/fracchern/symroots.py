@@ -69,6 +69,12 @@ class RootModel:
         return RingMorphism(self.e_ring, self.ring, images)
 
 
+def _check_k(k: int, n: int) -> None:
+    """The rule for a class index k of a rank-n bundle: 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise PreconditionError(f"k={k} out of range 0..{n}")
+
+
 def _esp(values, k_max, ring):
     """Elementary symmetric polynomials e_0..e_k_max of ring elements."""
     table = [ring.one()] + [ring.zero()] * k_max
@@ -80,8 +86,7 @@ def _esp(values, k_max, ring):
 
 def elementary_symmetric(k: int, model: RootModel) -> GradedPolynomial:
     """sigma_k(x_1..x_n); sigma_0 = 1."""
-    if not 0 <= k <= model.n:
-        raise PreconditionError(f"k={k} out of range 0..{model.n}")
+    _check_k(k, model.n)
     if k not in model._sigma_cache:
         table = _esp(model.roots(), model.n, model.ring)
         for j, poly in enumerate(table):
@@ -91,8 +96,6 @@ def elementary_symmetric(k: int, model: RootModel) -> GradedPolynomial:
 
 def shifted_total_chern(model: RootModel) -> GradedPolynomial:
     """Full product prod_i (1 + x_i - a/l), expanded and truncated."""
-    if model.ring.degree_cap < 2 * model.n:
-        raise PreconditionError("degree_cap must be at least 2n for the full product")
     out = model.ring.one()
     for r in model.shifted_roots():
         out = out * (model.ring.one() + r)
@@ -143,49 +146,35 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
             transposition=violation,
         )
     n = model.n
-    ring = model.ring
     e_ring = model.e_ring
-
-    # split into slices by parameter monomial (a and extras)
-    slices: dict[tuple, dict] = {}
-    for exps, coef in p.terms():
-        param = tuple(exps[i] for i in model.param_indices)
-        roots_only = list(exps)
+    e_slots = [e_ring.index[f"e{k}"] for k in range(1, n + 1)]
+    # The parameters precede the roots, so the leading key has the top
+    # degree, then that degree's top parameter monomial, then the lex-leading
+    # root exponents of that symmetric part; each step removes that key and
+    # adds only smaller ones.
+    work = p
+    out = {}
+    guard = 0
+    while not work.is_zero:
+        guard += 1
+        if guard > 100000:
+            raise EngineError("elementary-basis reduction did not terminate")
+        exps, lead_coef = work.leading_term()
+        lam = [exps[i] for i in model.root_indices]
+        if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+            raise EngineError("nonzero remainder in symmetric reduction (internal error)")
+        mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
+        # both presentations reserve the same leading slots for a / extras
+        param = [0] * len(exps)
+        e_exps = [0] * len(e_ring.generators)
         for i in model.param_indices:
-            roots_only[i] = 0
-        slices.setdefault(param, {})[tuple(roots_only)] = coef
-
-    out = e_ring.zero()
-    for param, root_terms in sorted(slices.items()):
-        work = ring.from_exponents(root_terms)
-        guard = 0
-        while not work.is_zero:
-            guard += 1
-            if guard > 100000:
-                raise EngineError("elementary-basis reduction did not terminate")
-            lam, lead_coef = max(
-                (
-                    (tuple(exps[i] for i in model.root_indices), coef)
-                    for exps, coef in work.terms()
-                ),
-                key=lambda t: t[0],
-            )
-            if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-                raise EngineError(
-                    "nonzero remainder in symmetric reduction (internal error)"
-                )
-            mult = tuple(
-                lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n)
-            )
-            work = work - _sigma_power_product(model, mult) * lead_coef
-            # both presentations reserve the same leading slots for a / extras
-            e_exps = [0] * len(e_ring.generators)
-            for j, pe in zip(model.param_indices, param):
-                e_exps[j] = pe
-            for k, m in enumerate(mult, start=1):
-                e_exps[e_ring.index[f"e{k}"]] = m
-            out = out + e_ring.from_exponents({tuple(e_exps): lead_coef})
-    return out
+            param[i] = e_exps[i] = exps[i]
+        for j, m in zip(e_slots, mult):
+            e_exps[j] = m
+        lead = model.ring.from_exponents({tuple(param): lead_coef})
+        work = work - _sigma_power_product(model, mult) * lead
+        out[tuple(e_exps)] = lead_coef
+    return e_ring.from_exponents(out)
 
 
 def shifted_chern_sum(
@@ -209,18 +198,14 @@ def shifted_chern_sum(
 
 def fractional_chern_closed(model: RootModel, k: int) -> GradedPolynomial:
     """Closed form sum_{i=0..k} (-1/l)^i C(n-k+i, i) a^i e_{k-i} (e_0 = 1)."""
-    if not 0 <= k <= model.n:
-        raise PreconditionError(f"k={k} out of range 0..{model.n}")
+    _check_k(k, model.n)
     return shifted_chern_sum(model.e_ring, "a", "e", model.n, model.l, k)
 
 
 def fractional_chern_brute(model: RootModel, k: int) -> GradedPolynomial:
     """Independent oracle: degree-2k part of the expanded shifted product,
     rewritten in the elementary basis."""
-    if not 0 <= k <= model.n:
-        raise PreconditionError(f"k={k} out of range 0..{model.n}")
-    if model.ring.degree_cap < 2 * k:
-        raise PreconditionError("degree_cap must be at least 2k")
+    _check_k(k, model.n)
     part = shifted_total_chern(model).homogeneous_part(2 * k)
     return express_in_elementary(part, model)
 
@@ -234,8 +219,7 @@ def change_trivialization_ring(model: RootModel) -> RingPresentation:
 def change_trivialization(model: RootModel, k: int) -> GradedPolynomial:
     """Fractional classes after moving the trivialization by x:
     sum_{i=0..k} (-1/l)^i C(n-k+i, i) x^i f_{k-i} (f_0 = 1)."""
-    if not 0 <= k <= model.n:
-        raise PreconditionError(f"k={k} out of range 0..{model.n}")
+    _check_k(k, model.n)
     return shifted_chern_sum(change_trivialization_ring(model), "x", "f", model.n, model.l, k)
 
 
@@ -257,8 +241,6 @@ def splitting_check(model: RootModel) -> SplittingReport:
 
         sum_{k=0..n} (-1)^k sigma_k(x - a/l) (x_j - a/l)^{n-k} == 0
     """
-    if model.ring.degree_cap < 2 * model.n:
-        raise PreconditionError("degree_cap must be at least 2n")
     shifted = model.shifted_roots()
     sigma = _esp(shifted, model.n, model.ring)
     residuals = []

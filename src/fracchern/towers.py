@@ -22,7 +22,7 @@ from . import transgression
 from .errors import ExpressionError, PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, element_of_degree, json_int, transplant
 from .spaces import SPACE_NAMES, check_n_l, space_ring, working_cap
-from .symroots import shifted_chern_sum
+from .symroots import _check_k, shifted_chern_sum
 from .transgression import DerivationTable, free_suspend
 
 # level -> (side, degree) of the group H^degree(side) counting its structures
@@ -48,8 +48,7 @@ def phi_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grade
         sum_{i=0..k} (-1/l)^i C(n-k+i, i) g^i c_{k-i}
     """
     check_n_l(n, l)
-    if not 0 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 0..{n}")
+    _check_k(k, n)
     ring = space_ring("BU1xBUn", n=n, degree_cap=working_cap(n, degree_cap))
     return shifted_chern_sum(ring, "g", "c", n, l, k)
 
@@ -392,8 +391,8 @@ def _ring(data, path: str) -> RingPresentation:
     value = _field(data, path)
     try:
         return RingPresentation.from_json(value)
-    except ExpressionError as exc:
-        raise ExpressionError(f"{path}: {exc}") from None
+    except (ExpressionError, PreconditionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _expression(ring, text, path: str) -> GradedPolynomial:
@@ -443,8 +442,8 @@ def _parse_groups(data, path):
 def _group(value, path: str) -> AbelianGroupDesc:
     try:
         return AbelianGroupDesc.from_json(value)
-    except ExpressionError as exc:
-        raise ExpressionError(f"{path}: {exc}") from None
+    except (ExpressionError, PreconditionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def descriptor_from_json(data: dict) -> BundleDescriptor:

@@ -36,6 +36,13 @@ def test_frac_chern_roots_basis(capsys):
     assert out.strip() == "x2 + x1 - a (integral)"
 
 
+@pytest.mark.parametrize("k", ["9", "-1"])
+def test_frac_chern_roots_basis_refuses_k_out_of_range(capsys, k):
+    code, out, err = run(capsys, "frac-chern", "--n", "4", "--l", "2", "--k", k, "--basis", "roots")
+    assert code == 2 and out == ""
+    assert err == f"precondition violated: k={k} out of range 0..4\n"
+
+
 def test_universal_phi(capsys):
     code, out, _ = run(capsys, "universal", "--map", "phi", "--n", "2", "--l", "2", "--k", "1")
     assert code == 0
@@ -237,6 +244,29 @@ def test_short_loop_class_list_is_a_precondition(capsys, monkeypatch, level, cls
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("precondition violated: ") and missing in line
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (lambda d: _with_group(d, "hM", "3", {"rank": -1}), "cohomology.hM.3"),
+        (lambda d: _with_group(d, "hLM", "2", {"torsion": [1]}), "cohomology.hLM.2"),
+        (lambda d: {**d, "ringY": {**d["ringY"], "degree_cap": 1}}, "ringY"),
+        (
+            lambda d: {**d, "loop": {**d["loop"], "ringLM": {**d["loop"]["ringLM"], "degree_cap": 1}}},
+            "loop.ringLM",
+        ),
+    ],
+    ids=["hM_3_negative_rank", "hLM_2_torsion_one", "ringY_cap_one", "ringLM_cap_one"],
+)
+def test_descriptor_precondition_names_the_path(capsys, monkeypatch, mutate, path):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        payload = json.dumps(mutate(json.load(fh)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "obstruction", "--level", "fracSU", "--descriptor", "-")
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"precondition violated: {path}: ")
 
 
 def test_integral_floats_read_as_integers(capsys, monkeypatch):

@@ -8,10 +8,12 @@ from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracchern import cli
+from fracchern.errors import PreconditionError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.towers import LEVELS
 from fracchern.verify import FIXTURE_NAMES
@@ -92,6 +94,16 @@ def test_key_reads_match_decoded_exponents(case):
         assert p.is_homogeneous(d) == (degrees <= {d})
         part = {e: c for e, c in terms if ring.monomial_degree(e) == d}
         assert p.homogeneous_part(d) == ring.from_exponents(part)
+
+
+@checked
+@given(ring_with(1))
+def test_leading_term_is_the_last_term(case):
+    ring, [p] = case
+    if not p.is_zero:
+        assert p.leading_term() == p.terms()[-1]
+    with pytest.raises(PreconditionError):
+        ring.zero().leading_term()
 
 
 @st.composite

@@ -96,8 +96,14 @@ def test_find_asymmetry_matches_rename_route(rng):
     assert {("x1", "x2"), ("x2", "x3"), ("x3", "x4")} <= found
 
 
-def test_express_roundtrip_random(rng):
-    m = sr.RootModel(3, 3, degree_cap=10)
+@pytest.mark.parametrize(
+    "n,l,extra",
+    # with b beside a, several parameter monomials share one degree
+    [(3, 3, ()), (4, 2, ("b",))],
+    ids=["n3_l3", "n4_l2_b"],
+)
+def test_express_roundtrip_random(rng, n, l, extra):
+    m = sr.RootModel(n, l, degree_cap=10, extra_even=extra)
     back = m.elementary_to_roots()
     for _ in range(15):
         e_poly = random_polynomial(m.e_ring, rng)
