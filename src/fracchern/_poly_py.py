@@ -5,24 +5,17 @@ three facts about it.  Adding two keys multiplies the monomials, and keys
 sort by degree first, so a product whose key reaches the ring's key limit
 lies above the degree cap.  The odd generators present are the key's bits
 in the ring's ``odd_fields``, and a later generator sits in a lower bit.
+Coefficients are integer numerators: ``gcring`` keeps each element's one
+denominator and multiplies the two denominators of a product itself.
 ``_kernel`` re-exports it.
 """
-
-from fractions import Fraction
-from math import lcm
 
 KERNEL_NAME = "python"
 
 
 def _prepare(terms, odd_fields):
-    """Turn {key: Fraction} into (common_den, [(key, odd bits, int_coef)]) sorted by key."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    entries = sorted(
-        (key, key & odd_fields, c.numerator * (den // c.denominator)) for key, c in terms.items()
-    )
-    return den, entries
+    """Turn {key: int} into [(key, odd bits, int)] sorted by key."""
+    return sorted((key, key & odd_fields, c) for key, c in terms.items())
 
 
 def _koszul_sign(odd_a, odd_b):
@@ -41,14 +34,15 @@ def mul_terms(terms_a, terms_b, odd_fields, limit):
     """Multiply two term maps, dropping products whose key reaches ``limit``
     (degree above the cap); odd squares vanish.
 
-    terms_a/terms_b: dict mapping monomial key -> Fraction.
+    terms_a/terms_b: dict mapping monomial key -> int numerator.
     odd_fields: the lowest bit of each odd generator's field.
-    Returns a dict in the same format.
+    Returns a dict in the same format, without zero numerators; its
+    denominator is the product of the operands' denominators.
     """
     if not terms_a or not terms_b:
         return {}
-    den_a, ea = _prepare(terms_a, odd_fields)
-    den_b, eb = _prepare(terms_b, odd_fields)
+    ea = _prepare(terms_a, odd_fields)
+    eb = _prepare(terms_b, odd_fields)
     acc = {}
     for key_a, odd_a, num_a in ea:
         room = limit - key_a
@@ -67,5 +61,6 @@ def mul_terms(terms_a, terms_b, odd_fields, limit):
                 acc[m] += n
             else:
                 acc[m] = n
-    den = den_a * den_b
-    return {m: Fraction(n, den) for m, n in acc.items() if n}
+    if 0 in acc.values():
+        acc = {m: n for m, n in acc.items() if n}
+    return acc

@@ -4,15 +4,21 @@ A :class:`RingPresentation` is free graded-commutative on its named
 generators and truncated above ``degree_cap``: products of odd-degree
 generators anticommute, squares of odd generators vanish (we work over
 the rationals), and any term of total degree above the cap is dropped.
-Elements are kept in a canonical normal form -- a map from monomial to
-nonzero coefficient -- so equality is structural and rendering is
-deterministic.
+Elements are kept in a canonical normal form, so equality is structural
+and rendering is deterministic.  This module owns both halves of that
+form: the key layout of the monomials and the coefficient layout.
 
 Each monomial is one int key, laid out here and nowhere else: with g
 generators it is ``degree << 16*g | e_0 << 16*(g-1) | ... | e_{g-1}``.  So
 sorted keys are in render order (degree, then exponents), adding two keys
-multiplies the monomials, and the constant term's key is 0.  The public
-surface always deals in exponent tuples over the declared generator order.
+multiplies the monomials, and the constant term's key is 0.
+
+The coefficients are int numerators over one positive int denominator:
+an element is ``(den, {key: numerator})`` with no zero numerator, the gcd
+of den and every numerator 1, and den 1 for zero.  Every element that
+arithmetic builds passes through ``_normal_form``.  The public surface
+deals in exponent tuples over the declared generator order and in
+``Fraction`` coefficients, built when read.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._kernel import mul_terms
 from .errors import ExpressionError, PreconditionError, PresentationMismatch
@@ -143,7 +150,7 @@ class RingPresentation:
 
     def constant(self, value) -> "GradedPolynomial":
         c = as_fraction(value)
-        return GradedPolynomial(self, {0: c} if c else {})
+        return _normal_form(self, c.denominator, {0: c.numerator})
 
     def gen(self, name: str) -> "GradedPolynomial":
         if name not in self.index:
@@ -169,8 +176,8 @@ class RingPresentation:
             key = self.pack(exps)
             if key >= self.key_limit:
                 raise PreconditionError("monomial exceeds degree cap")
-            packed_terms[key] = packed_terms.get(key, Fraction(0)) + c
-        return GradedPolynomial(self, {k: v for k, v in packed_terms.items() if v})
+            packed_terms[key] = packed_terms.get(key, 0) + c
+        return _from_fractions(self, packed_terms)
 
     def poly(self, text: str) -> "GradedPolynomial":
         """Parse an expression ("c2 - 3/2*a*c1 + 3/2*a^2") over this ring."""
@@ -204,31 +211,61 @@ def _coefficient_text(magnitude: Fraction) -> str:
         raise PreconditionError(f"a coefficient has more than {limit} digits to print") from None
 
 
+def _normal_form(ring: RingPresentation, den: int, nums: dict) -> "GradedPolynomial":
+    """The element sum of nums[key]/den * key, in normal form: zero
+    numerators dropped, the positive den and the numerators divided by
+    their gcd, and den 1 for zero.  ``nums`` must be a dict no other object
+    holds: it is reduced in place."""
+    if 0 in nums.values():
+        nums = {m: n for m, n in nums.items() if n}
+    if not nums:
+        return GradedPolynomial(ring, nums, 1)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            for m, n in nums.items():
+                nums[m] = n // g
+    return GradedPolynomial(ring, nums, den)
+
+
+def _from_fractions(ring: RingPresentation, coefs: dict) -> "GradedPolynomial":
+    """The element with {key: Fraction or int} coefficients."""
+    den = lcm(*(c.denominator for c in coefs.values()))
+    return _normal_form(
+        ring, den, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()}
+    )
+
+
 class GradedPolynomial:
     """Element of a RingPresentation in canonical normal form.
 
+    ``_terms`` maps each monomial key to a nonzero int numerator over the
+    one positive denominator ``_den`` (see the module docstring).
     Immutable after construction; all arithmetic returns new objects.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring: RingPresentation, terms: dict):
+    def __init__(self, ring: RingPresentation, terms: dict, den: int = 1):
         self.ring = ring
         self._terms = terms
+        self._den = den
 
     # -- basic views ----------------------------------------------------------
 
     def terms(self):
         """Sorted [(exponent tuple, coefficient)]: by total degree, then
         exponent-vector lexicographic in declared generator order."""
-        return [(self.ring.unpack(m), self._terms[m]) for m in sorted(self._terms)]
+        den = self._den
+        return [(self.ring.unpack(m), Fraction(self._terms[m], den)) for m in sorted(self._terms)]
 
     def leading_term(self):
         """The last of ``terms()``, read from the largest key alone."""
         if not self._terms:
             raise PreconditionError("the zero polynomial has no leading term")
         m = max(self._terms)
-        return self.ring.unpack(m), self._terms[m]
+        return self.ring.unpack(m), Fraction(self._terms[m], self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -247,20 +284,20 @@ class GradedPolynomial:
     def homogeneous_part(self, d: int) -> "GradedPolynomial":
         shift = self.ring.degree_shift
         kept = {m: c for m, c in self._terms.items() if m >> shift == d}
-        return GradedPolynomial(self.ring, kept)
+        return _normal_form(self.ring, self._den, kept)
 
     @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._terms.values())
+        return self._den == 1
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def coefficient(self, exponents) -> Fraction:
         if len(exponents) != len(self.ring.generators):
             raise PreconditionError("exponent tuple length mismatch")
-        return self._terms.get(self.ring.pack(exponents), Fraction(0))
+        return Fraction(self._terms.get(self.ring.pack(exponents), 0), self._den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -279,19 +316,32 @@ class GradedPolynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in q._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
+        # copy the larger term map and merge in the smaller, over the lcm
+        # of the denominators: big._den * grow == small._den * scale
+        big, small = (self, q) if len(self._terms) >= len(q._terms) else (q, self)
+        g = gcd(big._den, small._den)
+        grow, scale = small._den // g, big._den // g
+        if grow == 1:
+            out = dict(big._terms)
+        else:
+            out = {m: n * grow for m, n in big._terms.items()}
+        for m, n in small._terms.items():
+            if scale != 1:
+                n *= scale
+            if m in out:
+                s = out[m] + n
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
             else:
-                out.pop(m, None)
-        return GradedPolynomial(self.ring, out)
+                out[m] = n
+        return _normal_form(self.ring, big._den * grow, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial(self.ring, {m: -c for m, c in self._terms.items()})
+        return GradedPolynomial(self.ring, {m: -n for m, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -308,14 +358,15 @@ class GradedPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
-            if not c:
-                return self.ring.zero()
-            return GradedPolynomial(self.ring, {m: v * c for m, v in self._terms.items()})
+            num = c.numerator
+            return _normal_form(
+                self.ring, self._den * c.denominator, {m: n * num for m, n in self._terms.items()}
+            )
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         out = mul_terms(self._terms, q._terms, self.ring.odd_fields, self.ring.key_limit)
-        return GradedPolynomial(self.ring, out)
+        return _normal_form(self.ring, self._den * q._den, out)
 
     __rmul__ = __mul__
 
@@ -360,10 +411,10 @@ class GradedPolynomial:
             other = self.ring.constant(other)
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._den, frozenset(self._terms.items())))
 
     def render(self) -> str:
         items = self.terms()
@@ -405,13 +456,16 @@ def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPo
     field moves to its target field and scales the coefficient by s**e.
     Monomials above the target cap, or with two odd generators on one
     target field, vanish; the rest take the Koszul sign of sorting their odd
-    generators' target indices, read in source order.
+    generators' target indices, read in source order.  Integer scalars keep
+    the numerators ints over p's denominator; a rational one scales
+    Fractions, brought back to one denominator at the end.
     """
     source = p.ring
     src_shift, dst_shift = source.degree_shift, target.degree_shift
     # fields sent to zero, and fields copied where they are (even, scale 1,
     # same shift)
     dropped = kept = 0
+    rational = False
     moved = []  # (source shift, target shift, scalar, target index if odd)
     for i, move in enumerate(moves):
         shift = src_shift - FIELD_BITS * (i + 1)
@@ -419,15 +473,23 @@ def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPo
             dropped |= FIELD_MASK << shift
             continue
         j, s = move
+        s = as_fraction(s)
+        if s.denominator == 1:
+            s = s.numerator
+        else:
+            rational = True
         to = dst_shift - FIELD_BITS * (j + 1)
         odd = source.generators[i].is_odd
         if to == shift and s == 1 and not odd:
             kept |= FIELD_MASK << shift
         else:
             moved.append((shift, to, s, j if odd else None))
+    terms = p._terms
+    if rational:
+        terms = {m: Fraction(n, p._den) for m, n in terms.items()}
     limit = target.key_limit
     out = {}
-    for key, c in p._terms.items():
+    for key, c in terms.items():
         if key & dropped:
             continue
         new = (key >> src_shift << dst_shift) | (key & kept)
@@ -448,7 +510,9 @@ def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPo
         else:
             if new < limit:
                 out[new] = out.get(new, 0) + (-c if swaps & 1 else c)
-    return GradedPolynomial(target, {m: c for m, c in out.items() if c})
+    if rational:
+        return _from_fractions(target, out)
+    return _normal_form(target, p._den, out)
 
 
 def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomial:

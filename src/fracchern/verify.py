@@ -13,7 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import qtheta, symroots, towers, transgression
-from .errors import EngineError
+from .errors import EngineError, PreconditionError
 from .gcring import RingPresentation
 from .spaces import space_ring, working_cap
 from .symroots import RootModel
@@ -279,6 +279,9 @@ CRITERIA = (
 
 
 def run_all(max_n: int = 8, q_order: int = 4):
+    # below n = 2 the tower and loop sweeps (criteria 4 and 6) check nothing
+    if max_n < 2:
+        raise PreconditionError(f"max_n must be at least 2, got {max_n}")
     loop_n = min(max_n, 6)
     results = []
     for number, description, fn, mode in CRITERIA:

@@ -35,8 +35,12 @@ def test_criterion(results, number, description):
 
 @pytest.mark.parametrize(
     "number,sweep,args",
-    [(1, verify.closed_vs_brute, (9,)), (9, verify.q_series, (4, 6))],
-    ids=["criterion_1_n_le_9", "criterion_9_n_le_4_q_order_6"],
+    [
+        (1, verify.closed_vs_brute, (9,)),
+        (1, verify.closed_vs_brute, (10,)),
+        (9, verify.q_series, (4, 6)),
+    ],
+    ids=["criterion_1_n_le_9", "criterion_1_n_le_10", "criterion_9_n_le_4_q_order_6"],
 )
 def test_wider_sweep(number, sweep, args):
     """The criterion's sweep over a wider range, under the same budget."""

@@ -343,3 +343,10 @@ def test_verify_fast(capsys):
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert len(lines) == 10
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+@pytest.mark.parametrize("max_n", ["0", "1", "-3"])
+def test_verify_refuses_vacuous_sweeps(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err == f"precondition violated: max_n must be at least 2, got {max_n}\n"

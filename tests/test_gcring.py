@@ -278,6 +278,24 @@ def test_kernel_matches_naive_product(loop_ring):
     assert truncated and odd_signed
 
 
+def test_product_over_two_denominators_matches_naive_product(loop_ring):
+    """Operands over the denominators 3 and 4, then a sum and a difference
+    whose denominators cancel to 1."""
+    rng = random.Random(11)
+    c1, z1 = loop_ring.gen("c1"), loop_ring.gen("z1")
+    for _ in range(50):
+        # the added term's coefficient is an integer plus 1/3 (or -1/4)
+        p = random_polynomial(loop_ring, rng) + c1 * Fraction(1, 3)
+        q = random_polynomial(loop_ring, rng) - z1 * Fraction(1, 4)
+        assert (p._den, q._den) == (3, 4)
+        assert p * q == naive_product(p, q)
+        whole_p, whole_q = p + c1 * Fraction(2, 3), q - z1 * Fraction(3, 4)
+        assert whole_p.is_integral and whole_q.is_integral
+        assert whole_p._den == whole_q._den == 1
+        assert whole_p * whole_q == naive_product(whole_p, whole_q)
+        assert whole_p * q == naive_product(whole_p, q)
+
+
 def test_morphism_rejects_foreign_polynomial(even_ring, loop_ring):
     ident = RingMorphism.identity(even_ring)
     with pytest.raises(PresentationMismatch):

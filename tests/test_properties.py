@@ -6,6 +6,7 @@ import io
 import json
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracchern import cli
 from fracchern.errors import PreconditionError
-from fracchern.gcring import RingMorphism, RingPresentation
+from fracchern.gcring import RingMorphism, RingPresentation, remap_keys, transplant
 from fracchern.towers import LEVELS
 from fracchern.verify import FIXTURE_NAMES
 
@@ -163,6 +164,41 @@ def test_key_remap_matches_generic_path(case):
     f, p = case
     assert f._moves is not None
     assert f(p) == f._apply_generic(p)
+
+
+def assert_normal_form(p):
+    """Int numerators over one positive denominator, coprime to them all,
+    no zero numerator and den 1 for zero; the Fraction view round-trips,
+    and an equal value built another way hashes equal."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+    if p.is_zero:
+        assert p._den == 1
+    assert p.ring.from_exponents(dict(p.terms())) == p
+    same = (p * Fraction(1, 3)) * 3
+    assert same == p and hash(same) == hash(p)
+
+
+@checked
+@given(ring_with(2), coefficients.filter(bool))
+def test_arithmetic_keeps_normal_form(case, scalar):
+    ring, [p, q] = case
+    flipped = RingPresentation(ring.generators[::-1], ring.degree_cap + 1)
+    results = [p + q, p - q, p * q, p * scalar, p / scalar, p - p, transplant(p, flipped)]
+    results += [p.homogeneous_part(d) for d in range(ring.degree_cap + 1)]
+    for r in results:
+        assert_normal_form(r)
+    back = (p + q) - q
+    assert back == p and hash(back) == hash(p)
+
+
+@checked
+@given(generator_maps())
+def test_ring_maps_keep_normal_form(case):
+    f, p = case
+    assert_normal_form(remap_keys(p, f.target, f._moves))
+    assert_normal_form(f._apply_generic(p))
 
 
 # each replaces one leaf of a shipped fixture, as raw JSON text
