@@ -114,6 +114,8 @@ class RingPresentation:
         return (self.names, self.degrees, self.degree_cap)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, RingPresentation) and self._key() == other._key()
 
     def __hash__(self):
@@ -303,7 +305,7 @@ class GradedPolynomial:
 
     def _coerce(self, other):
         if isinstance(other, GradedPolynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise PresentationMismatch(
                     "operands live over different ring presentations"
                 )
@@ -365,8 +367,16 @@ class GradedPolynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
+        den = self._den * q._den
+        # a lone constant term scales the other operand: no sign, no truncation
+        if len(q._terms) == 1 and 0 in q._terms:
+            num = q._terms[0]
+            return _normal_form(self.ring, den, {m: n * num for m, n in self._terms.items()})
+        if len(self._terms) == 1 and 0 in self._terms:
+            num = self._terms[0]
+            return _normal_form(self.ring, den, {m: n * num for m, n in q._terms.items()})
         out = mul_terms(self._terms, q._terms, self.ring.odd_fields, self.ring.key_limit)
-        return _normal_form(self.ring, self._den * q._den, out)
+        return _normal_form(self.ring, den, out)
 
     __rmul__ = __mul__
 
@@ -614,24 +624,44 @@ class RingMorphism:
         return self._apply_generic(p)
 
     def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:
-        """Sum over p's terms of the product of generator-image powers: the
-        route for any images, and the reference for ``remap_keys``."""
-        power_cache: dict = {}
-        out = self.target.zero()
-        for exps, coef in p.terms():
-            term = self.target.constant(coef)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.source.names[i]
-                key = (name, e)
-                img = power_cache.get(key)
-                if img is None:
-                    img = self.images[name] ** e
-                    power_cache[key] = img
-                term = term * img
-            out = out + term
-        return out
+        """Sum over p's terms of the coefficient times the monomial's image:
+        the route for any images, and the reference for ``remap_keys``.
+
+        The images of monomials are memoized for this call only.  Monomial
+        m's image is image(m / g) * image(g) for g the last generator of m in
+        declared order, so the factors keep m's own (Koszul) order.  Every
+        term is merged into one numerator dict over the lcm of the image
+        denominators and normalized once.
+        """
+        source = self.source
+        shift = source.degree_shift
+        exponent_bits = (1 << shift) - 1
+        last = len(source.generators) - 1
+        gens = [self.images[name] for name in source.names]
+        memo = {0: self.target.one()}
+
+        def image(key):
+            chain = []  # (key, index of its last generator), down to a known key
+            while key not in memo:
+                low = key & exponent_bits
+                field = ((low & -low).bit_length() - 1) // FIELD_BITS
+                i = last - field
+                chain.append((key, i))
+                key -= (1 << FIELD_BITS * field) + (source.degrees[i] << shift)
+            img = memo[key]
+            for k, i in reversed(chain):
+                img = img * gens[i]
+                memo[k] = img
+            return img
+
+        terms = [(n, image(m)) for m, n in p._terms.items()]
+        den = lcm(*(img._den for _, img in terms))
+        out = {}
+        for n, img in terms:
+            scale = n * (den // img._den)
+            for m, c in img._terms.items():
+                out[m] = out.get(m, 0) + scale * c
+        return _normal_form(self.target, p._den * den, out)
 
     def then(self, after: "RingMorphism") -> "RingMorphism":
         """Composite morphism: first self, then ``after``."""

@@ -3,9 +3,11 @@ products and Witten gerbe module characters.
 
 The two character constructions are deliberately independent:
 
-  theta_product   expands per shifted root r the factor
+  theta_product   multiplies per shifted root r the factor
                   prod_{j>=1} (1 - q^j)(1 + s*q^{j-1/2}e^r)(1 + s*q^{j-1/2}e^{-r})
-                  with s = -1 for the alternating kind and +1 otherwise;
+                  with s = -1 for the alternating kind and +1 otherwise,
+                  expanded for the first root and carried to the others by
+                  root transpositions;
   lambda_tensor   expands the exterior-power series level by level, via
                   elementary symmetric polynomials in the exponentials
                   of the shifted roots, times the scalar Euler factor.
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation
-from .symroots import RootModel, _esp, express_in_elementary
+from .symroots import RootModel, _esp, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
 HALF = Fraction(1, 2)
@@ -56,55 +58,92 @@ def _as_q_exponent(e) -> Fraction:
     return q
 
 
-class HalfQSeries:
-    """Finite map q-exponent -> GradedPolynomial, truncated at q_order."""
+def _half_steps(e) -> int:
+    """2e for a q-exponent e, checked by ``_as_q_exponent``."""
+    q = _as_q_exponent(e)
+    return q.numerator * (2 // q.denominator)
 
-    __slots__ = ("ring", "q_order", "coefficients")
+
+def _format_half_steps(k: int) -> str:
+    """The q-exponent k/2 as ``format_exponent`` writes it."""
+    return f"{k}/2" if k % 2 else str(k // 2)
+
+
+class HalfQSeries:
+    """Finite map q-exponent -> GradedPolynomial, truncated at q_order.
+
+    The coefficients are stored under the int keys 2e, up to the int top
+    2*q_order, so that series arithmetic builds no ``Fraction``.  Exponents
+    are checked where they come in (the constructor, ``unit`` and
+    ``coefficient``); ``q_order``, ``coefficients`` and ``exponents()``
+    give them back as ``Fraction``s.
+    """
+
+    __slots__ = ("ring", "_top", "_halves")
 
     def __init__(self, ring: RingPresentation, coefficients: dict, q_order):
         self.ring = ring
-        self.q_order = _as_q_exponent(q_order)
+        self._top = _half_steps(q_order)
         coeffs = {}
         for e, poly in coefficients.items():
-            q = _as_q_exponent(e)
-            if q > self.q_order:
+            k = _half_steps(e)
+            if k > self._top:
                 continue
             if isinstance(poly, (int, Fraction)):
                 poly = ring.constant(poly)
             if poly.ring != ring:
                 raise PreconditionError("series coefficients must share one ring")
             if not poly.is_zero:
-                coeffs[q] = poly
-        self.coefficients = coeffs
+                coeffs[k] = poly
+        self._halves = coeffs
+
+    @classmethod
+    def _from_halves(cls, ring: RingPresentation, halves: dict, top: int) -> "HalfQSeries":
+        """The series of {2e: coefficient} over ``ring``, every key between 0
+        and ``top``, unchecked; zero coefficients are dropped."""
+        series = cls.__new__(cls)
+        series.ring = ring
+        series._top = top
+        series._halves = {k: p for k, p in halves.items() if not p.is_zero}
+        return series
 
     @classmethod
     def unit(cls, ring: RingPresentation, q_order) -> "HalfQSeries":
         return cls(ring, {Fraction(0): ring.one()}, q_order)
 
+    @property
+    def q_order(self) -> Fraction:
+        return Fraction(self._top, 2)
+
+    @property
+    def coefficients(self) -> dict:
+        """A new {q-exponent as a Fraction: coefficient} dict."""
+        return {Fraction(k, 2): p for k, p in self._halves.items()}
+
     def coefficient(self, e) -> GradedPolynomial:
-        return self.coefficients.get(_as_q_exponent(e), self.ring.zero())
+        return self._halves.get(_half_steps(e), self.ring.zero())
 
     def exponents(self):
-        return sorted(self.coefficients)
+        return [Fraction(k, 2) for k in sorted(self._halves)]
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._halves
 
     def _check_compatible(self, other: "HalfQSeries"):
-        if self.ring != other.ring or self.q_order != other.q_order:
+        if self.ring != other.ring or self._top != other._top:
             raise PreconditionError("series must share ring and q_order")
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coefficients)
-        for e, poly in other.coefficients.items():
-            out[e] = out.get(e, self.ring.zero()) + poly
-        return HalfQSeries(self.ring, out, self.q_order)
+        out = dict(self._halves)
+        for k, poly in other._halves.items():
+            out[k] = out[k] + poly if k in out else poly
+        return HalfQSeries._from_halves(self.ring, out, self._top)
 
     def __neg__(self):
-        return HalfQSeries(
-            self.ring, {e: -p for e, p in self.coefficients.items()}, self.q_order
+        return HalfQSeries._from_halves(
+            self.ring, {k: -p for k, p in self._halves.items()}, self._top
         )
 
     def __sub__(self, other):
@@ -112,10 +151,8 @@ class HalfQSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GradedPolynomial)):
-            return HalfQSeries(
-                self.ring,
-                {e: p * other for e, p in self.coefficients.items()},
-                self.q_order,
+            return HalfQSeries._from_halves(
+                self.ring, {k: p * other for k, p in self._halves.items()}, self._top
             )
         return qseries_mul(self, other)
 
@@ -124,7 +161,7 @@ class HalfQSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("series powers must be nonnegative integers")
-        out = HalfQSeries.unit(self.ring, self.q_order)
+        out = HalfQSeries._from_halves(self.ring, {0: self.ring.one()}, self._top)
         for _ in range(exponent):
             out = qseries_mul(out, self)
         return out
@@ -133,8 +170,8 @@ class HalfQSeries:
         return (
             isinstance(other, HalfQSeries)
             and self.ring == other.ring
-            and self.q_order == other.q_order
-            and self.coefficients == other.coefficients
+            and self._top == other._top
+            and self._halves == other._halves
         )
 
     @staticmethod
@@ -142,18 +179,17 @@ class HalfQSeries:
         return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
     def render(self) -> str:
-        if not self.coefficients:
+        if not self._halves:
             return "0"
         return "\n".join(
-            f"q^{self.format_exponent(e)}: {self.coefficients[e]}" for e in self.exponents()
+            f"q^{_format_half_steps(k)}: {self._halves[k]}" for k in sorted(self._halves)
         )
 
     def to_json(self) -> dict:
         return {
-            "q_order": self.format_exponent(self.q_order),
+            "q_order": _format_half_steps(self._top),
             "coefficients": {
-                self.format_exponent(e): self.coefficients[e].render()
-                for e in self.exponents()
+                _format_half_steps(k): self._halves[k].render() for k in sorted(self._halves)
             },
         }
 
@@ -161,51 +197,51 @@ class HalfQSeries:
         return self.render()
 
     def __repr__(self):
-        return f"<HalfQSeries order {self.q_order}: {len(self.coefficients)} terms>"
+        return f"<HalfQSeries order {self.q_order}: {len(self._halves)} terms>"
 
 
 def qseries_mul(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
     """Cauchy product, truncated at the shared q_order."""
     f._check_compatible(g)
+    top = f._top
     out: dict = {}
-    for ef, pf in f.coefficients.items():
-        for eg, pg in g.coefficients.items():
-            e = ef + eg
-            if e > f.q_order:
+    for kf, pf in f._halves.items():
+        for kg, pg in g._halves.items():
+            k = kf + kg
+            if k > top:
                 continue
             prod = pf * pg
             if prod.is_zero:
                 continue
-            if e in out:
-                out[e] = out[e] + prod
+            if k in out:
+                out[k] = out[k] + prod
             else:
-                out[e] = prod
-    return HalfQSeries(f.ring, out, f.q_order)
+                out[k] = prod
+    return HalfQSeries._from_halves(f.ring, out, top)
 
 
 def qseries_div_unit(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
     """Solve h with g*h = f; g must have an invertible constant term
     (nonzero scalar part at q^0)."""
     f._check_compatible(g)
-    g0 = g.coefficient(0)
+    zero = f.ring.zero()
+    g0 = g._halves.get(0, zero)
     if not g0.constant_term():
         raise PreconditionError("division requires a unit constant term at q^0")
     g0_inv = g0.inverse_unit()
-    steps = int(2 * f.q_order)
     h: dict = {}
-    for k in range(steps + 1):
-        e = Fraction(k, 2)
-        acc = f.coefficient(e)
-        for eg, pg in g.coefficients.items():
-            if eg == 0 or eg > e:
+    for k in range(f._top + 1):
+        acc = f._halves.get(k, zero)
+        for kg, pg in g._halves.items():
+            if kg == 0 or kg > k:
                 continue
-            prev = h.get(e - eg)
+            prev = h.get(k - kg)
             if prev is not None:
                 acc = acc - pg * prev
         value = acc * g0_inv
         if not value.is_zero:
-            h[e] = value
-    return HalfQSeries(f.ring, h, f.q_order)
+            h[k] = value
+    return HalfQSeries._from_halves(f.ring, h, f._top)
 
 
 def formal_exp(x: GradedPolynomial) -> GradedPolynomial:
@@ -254,9 +290,12 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     """Graded character of the Witten module over the root model, with the
     roots shifted by -a/l.
 
-    method "theta_product" multiplies one theta factor per root;
-    "lambda_tensor" expands the exterior-power levels; "both" runs the
-    two and insists they agree.
+    method "theta_product" multiplies one theta factor per root: it
+    expands root 1's factor once and obtains each later root's factor from
+    the one before by the root transposition x_i <-> x_{i+1}, which sends
+    x_i - a/l to x_{i+1} - a/l.  "lambda_tensor" expands the exterior-power
+    levels and shares none of that, so it stays the independent reference;
+    "both" runs the two and insists they agree.
     """
     q_order = _as_q_exponent(q_order)
     if q_order < HALF:
@@ -272,9 +311,11 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     ring = model.ring
     shifted = model.shifted_roots()
     if method == "theta_product":
-        series = HalfQSeries.unit(ring, q_order)
-        for r in shifted:
-            series = series * theta_series(kind, r, q_order)
+        factor = series = theta_series(kind, shifted[0], q_order)
+        for swap in root_transpositions(model):
+            moved = {k: swap(p) for k, p in factor._halves.items()}
+            factor = HalfQSeries._from_halves(ring, moved, factor._top)
+            series = series * factor
         return series
     if method != "lambda_tensor":
         raise PreconditionError(f"unknown method {method!r}")
@@ -332,17 +373,17 @@ def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, model.n + 1)})
     rename = RingMorphism(model.e_ring, f_ring, images)
     out = {}
-    for e in series.exponents():
-        coeff = unshift(series.coefficients[e])
+    for k in sorted(series._halves):
+        coeff = unshift(series._halves[k])
         for exps, _ in coeff.terms():
             for i in model.param_indices:
                 if exps[i]:
                     raise PreconditionError(
                         "coefficient does not descend: twist class survives at "
-                        f"q^{HalfQSeries.format_exponent(e)}"
+                        f"q^{_format_half_steps(k)}"
                     )
-        out[e] = rename(express_in_elementary(coeff, model))
-    return HalfQSeries(f_ring, out, series.q_order)
+        out[k] = rename(express_in_elementary(coeff, model))
+    return HalfQSeries._from_halves(f_ring, out, series._top)
 
 
 def modularity_obstruction(d: BundleDescriptor) -> GradedPolynomial:

@@ -102,14 +102,20 @@ def shifted_total_chern(model: RootModel) -> GradedPolynomial:
     return out
 
 
-def find_asymmetry(p: GradedPolynomial, model: RootModel):
-    """Return the first adjacent root transposition not fixing p, or None."""
+def root_transpositions(model: RootModel) -> list[RingMorphism]:
+    """The n-1 adjacent root transpositions x_i <-> x_{i+1}, as renames
+    built once per model; each one sends x_i - a/l to x_{i+1} - a/l."""
     if model._swaps is None:
         model._swaps = [
             RingMorphism.rename(model.ring, model.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"})
             for i in range(1, model.n)
         ]
-    for i, swap in enumerate(model._swaps, start=1):
+    return model._swaps
+
+
+def find_asymmetry(p: GradedPolynomial, model: RootModel):
+    """Return the first adjacent root transposition not fixing p, or None."""
+    for i, swap in enumerate(root_transpositions(model), start=1):
         if swap(p) != p:
             return (f"x{i}", f"x{i+1}")
     return None

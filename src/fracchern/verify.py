@@ -237,7 +237,7 @@ def q_series(max_n: int = 3, q_order: int = 4):
         checks += 1
     for n in range(1, max_n + 1):
         for l in _divisors(n):
-            model = RootModel(n, l, degree_cap=8)
+            model = RootModel(n, l, degree_cap=working_cap(n, 8))
             for kind in qtheta.WittenKind:
                 series = qtheta.gch_witten(model, kind, q_order, method="both")
                 try:

@@ -38,9 +38,17 @@ def test_criterion(results, number, description):
     [
         (1, verify.closed_vs_brute, (9,)),
         (1, verify.closed_vs_brute, (10,)),
+        (1, verify.closed_vs_brute, (11,)),
         (9, verify.q_series, (4, 6)),
+        (9, verify.q_series, (5, 6)),
     ],
-    ids=["criterion_1_n_le_9", "criterion_1_n_le_10", "criterion_9_n_le_4_q_order_6"],
+    ids=[
+        "criterion_1_n_le_9",
+        "criterion_1_n_le_10",
+        "criterion_1_n_le_11",
+        "criterion_9_n_le_4_q_order_6",
+        "criterion_9_n_le_5_q_order_6",
+    ],
 )
 def test_wider_sweep(number, sweep, args):
     """The criterion's sweep over a wider range, under the same budget."""

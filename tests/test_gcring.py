@@ -296,6 +296,22 @@ def test_product_over_two_denominators_matches_naive_product(loop_ring):
         assert whole_p * q == naive_product(whole_p, q)
 
 
+def test_constant_operand_matches_naive_product(loop_ring):
+    """A lone constant term, integer or fractional, on either side of a
+    product: the integral and the fractional other operand are scaled as
+    the naive product says."""
+    rng = random.Random(13)
+    constants = [0, 1, -1, 6, Fraction(-3, 4), Fraction(7, 2)]
+    for _ in range(30):
+        p = random_polynomial(loop_ring, rng)
+        for other in (p, p + loop_ring.gen("z2") * Fraction(1, 6)):
+            for c in constants:
+                k = loop_ring.constant(c)
+                assert other * k == naive_product(other, k)
+                assert k * other == naive_product(k, other)
+                assert k * k == naive_product(k, k)
+
+
 def test_morphism_rejects_foreign_polynomial(even_ring, loop_ring):
     ident = RingMorphism.identity(even_ring)
     with pytest.raises(PresentationMismatch):

@@ -59,6 +59,38 @@ def test_qseries_validation(scalar_ring):
         qt.qseries_mul(f, g)
 
 
+def test_qseries_exponent_boundary():
+    """Exponents are Fractions wherever they are read, and checked wherever
+    they come in."""
+    ring = RingPresentation([("x", 2)], 4)
+    s = HalfQSeries(ring, {2: ring.gen("x"), 0: ring.one(), HALF: 3, 1: ring.poly("x^2")}, 2)
+    assert all(type(e) is Fraction for e in s.coefficients)
+    assert s.coefficients == {
+        0: ring.one(),
+        HALF: ring.constant(3),
+        1: ring.poly("x^2"),
+        2: ring.gen("x"),
+    }
+    assert s.coefficient(1) == s.coefficient(Fraction(1)) == ring.poly("x^2")
+    assert s.coefficient(Fraction(3, 2)).is_zero
+    assert s.exponents() == [0, HALF, 1, 2]
+    assert all(type(e) is Fraction for e in s.exponents())
+    assert s.q_order == 2 and type(s.q_order) is Fraction
+    assert s.render() == "q^0: 1\nq^1/2: 3\nq^1: x^2\nq^2: x"
+    assert s.to_json() == {
+        "q_order": "2",
+        "coefficients": {"0": "1", "1/2": "3", "1": "x^2", "2": "x"},
+    }
+    assert HalfQSeries.unit(ring, Fraction(5, 2)).to_json()["q_order"] == "5/2"
+    for bad in (Fraction(1, 3), Fraction(-1, 2)):
+        with pytest.raises(PreconditionError):
+            s.coefficient(bad)
+        with pytest.raises(PreconditionError):
+            HalfQSeries(ring, {bad: ring.one()}, 2)
+        with pytest.raises(PreconditionError):
+            HalfQSeries.unit(ring, bad)
+
+
 def test_formal_exp():
     ring = RingPresentation([("x", 2)], 4)
     x = ring.gen("x")
@@ -120,6 +152,20 @@ def test_gch_single_untwisted_root_is_theta():
         series_.q_order,
     )
     assert untwisted == qt.theta_series(WittenKind.THETA3, model.root(1), 3)
+
+
+def test_theta_product_is_the_product_of_root_theta_series():
+    """The theta route, which moves root 1's factor to the others by root
+    transpositions, equals the direct product over the shifted roots."""
+    for n in range(1, 5):
+        for l in (d for d in range(1, n + 1) if n % d == 0):
+            model = RootModel(n, l, degree_cap=8)
+            for kind in WittenKind:
+                for q in (HALF, 1, 2, 3):
+                    direct = HalfQSeries.unit(model.ring, q)
+                    for r in model.shifted_roots():
+                        direct = direct * qt.theta_series(kind, r, q)
+                    assert qt.gch_witten(model, kind, q) == direct, (n, l, kind, q)
 
 
 def test_gch_methods_agree():
