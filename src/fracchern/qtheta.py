@@ -27,9 +27,6 @@ from .gcring import GradedPolynomial, RingMorphism, RingPresentation
 from .symroots import RootModel, _esp, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
-HALF = Fraction(1, 2)
-
-
 class WittenKind(Enum):
     """Which infinite tensor product of exterior powers is taken: the
     alternating kind (theta2) or the plain kind (theta3)."""
@@ -49,18 +46,14 @@ class WittenKind(Enum):
             raise PreconditionError(f"unknown Witten kind {text!r}") from None
 
 
-def _as_q_exponent(e) -> Fraction:
+def _half_steps(e) -> int:
+    """2e for a q-exponent e, which must be a nonnegative half-integer: the
+    one place a q-exponent is checked."""
     q = Fraction(e)
     if q < 0:
         raise PreconditionError("q-exponents must be nonnegative")
     if q.denominator not in (1, 2):
         raise PreconditionError("q-exponents must be half-integers")
-    return q
-
-
-def _half_steps(e) -> int:
-    """2e for a q-exponent e, checked by ``_as_q_exponent``."""
-    q = _as_q_exponent(e)
     return q.numerator * (2 // q.denominator)
 
 
@@ -109,7 +102,7 @@ class HalfQSeries:
 
     @classmethod
     def unit(cls, ring: RingPresentation, q_order) -> "HalfQSeries":
-        return cls(ring, {Fraction(0): ring.one()}, q_order)
+        return cls._from_halves(ring, {0: ring.one()}, _half_steps(q_order))
 
     @property
     def q_order(self) -> Fraction:
@@ -260,28 +253,24 @@ def formal_exp(x: GradedPolynomial) -> GradedPolynomial:
     return out
 
 
-def _euler_factor(ring: RingPresentation, j: int, q_order: Fraction) -> HalfQSeries:
-    return HalfQSeries(ring, {0: ring.one(), Fraction(j): -ring.one()}, q_order)
+def _euler_factor(ring: RingPresentation, k: int, top: int) -> HalfQSeries:
+    """1 - q^{k/2}."""
+    return HalfQSeries._from_halves(ring, {0: ring.one(), k: -ring.one()}, top)
 
 
 def theta_series(kind: WittenKind, shift: GradedPolynomial, q_order) -> HalfQSeries:
     """prod_{j>=1} (1 - q^j)(1 + sign q^{j-1/2} e^shift)(1 + sign q^{j-1/2} e^{-shift})."""
-    q_order = _as_q_exponent(q_order)
+    top = _half_steps(q_order)
     ring = shift.ring
     sign = kind.sign
     e_plus = formal_exp(shift)
     e_minus = formal_exp(-shift)
-    series = HalfQSeries.unit(ring, q_order)
-    j = 0
-    while True:
-        j += 1
-        half = Fraction(2 * j - 1, 2)
-        if half > q_order:
-            break
-        if Fraction(j) <= q_order:
-            series = series * _euler_factor(ring, j, q_order)
+    series = HalfQSeries._from_halves(ring, {0: ring.one()}, top)
+    for k in range(1, top + 1, 2):  # k = 2j - 1
+        if k < top:
+            series = series * _euler_factor(ring, k + 1, top)
         for unit_part in (e_plus, e_minus):
-            factor = HalfQSeries(ring, {0: ring.one(), half: unit_part * sign}, q_order)
+            factor = HalfQSeries._from_halves(ring, {0: ring.one(), k: unit_part * sign}, top)
             series = series * factor
     return series
 
@@ -297,8 +286,8 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     levels and shares none of that, so it stays the independent reference;
     "both" runs the two and insists they agree.
     """
-    q_order = _as_q_exponent(q_order)
-    if q_order < HALF:
+    top = _half_steps(q_order)
+    if top < 1:
         raise PreconditionError("q_order must be at least 1/2")
     if method == "both":
         via_theta = gch_witten(model, kind, q_order, "theta_product")
@@ -314,7 +303,7 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
         factor = series = theta_series(kind, shifted[0], q_order)
         for swap in root_transpositions(model):
             moved = {k: swap(p) for k, p in factor._halves.items()}
-            factor = HalfQSeries._from_halves(ring, moved, factor._top)
+            factor = HalfQSeries._from_halves(ring, moved, top)
             series = series * factor
         return series
     if method != "lambda_tensor":
@@ -322,25 +311,14 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     sign = kind.sign
     exp_plus = _esp([formal_exp(r) for r in shifted], model.n, ring)
     exp_minus = _esp([formal_exp(-r) for r in shifted], model.n, ring)
-    series = HalfQSeries.unit(ring, q_order)
-    j = 1
-    while Fraction(j) <= q_order:
-        series = series * _euler_factor(ring, j, q_order) ** model.n
-        j += 1
-    v = 0
-    while True:
-        v += 1
-        level = Fraction(2 * v - 1, 2)
-        if level > q_order:
-            break
+    series = HalfQSeries._from_halves(ring, {0: ring.one()}, top)
+    for k in range(2, top + 1, 2):
+        series = series * _euler_factor(ring, k, top) ** model.n
+    for level in range(1, top + 1, 2):
+        last = min(model.n, top // level)
         for table in (exp_plus, exp_minus):
-            coeffs = {}
-            for k in range(model.n + 1):
-                e = k * level
-                if e > q_order:
-                    break
-                coeffs[e] = table[k] * (sign ** k)
-            series = series * HalfQSeries(ring, coeffs, q_order)
+            coeffs = {k * level: table[k] * (sign ** k) for k in range(last + 1)}
+            series = series * HalfQSeries._from_halves(ring, coeffs, top)
     return series
 
 
@@ -392,4 +370,4 @@ def modularity_obstruction(d: BundleDescriptor) -> GradedPolynomial:
     normalized characters modular."""
     f1 = d.fractional(1)
     f2 = d.fractional(2)
-    return f1 * f1 * HALF - f2
+    return f1 * f1 * Fraction(1, 2) - f2

@@ -160,11 +160,7 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     # adds only smaller ones.
     work = p
     out = {}
-    guard = 0
     while not work.is_zero:
-        guard += 1
-        if guard > 100000:
-            raise EngineError("elementary-basis reduction did not terminate")
         exps, lead_coef = work.leading_term()
         lam = [exps[i] for i in model.root_indices]
         if any(lam[i] < lam[i + 1] for i in range(n - 1)):
@@ -209,10 +205,10 @@ def fractional_chern_closed(model: RootModel, k: int) -> GradedPolynomial:
 
 
 def fractional_chern_brute(model: RootModel, k: int) -> GradedPolynomial:
-    """Independent oracle: degree-2k part of the expanded shifted product,
-    rewritten in the elementary basis."""
+    """Independent oracle: sigma_k of the shifted roots, expanded over the
+    roots and rewritten in the elementary basis."""
     _check_k(k, model.n)
-    part = shifted_total_chern(model).homogeneous_part(2 * k)
+    part = _esp(model.shifted_roots(), k, model.ring)[k]
     return express_in_elementary(part, model)
 
 

@@ -401,8 +401,12 @@ def _expression(ring, text, path: str) -> GradedPolynomial:
     return ring.poly(text)
 
 
-def _class(ring, data, path: str) -> GradedPolynomial:
-    return _expression(ring, _field(data, path), path)
+def _class(ring, data, path: str, degree: int) -> GradedPolynomial:
+    """A twist class: zero or homogeneous of ``degree``."""
+    poly = _expression(ring, _field(data, path), path)
+    if not poly.is_homogeneous(degree):
+        raise ExpressionError(f"{path}: class must have degree {degree}")
+    return poly
 
 
 def _expressions(data, path: str) -> dict:
@@ -454,9 +458,7 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
     _field(data, "classes")
     check_n_l(n, l)
     pi_star = RingMorphism(ring_m, ring_y, _expressions(data, "pi_star"))
-    a = _class(ring_y, data, "classes.a")
-    if not a.is_zero and not a.is_homogeneous(2):
-        raise ExpressionError("class a must have degree 2")
+    a = _class(ring_y, data, "classes.a", 2)
     c = _parse_classes(ring_y, data, "classes.c", lambda k: 2 * k, "c_k(E)")
     frac = _parse_classes(ring_m, data, "classes.frac", lambda k: 2 * k, "fractional class")
     loop = None
@@ -464,8 +466,8 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
         ring_ly = _ring(data, "loop.ringLY")
         ring_lm = _ring(data, "loop.ringLM")
         lo_pi = RingMorphism(ring_lm, ring_ly, _expressions(data, "loop.pi_star"))
-        la = _class(ring_ly, data, "loop.classes.a")
-        afrak = _class(ring_ly, data, "loop.classes.afrak")
+        la = _class(ring_ly, data, "loop.classes.a", 2)
+        afrak = _class(ring_ly, data, "loop.classes.afrak", 1)
         z = _parse_classes(ring_ly, data, "loop.classes.z", lambda k: 2 * k - 1, "z_k(LE)")
         lc = _parse_classes(ring_ly, data, "loop.classes.c", lambda k: 2 * k, "c_k(LE)")
         zfrac = _parse_classes(ring_lm, data, "loop.classes.zfrac", lambda k: 2 * k - 1, "loop fractional z")

@@ -282,17 +282,10 @@ def run_all(max_n: int = 8, q_order: int = 4):
     # below n = 2 the tower and loop sweeps (criteria 4 and 6) check nothing
     if max_n < 2:
         raise PreconditionError(f"max_n must be at least 2, got {max_n}")
-    loop_n = min(max_n, 6)
+    args = {"max_n": (max_n,), "loop_n": (min(max_n, 6),), "q": (min(max_n, 3), q_order), None: ()}
     results = []
     for number, description, fn, mode in CRITERIA:
         start = time.time()
-        if mode == "max_n":
-            ok, detail = fn(max_n)
-        elif mode == "loop_n":
-            ok, detail = fn(loop_n)
-        elif mode == "q":
-            ok, detail = fn(min(max_n, 3), q_order)
-        else:
-            ok, detail = fn()
+        ok, detail = fn(*args[mode])
         results.append(CriterionResult(number, description, ok, detail, time.time() - start))
     return results

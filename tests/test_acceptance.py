@@ -39,6 +39,7 @@ def test_criterion(results, number, description):
         (1, verify.closed_vs_brute, (9,)),
         (1, verify.closed_vs_brute, (10,)),
         (1, verify.closed_vs_brute, (11,)),
+        (1, verify.closed_vs_brute, (12,)),
         (9, verify.q_series, (4, 6)),
         (9, verify.q_series, (5, 6)),
     ],
@@ -46,6 +47,7 @@ def test_criterion(results, number, description):
         "criterion_1_n_le_9",
         "criterion_1_n_le_10",
         "criterion_1_n_le_11",
+        "criterion_1_n_le_12",
         "criterion_9_n_le_4_q_order_6",
         "criterion_9_n_le_5_q_order_6",
     ],

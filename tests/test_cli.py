@@ -168,6 +168,11 @@ def _without_class_a(d):
     return d
 
 
+def _with_loop_class(d, cls, value):
+    d["loop"]["classes"][cls] = value
+    return d
+
+
 def _with_group(d, table, degree, group):
     d["cohomology"][table][degree] = group
     return d
@@ -201,6 +206,9 @@ INF = float("inf")
         (lambda d: {**d, "loop": {**d["loop"], "ringLY": {"degree_cap": 12}}}, "loop.ringLY"),
         (lambda d: _with_group(d, "hM", "3", {"rank": 0, "torsion": ["3"]}), "cohomology.hM.3"),
         (lambda d: _with_group(d, "hLM", "0", {"rank": 1.5}), "cohomology.hLM.0"),
+        (lambda d: {**d, "classes": {**d["classes"], "a": "c2"}}, "classes.a"),
+        (lambda d: _with_loop_class(d, "a", "c2"), "loop.classes.a"),
+        (lambda d: _with_loop_class(d, "afrak", "a"), "loop.classes.afrak"),
     ],
     ids=[
         "missing_class_a", "n_not_integer", "class_not_string", "top_level_list",
@@ -208,7 +216,8 @@ INF = float("inf")
         "generator_degree_infinite", "degree_cap_infinite", "rank_infinite",
         "torsion_infinite", "n_string", "n_l_true", "degree_cap_string", "rank_true",
         "rank_string", "torsion_string", "ringM_degree_cap_infinite", "ringLY_no_generators",
-        "hM_3_torsion", "hLM_0_rank",
+        "hM_3_torsion", "hLM_0_rank", "class_a_degree_4",
+        "loop_a_degree_4", "afrak_degree_2",
     ],
 )
 def test_malformed_descriptor_names_the_field(capsys, monkeypatch, mutate, field):
@@ -267,6 +276,15 @@ def test_descriptor_precondition_names_the_path(capsys, monkeypatch, mutate, pat
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert line.startswith(f"precondition violated: {path}: ")
+
+
+def test_zero_loop_twist_class_is_accepted(capsys, monkeypatch):
+    with open(fixture_path("symbolic_n4l2.json")) as fh:
+        d = json.load(fh)
+    d["loop"]["classes"]["afrak"] = "0"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(d)))
+    code, out, err = run(capsys, "obstruction", "--level", "loopU", "--descriptor", "-")
+    assert code == 0 and err == "" and "upstairs   = z1\n" in out
 
 
 def test_integral_floats_read_as_integers(capsys, monkeypatch):

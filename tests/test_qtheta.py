@@ -206,8 +206,25 @@ def test_gch_q_order_error():
     model = RootModel(1, 1, degree_cap=4)
     with pytest.raises(PreconditionError):
         qt.gch_witten(model, WittenKind.THETA3, 0)
+    for bad in (Fraction(1, 3), Fraction(-1, 2)):
+        with pytest.raises(PreconditionError):
+            qt.theta_series(WittenKind.THETA3, model.ring.zero(), bad)
+        with pytest.raises(PreconditionError):
+            qt.gch_witten(model, WittenKind.THETA3, bad)
     with pytest.raises(PreconditionError):
         qt.gch_witten(model, WittenKind.THETA3, 2, method="bogus")
+
+
+@pytest.mark.parametrize("q", [HALF, Fraction(3, 2), Fraction(5, 2)])
+def test_gch_methods_agree_at_half_integer_orders(q):
+    """At an odd 2*q_order the top exponent q_order is a half-integer with
+    no Euler factor of its own; both routes must still reach it and agree."""
+    for n in range(1, 4):
+        for l in (d for d in range(1, n + 1) if n % d == 0):
+            model = RootModel(n, l, degree_cap=8)
+            for kind in WittenKind:
+                series_ = qt.gch_witten(model, kind, q, method="both")
+                assert series_.q_order == q
 
 
 def test_normalize():
