@@ -1,0 +1,25 @@
+"""The CLI prints exactly what ``cli_snapshot.json`` records: exit code,
+stdout and stderr of every entry, byte for byte (``verify``'s timings
+masked).  See ``make_cli_snapshot.py`` for how the snapshot is made."""
+
+import json
+from pathlib import Path
+
+from make_cli_snapshot import COLUMNS, SNAPSHOT, run
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cli_output_matches_snapshot(monkeypatch):
+    # the benchmark's catalogue names its fixtures relative to the repo root
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.delenv("FRACCHERN_DEGREE_CAP", raising=False)
+    entries = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    changed = []
+    for entry in entries:
+        got = run(entry["argv"])
+        if got != entry:
+            fields = [f for f in ("exit", "stdout", "stderr") if got[f] != entry[f]]
+            changed.append(f"{' '.join(entry['argv'])}: {', '.join(fields)}")
+    assert not changed, f"{len(changed)} of {len(entries)} entries differ:\n" + "\n".join(changed)
