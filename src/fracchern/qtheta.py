@@ -42,14 +42,17 @@ class WittenKind(Enum):
     def parse(cls, text: str) -> "WittenKind":
         try:
             return cls(text.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise PreconditionError(f"unknown Witten kind {text!r}") from None
 
 
 def _half_steps(e) -> int:
     """2e for a q-exponent e, which must be a nonnegative half-integer: the
     one place a q-exponent is checked."""
-    q = Fraction(e)
+    try:
+        q = Fraction(e)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise PreconditionError(f"q-exponent {e!r} is not a number") from None
     if q < 0:
         raise PreconditionError("q-exponents must be nonnegative")
     if q.denominator not in (1, 2):
@@ -334,33 +337,27 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
 
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
-    """Rewrite every coefficient as a polynomial in the fractional classes
-    f_k = sigma_k(x - a/l); fails if any coefficient is not a symmetric
-    function of the shifted roots alone."""
+    """Rewrite every coefficient c as a polynomial P in the fractional
+    classes f_k = sigma_k(x - a/l): P is read off c at a = 0, where f_k is
+    sigma_k(x), and must map back to c under f_k -> sigma_k(x - a/l).  Fails
+    if c is not a symmetric function of the shifted roots alone."""
     ring = model.ring
-    replacements = {
-        f"x{i}": ring.gen(f"x{i}") + ring.gen("a") * Fraction(1, model.l)
-        for i in range(1, model.n + 1)
-    }
-    unshift = RingMorphism.substitution(ring, replacements)
-    f_ring = RingPresentation(
-        [(f"f{k}", 2 * k) for k in range(1, model.n + 1)], ring.degree_cap
-    )
-    images = {"a": f_ring.zero()}
-    images.update({name: f_ring.zero() for name in model.extra_even})
-    images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, model.n + 1)})
+    n = model.n
+    f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], ring.degree_cap)
+    at_zero = RingMorphism.substitution(ring, {"a": ring.zero()})
+    images = {name: f_ring.zero() for name in ("a", *model.extra_even)}
+    images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
     rename = RingMorphism(model.e_ring, f_ring, images)
+    sigma = _esp(model.shifted_roots(), n, ring)
+    back = RingMorphism(f_ring, ring, {f"f{k}": sigma[k] for k in range(1, n + 1)})
     out = {}
-    for k in sorted(series._halves):
-        coeff = unshift(series._halves[k])
-        for exps, _ in coeff.terms():
-            for i in model.param_indices:
-                if exps[i]:
-                    raise PreconditionError(
-                        "coefficient does not descend: twist class survives at "
-                        f"q^{_format_half_steps(k)}"
-                    )
-        out[k] = rename(express_in_elementary(coeff, model))
+    for k, coeff in sorted(series._halves.items()):
+        out[k] = rename(express_in_elementary(at_zero(coeff), model))
+        if back(out[k]) != coeff:
+            raise PreconditionError(
+                "coefficient does not descend: twist class survives at "
+                f"q^{_format_half_steps(k)}"
+            )
     return HalfQSeries._from_halves(f_ring, out, series._top)
 
 

@@ -22,6 +22,8 @@ import re
 import sys
 from pathlib import Path
 
+from fracchern import cli
+
 SNAPSHOT = Path(__file__).resolve().parent / "cli_snapshot.json"
 # argparse wraps --help text to the terminal width it reads from COLUMNS
 COLUMNS = "80"
@@ -39,8 +41,6 @@ def mask_timings(text: str) -> str:
 
 def run(argv) -> dict:
     """One in-process ``cli.main`` call, as a snapshot entry."""
-    from fracchern import cli
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -55,22 +55,18 @@ def run(argv) -> dict:
     }
 
 
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def argvs() -> list:
     """The benchmark's CLI catalogue, every ``--help``, the descent and
     normalization paths of ``gch``, its q-order edges, ``frac-chern`` in
     the root basis and ``verify``."""
     sys.path.insert(0, str(SNAPSHOT.parents[1]))
-    from perfbench.workloads import cli_catalogue
+    from perfbench.workloads import cli_catalogue, divisors
 
     out = [list(argv) for argv in cli_catalogue()]
     out.append(["--help"])
     out.extend([name, "--help"] for name in SUBCOMMANDS)
     for n in range(1, 5):
-        for l in _divisors(n):
+        for l in divisors(n):
             for kind in ("theta2", "theta3"):
                 base = ["gch", "--kind", kind, "--n", str(n), "--l", str(l),
                         "--q-order", "3", "--method", "both"]
@@ -78,7 +74,7 @@ def argvs() -> list:
     for q in ("0", "1", "-1"):
         out.append(["gch", "--kind", "theta3", "--n", "2", "--l", "2", "--q-order", q])
     for n in range(1, 5):
-        for l in _divisors(n):
+        for l in divisors(n):
             for k in range(n + 1):
                 out.append(["frac-chern", "--n", str(n), "--l", str(l), "--k", str(k),
                             "--basis", "roots"])

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_polynomial
 from fracchern import qtheta as qt
 from fracchern.errors import PreconditionError, SymmetryError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
-from fracchern.symroots import RootModel
+from fracchern.symroots import RootModel, shifted_total_chern
 from fracchern.verify import load_fixture
 
 HALF = Fraction(1, 2)
@@ -271,6 +273,77 @@ def test_descend_rejects_asymmetric():
     bad = HalfQSeries(model.ring, {0: model.ring.poly("x1 - 1/2*a")}, 1)
     with pytest.raises(SymmetryError):
         qt.descend_gch(bad, model)
+
+
+def test_descend_reports_asymmetry_before_a_surviving_twist():
+    # x1 + a*x2 is twisted and, at a = 0, not symmetric: the reduction
+    # at a = 0 runs first and names the transposition
+    model = RootModel(2, 2, degree_cap=8)
+    bad = HalfQSeries(model.ring, {0: model.ring.poly("x1 + a*x2")}, 1)
+    with pytest.raises(SymmetryError):
+        qt.descend_gch(bad, model)
+
+
+@pytest.mark.parametrize(
+    "n, l, extra", [(2, 1, ()), (2, 2, ()), (3, 3, ()), (4, 2, ()), (4, 2, ("b",))]
+)
+def test_descend_inverts_the_fractional_substitution(n, l, extra, rng):
+    """Descent returns the P that built each coefficient as P(f) with
+    f_k -> sigma_k(x - a/l), and rejects P(f) plus a twisted term."""
+    model = RootModel(n, l, extra_even=extra)
+    ring = model.ring
+    f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], ring.degree_cap)
+    total = shifted_total_chern(model)
+    fractional = RingMorphism(
+        f_ring, ring, {f"f{k}": total.homogeneous_part(2 * k) for k in range(1, n + 1)}
+    )
+    twists = [ring.gen("a") * total.homogeneous_part(2)] + [ring.gen(b) for b in extra]
+    exponents = (0, HALF, 1)
+    for _ in range(4):
+        ps = {e: random_polynomial(f_ring, rng) for e in exponents}
+        coeffs = {e: fractional(p) for e, p in ps.items()}
+        descended = qt.descend_gch(HalfQSeries(ring, coeffs, 1), model)
+        assert descended == HalfQSeries(f_ring, ps, 1)
+        for e in exponents:
+            for twist in twists:
+                assert not twist.is_zero
+                bad = dict(coeffs)
+                bad[e] = bad[e] + twist
+                with pytest.raises(PreconditionError, match="does not descend"):
+                    qt.descend_gch(HalfQSeries(ring, bad, 1), model)
+
+
+def _theta3_at(q_order):
+    ring = RingPresentation([("x", 2)], 4)
+    return qt.theta_series(WittenKind.THETA3, ring.gen("x"), q_order)
+
+
+def _gch_at(q_order):
+    return qt.gch_witten(RootModel(2, 2), WittenKind.THETA3, q_order)
+
+
+def _coefficient_at(e):
+    return HalfQSeries.unit(RingPresentation([], 0), 1).coefficient(e)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (_theta3_at, "x"),
+        (_theta3_at, None),
+        (_theta3_at, []),
+        (_theta3_at, float("inf")),
+        (_theta3_at, "1/0"),
+        (_gch_at, "x"),
+        (_coefficient_at, None),
+        (WittenKind.parse, None),
+        (WittenKind.parse, 3),
+    ],
+)
+def test_bad_library_input_is_a_one_line_precondition_error(call, value):
+    with pytest.raises(PreconditionError, match=re.escape(repr(value))) as info:
+        call(value)
+    assert "\n" not in str(info.value)
 
 
 def test_modularity_obstruction():
