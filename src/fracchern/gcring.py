@@ -552,9 +552,14 @@ def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomia
 
 def element_of_degree(target: RingPresentation, value, degree: int, what: str) -> GradedPolynomial:
     """``value`` as an element of ``target`` homogeneous of ``degree`` (or
-    zero); a string is parsed over ``target``.  ``what`` names it in errors."""
+    zero); a string is parsed over ``target`` and an int or ``Fraction`` is a
+    constant.  ``what`` names it in errors."""
     if isinstance(value, str):
         value = target.poly(value)
+    elif isinstance(value, (int, Fraction)):
+        value = target.constant(value)
+    elif not isinstance(value, GradedPolynomial):
+        raise PreconditionError(f"{what} must be a polynomial, got {value!r}")
     if value.ring != target:
         raise PresentationMismatch(f"{what} is not over the target")
     if not value.is_homogeneous(degree):

@@ -131,6 +131,8 @@ class HalfQSeries:
             raise PreconditionError("series must share ring and q_order")
 
     def __add__(self, other):
+        if not isinstance(other, HalfQSeries):
+            return NotImplemented
         self._check_compatible(other)
         out = dict(self._halves)
         for k, poly in other._halves.items():
@@ -150,6 +152,8 @@ class HalfQSeries:
             return HalfQSeries._from_halves(
                 self.ring, {k: p * other for k, p in self._halves.items()}, self._top
             )
+        if not isinstance(other, HalfQSeries):
+            return NotImplemented
         return qseries_mul(self, other)
 
     __rmul__ = __mul__
@@ -345,7 +349,7 @@ def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     n = model.n
     f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], ring.degree_cap)
     at_zero = RingMorphism.substitution(ring, {"a": ring.zero()})
-    images = {name: f_ring.zero() for name in ("a", *model.extra_even)}
+    images = {name: f_ring.zero() for name in model.params}
     images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
     rename = RingMorphism(model.e_ring, f_ring, images)
     sigma = _esp(model.shifted_roots(), n, ring)

@@ -15,6 +15,7 @@ That agreement (closed vs brute force) is the module's central oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -24,7 +25,12 @@ from .spaces import check_n_l, working_cap
 
 
 class RootModel:
-    """Splitting-principle workspace for rank n and twist order l (l | n)."""
+    """Splitting-principle workspace for rank n and twist order l (l | n).
+
+    ``params`` (a, then the extra even parameters) lead both ``ring`` (then
+    x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  The
+    root tables (sigma_k(x), transpositions) are built on first use.
+    """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
         self.s = check_n_l(n, l)
@@ -33,20 +39,24 @@ class RootModel:
         self.n = n
         self.l = l
         self.extra_even = tuple(extra_even)
-        gens = [("a", 2)] + [(name, 2) for name in self.extra_even]
-        gens += [(f"x{i}", 2) for i in range(1, n + 1)]
-        self.ring = RingPresentation(gens, degree_cap)
-        e_gens = [("a", 2)] + [(name, 2) for name in self.extra_even]
-        e_gens += [(f"e{k}", 2 * k) for k in range(1, n + 1)]
-        self.e_ring = RingPresentation(e_gens, degree_cap)
-        self.root_indices = tuple(self.ring.index[f"x{i}"] for i in range(1, n + 1))
-        self.param_indices = tuple(
-            i for i in range(len(self.ring.generators)) if i not in self.root_indices
-        )
-        self._sigma_cache: dict[int, GradedPolynomial] = {}
+        self.params = ("a", *self.extra_even)
+        params = [(name, 2) for name in self.params]
+        roots = [(f"x{i}", 2) for i in range(1, n + 1)]
+        self.ring = RingPresentation(params + roots, degree_cap)
+        elementary = [(f"e{k}", 2 * k) for k in range(1, n + 1)]
+        self.e_ring = RingPresentation(params + elementary, degree_cap)
         self._sigma_power_cache: dict[tuple, GradedPolynomial] = {}
-        # the adjacent root transpositions, renames built on first use
-        self._swaps: list[RingMorphism] | None = None
+
+    @cached_property
+    def _sigma(self) -> list[GradedPolynomial]:
+        return _esp(self.roots(), self.n, self.ring)
+
+    @cached_property
+    def _transpositions(self) -> list[RingMorphism]:
+        return [
+            RingMorphism.rename(self.ring, self.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"})
+            for i in range(1, self.n)
+        ]
 
     def root(self, i: int) -> GradedPolynomial:
         return self.ring.gen(f"x{i}")
@@ -61,9 +71,7 @@ class RootModel:
 
     def elementary_to_roots(self) -> RingMorphism:
         """e_k -> sigma_k(x); parameters map to their namesakes."""
-        images = {"a": self.ring.gen("a")}
-        for name in self.extra_even:
-            images[name] = self.ring.gen(name)
+        images = {name: self.ring.gen(name) for name in self.params}
         for k in range(1, self.n + 1):
             images[f"e{k}"] = elementary_symmetric(k, self)
         return RingMorphism(self.e_ring, self.ring, images)
@@ -79,7 +87,7 @@ def _esp(values, k_max, ring):
     """Elementary symmetric polynomials e_0..e_k_max of ring elements."""
     table = [ring.one()] + [ring.zero()] * k_max
     for v in values:
-        for j in range(min(len(table) - 1, k_max), 0, -1):
+        for j in range(k_max, 0, -1):
             table[j] = table[j] + v * table[j - 1]
     return table
 
@@ -87,30 +95,18 @@ def _esp(values, k_max, ring):
 def elementary_symmetric(k: int, model: RootModel) -> GradedPolynomial:
     """sigma_k(x_1..x_n); sigma_0 = 1."""
     _check_k(k, model.n)
-    if k not in model._sigma_cache:
-        table = _esp(model.roots(), model.n, model.ring)
-        for j, poly in enumerate(table):
-            model._sigma_cache[j] = poly
-    return model._sigma_cache[k]
+    return model._sigma[k]
 
 
 def shifted_total_chern(model: RootModel) -> GradedPolynomial:
-    """Full product prod_i (1 + x_i - a/l), expanded and truncated."""
-    out = model.ring.one()
-    for r in model.shifted_roots():
-        out = out * (model.ring.one() + r)
-    return out
+    """Full product prod_i (1 + x_i - a/l) = sum_k sigma_k(x - a/l), truncated."""
+    return sum(_esp(model.shifted_roots(), model.n, model.ring), model.ring.zero())
 
 
 def root_transpositions(model: RootModel) -> list[RingMorphism]:
     """The n-1 adjacent root transpositions x_i <-> x_{i+1}, as renames
     built once per model; each one sends x_i - a/l to x_{i+1} - a/l."""
-    if model._swaps is None:
-        model._swaps = [
-            RingMorphism.rename(model.ring, model.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"})
-            for i in range(1, model.n)
-        ]
-    return model._swaps
+    return model._transpositions
 
 
 def find_asymmetry(p: GradedPolynomial, model: RootModel):
@@ -152,8 +148,7 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
             transposition=violation,
         )
     n = model.n
-    e_ring = model.e_ring
-    e_slots = [e_ring.index[f"e{k}"] for k in range(1, n + 1)]
+    n_params = len(model.params)
     # The parameters precede the roots, so the leading key has the top
     # degree, then that degree's top parameter monomial, then the lex-leading
     # root exponents of that symmetric part; each step removes that key and
@@ -162,21 +157,14 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     out = {}
     while not work.is_zero:
         exps, lead_coef = work.leading_term()
-        lam = [exps[i] for i in model.root_indices]
+        param, lam = exps[:n_params], exps[n_params:]
         if any(lam[i] < lam[i + 1] for i in range(n - 1)):
             raise EngineError("nonzero remainder in symmetric reduction (internal error)")
         mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
-        # both presentations reserve the same leading slots for a / extras
-        param = [0] * len(exps)
-        e_exps = [0] * len(e_ring.generators)
-        for i in model.param_indices:
-            param[i] = e_exps[i] = exps[i]
-        for j, m in zip(e_slots, mult):
-            e_exps[j] = m
-        lead = model.ring.from_exponents({tuple(param): lead_coef})
+        lead = model.ring.from_exponents({param + (0,) * n: lead_coef})
         work = work - _sigma_power_product(model, mult) * lead
-        out[tuple(e_exps)] = lead_coef
-    return e_ring.from_exponents(out)
+        out[param + mult] = lead_coef
+    return model.e_ring.from_exponents(out)
 
 
 def shifted_chern_sum(

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import fracchern
 from fracchern.cli import main
 
 
@@ -368,3 +372,33 @@ def test_verify_refuses_vacuous_sweeps(capsys, max_n):
     code, out, err = run(capsys, "verify", "--max-n", max_n)
     assert code == 2 and out == ""
     assert err == f"precondition violated: max_n must be at least 2, got {max_n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (
+            ["--space", "BUn_l", "--n", "4", "--expr", "cb1"],
+            "space BUn_l needs a positive order l",
+        ),
+        (["--space", "BUn_l", "--n", "4", "--l", "3", "--expr", "cb1"], "l=3 must divide n=4"),
+        (["--space", "BUn", "--n", "0", "--expr", "c1"], "space BUn needs a positive rank n"),
+    ],
+    ids=["no_order", "order_not_dividing", "zero_rank"],
+)
+def test_transgress_space_preconditions(capsys, argv, line):
+    code, out, err = run(capsys, "transgress", *argv)
+    assert code == 2 and out == ""
+    assert err == f"precondition violated: {line}\n"
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(fracchern.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracchern", "frac-chern", "--n", "2", "--l", "2", "--k", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "e1 - a (integral)\n", "")

@@ -13,6 +13,7 @@ from fracchern.gcring import (
     RingPresentation,
     transplant,
 )
+from fracchern.transgression import DerivationTable
 
 from conftest import random_polynomial
 
@@ -164,6 +165,35 @@ def test_morphism_validation(even_ring, loop_ring):
         RingMorphism(even_ring, even_ring, {"a": "a", "c1": "c1"})
     with pytest.raises(PresentationMismatch):
         even_ring.gen("a") + loop_ring.gen("c1")
+
+
+@pytest.mark.parametrize(
+    "value,error",
+    [
+        (0, None),
+        (Fraction(0), None),
+        (1, "image of a must be homogeneous of degree 2"),
+        (Fraction(1, 2), "image of a must be homogeneous of degree 2"),
+        (None, "image of a must be a polynomial, got None"),
+        (2.5, "image of a must be a polynomial, got 2.5"),
+        ([1], r"image of a must be a polynomial, got \[1\]"),
+    ],
+    ids=["zero", "zero_fraction", "one", "half", "none", "float", "list"],
+)
+def test_image_values_that_are_not_strings_or_polynomials(even_ring, loop_ring, value, error):
+    # a number is a constant; anything else is refused in one line
+    if error is None:
+        kill_a = RingMorphism.substitution(even_ring, {"a": value})
+        assert kill_a._moves is not None
+        assert kill_a(even_ring.poly("a*c1 + c2 - a^2")) == even_ring.poly("c2")
+        table = DerivationTable(even_ring, loop_ring, {"c2": value})
+        assert table.values["c2"].is_zero
+        return
+    with pytest.raises(PreconditionError, match=error) as info:
+        RingMorphism.substitution(even_ring, {"a": value})
+    assert "\n" not in str(info.value)
+    with pytest.raises(PreconditionError, match="value of c2"):
+        DerivationTable(even_ring, loop_ring, {"c2": value})
 
 
 def test_homogeneous_part(even_ring):

@@ -93,6 +93,46 @@ def test_qseries_exponent_boundary():
             HalfQSeries.unit(ring, bad)
 
 
+def test_qseries_linear_arithmetic():
+    """+, binary and unary -, and * by a scalar or a polynomial act
+    coefficientwise; operands must share ring and q_order."""
+    ring = RingPresentation([("x", 2)], 4)
+    x = ring.gen("x")
+    s = HalfQSeries(ring, {0: ring.poly("1 + x"), HALF: x, 1: ring.poly("2 - 1/3*x^2")}, 1)
+    t = HalfQSeries(ring, {0: ring.poly("-x"), HALF: ring.poly("x^2 - x"), 1: 5}, 1)
+    exponents = (0, HALF, 1)
+    for result, expected in [
+        (s + t, lambda e: s.coefficient(e) + t.coefficient(e)),
+        (s - t, lambda e: s.coefficient(e) - t.coefficient(e)),
+        (-s, lambda e: -s.coefficient(e)),
+        (s * 2, lambda e: s.coefficient(e) * 2),
+        (s * Fraction(-3, 4), lambda e: s.coefficient(e) * Fraction(-3, 4)),
+        (s * x, lambda e: s.coefficient(e) * x),
+        (x * s, lambda e: x * s.coefficient(e)),
+    ]:
+        assert result.ring == ring and result.q_order == 1
+        for e in exponents:
+            assert result.coefficient(e) == expected(e)
+    assert (s + t).coefficient(0) == ring.one()
+    assert (s - s).is_zero and (s + -s).is_zero
+    assert 2 * s == s * 2
+    foreign = HalfQSeries.unit(RingPresentation([("y", 2)], 4), 1)
+    for other in (foreign, HalfQSeries.unit(ring, 2)):
+        for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+            with pytest.raises(PreconditionError, match="must share ring and q_order"):
+                op(s, other)
+    for bad in (1, Fraction(1, 2), x, None):
+        with pytest.raises(TypeError):
+            s + bad
+        with pytest.raises(TypeError):
+            s - bad
+    for bad in (None, "x", 2.5):
+        with pytest.raises(TypeError):
+            s * bad
+        with pytest.raises(TypeError):
+            bad * s
+
+
 def test_formal_exp():
     ring = RingPresentation([("x", 2)], 4)
     x = ring.gen("x")

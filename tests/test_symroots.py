@@ -33,6 +33,33 @@ def test_shifted_total_chern_small():
     assert sr.shifted_total_chern(m2) == expected
 
 
+def _running_product(model):
+    """prod_i (1 + x_i - a/l), one factor at a time."""
+    out = model.ring.one()
+    for r in model.shifted_roots():
+        out = out * (model.ring.one() + r)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,l,extra",
+    [(n, l, ()) for n in range(1, 6) for l in divisors(n)] + [(4, 2, ("b",))],
+)
+def test_shifted_total_chern_matches_running_product(n, l, extra):
+    m = sr.RootModel(n, l, extra_even=extra)
+    assert sr.shifted_total_chern(m) == _running_product(m)
+
+
+def test_root_tables_are_built_once_per_model():
+    m = sr.RootModel(4, 2)
+    assert sr.root_transpositions(m) is sr.root_transpositions(m)
+    assert len(sr.root_transpositions(m)) == 3
+    for k in range(5):
+        assert sr.elementary_symmetric(k, m) is sr.elementary_symmetric(k, m)
+    other = sr.RootModel(4, 2)
+    assert sr.root_transpositions(other) is not sr.root_transpositions(m)
+
+
 def test_untwisted_limit():
     m = sr.RootModel(3, 3, degree_cap=6)
     kill_a = RingMorphism.substitution(m.ring, {"a": "0"})
