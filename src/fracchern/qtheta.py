@@ -60,8 +60,17 @@ def _half_steps(e) -> int:
     return q.numerator * (2 // q.denominator)
 
 
+def _q_top(q_order) -> int:
+    """2*q_order for a character's truncation order, refusing one below 1/2."""
+    top = _half_steps(q_order)
+    if top < 1:
+        raise PreconditionError("q_order must be at least 1/2")
+    return top
+
+
 def _format_half_steps(k: int) -> str:
-    """The q-exponent k/2 as ``format_exponent`` writes it."""
+    """The q-exponent k/2 as "k/2" when k is odd, else the integer k/2: the
+    one q-exponent formatter, used by ``render`` and ``to_json``."""
     return f"{k}/2" if k % 2 else str(k // 2)
 
 
@@ -173,10 +182,6 @@ class HalfQSeries:
             and self._top == other._top
             and self._halves == other._halves
         )
-
-    @staticmethod
-    def format_exponent(e: Fraction) -> str:
-        return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
     def render(self) -> str:
         if not self._halves:
@@ -293,9 +298,7 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     levels and shares none of that, so it stays the independent reference;
     "both" runs the two and insists they agree.
     """
-    top = _half_steps(q_order)
-    if top < 1:
-        raise PreconditionError("q_order must be at least 1/2")
+    top = _q_top(q_order)
     if method == "both":
         via_theta = gch_witten(model, kind, q_order, "theta_product")
         via_lambda = gch_witten(model, kind, q_order, "lambda_tensor")

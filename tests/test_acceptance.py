@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, exact equality throughout,
-and wider sweeps of criteria 1 and 9 under the same time budgets.
+wider sweeps of criteria 1 and 9 under the same time budgets, and the
+check runner's failure path (first failing check, failed cross-check).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines; ``fracchern verify`` prints the same sweeps.
@@ -9,7 +10,8 @@ import time
 
 import pytest
 
-from fracchern import verify
+from fracchern import cli, qtheta, symroots, towers, verify
+from fracchern.errors import VerificationError
 
 _BUDGET_SECONDS = {1: 10.0, 9: 60.0}
 
@@ -60,3 +62,62 @@ def test_wider_sweep(number, sweep, args):
     print(f"[{number}] {detail} in {seconds:.1f}s")
     assert ok, detail
     assert seconds < _BUDGET_SECONDS[number], f"criterion {number} took {seconds:.1f}s"
+
+
+def _injected_cross_check_failure(*args):
+    raise VerificationError("cross-check failed: injected")
+
+
+def _lambda_tensor_off_by_double(monkeypatch):
+    real = qtheta.gch_witten
+
+    def gch_witten(model, kind, q_order, method="theta_product"):
+        if method == "lambda_tensor":
+            return real(model, kind, q_order, method) * 2
+        return real(model, kind, q_order, method)
+
+    monkeypatch.setattr(qtheta, "gch_witten", gch_witten)
+
+
+@pytest.mark.parametrize(
+    "culprit,break_it,detail",
+    [
+        (
+            6,
+            lambda mp: mp.setattr(towers, "lphi2_z2", _injected_cross_check_failure),
+            "cross-check failed: injected",
+        ),
+        (
+            9,
+            _lambda_tensor_off_by_double,
+            "theta_product and lambda_tensor expansions disagree at n=1, l=1, theta2",
+        ),
+    ],
+    ids=["criterion_6_raises", "criterion_9_disagrees"],
+)
+def test_failed_cross_check_fails_only_its_criterion(monkeypatch, capsys, culprit, break_it, detail):
+    break_it(monkeypatch)
+    results = verify.run_all(max_n=4, q_order=2)
+    assert [r.number for r in results] == list(range(1, 11))
+    assert [r.number for r in results if not r.ok] == [culprit]
+    assert results[culprit - 1].detail == detail
+
+    assert cli.main(["verify", "--max-n", "4"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 10
+    assert [line.startswith("[FAIL]") for line in lines] == [n == culprit for n in range(1, 11)]
+    assert f"({detail}, " in lines[culprit - 1]
+    assert captured.err == "verification FAILED\n"
+
+
+def test_sweep_stops_at_its_first_failing_check(monkeypatch):
+    calls = []
+
+    def brute(model, k):
+        calls.append((model.n, model.l, k))
+        return model.e_ring.zero()
+
+    monkeypatch.setattr(symroots, "fractional_chern_brute", brute)
+    assert verify.closed_vs_brute(3) == (False, "mismatch at n=1, l=1, k=0")
+    assert calls == [(1, 1, 0)]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fracchern
+from fracchern import verify
 from fracchern.cli import main
 
 
@@ -63,6 +64,13 @@ def test_universal_precondition(capsys):
     code, _, err = run(capsys, "universal", "--map", "phi2", "--n", "3", "--l", "3", "--k", "1")
     assert code == 2
     assert "precondition" in err
+
+
+@pytest.mark.parametrize("map_name,k", [("xi2", "1"), ("lphi2", "2")])
+def test_higher_towers_refuse_l_1(capsys, map_name, k):
+    code, out, err = run(capsys, "universal", "--map", map_name, "--n", "4", "--l", "1", "--k", k)
+    assert code == 2 and out == ""
+    assert err == "precondition violated: the higher towers require l > 1\n"
 
 
 def test_change_triv(capsys):
@@ -375,6 +383,22 @@ def test_verify_refuses_vacuous_sweeps(capsys, max_n):
 
 
 @pytest.mark.parametrize(
+    "q_order,line",
+    [("0", "q_order must be at least 1/2"), ("-1", "q-exponents must be nonnegative")],
+)
+def test_verify_refuses_bad_q_order_before_any_sweep(capsys, monkeypatch, q_order, line):
+    def not_run(*args):
+        raise AssertionError("a sweep ran before the q_order check")
+
+    monkeypatch.setattr(
+        verify, "CRITERIA", tuple((num, desc, not_run, mode) for num, desc, _, mode in verify.CRITERIA)
+    )
+    code, out, err = run(capsys, "verify", "--max-n", "12", "--q-order", q_order)
+    assert code == 2 and out == ""
+    assert err == f"precondition violated: {line}\n"
+
+
+@pytest.mark.parametrize(
     "argv,line",
     [
         (
@@ -383,8 +407,9 @@ def test_verify_refuses_vacuous_sweeps(capsys, max_n):
         ),
         (["--space", "BUn_l", "--n", "4", "--l", "3", "--expr", "cb1"], "l=3 must divide n=4"),
         (["--space", "BUn", "--n", "0", "--expr", "c1"], "space BUn needs a positive rank n"),
+        (["--space", "BSpinc", "--expr", "q1*t"], "generator q1 has no namesake in the target ring"),
     ],
-    ids=["no_order", "order_not_dividing", "zero_rank"],
+    ids=["no_order", "order_not_dividing", "zero_rank", "no_namesake"],
 )
 def test_transgress_space_preconditions(capsys, argv, line):
     code, out, err = run(capsys, "transgress", *argv)
