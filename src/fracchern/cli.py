@@ -15,7 +15,7 @@ import sys
 
 from . import qtheta, symroots, towers, transgression, verify
 from .errors import ExpressionError, PreconditionError, VerificationError
-from .spaces import DEFAULT_CAP, working_cap
+from .spaces import working_cap
 from .symroots import RootModel
 
 
@@ -28,10 +28,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _degree_cap() -> int:
+def _degree_cap() -> int | None:
     raw = os.environ.get("FRACCHERN_DEGREE_CAP")
     if raw is None:
-        return DEFAULT_CAP
+        return None
     try:
         cap = int(raw)
     except ValueError:

@@ -6,6 +6,10 @@ spaces carry their low-degree generator tables; rational spaces use
 ``*Q``-suffixed generator names.  Twist-type generators (g, cb1, zb1,
 h, sp1, ...) are declared first so that rendered classes come out in
 the conventional order ("c1 - g", "c2 - 1/4*cb1^2", ...).
+
+``space_ring`` alone sets a named space's degree cap, so one space always
+gets one ring: callers pass the cap they were given, or None, straight
+through.  ``working_cap`` is the root models' rule (raised to 2n).
 """
 
 from .errors import PreconditionError
@@ -68,8 +72,13 @@ _SPACES = {
 SPACE_NAMES = tuple(_SPACES)
 
 
-def check_parameters(name: str, n, l) -> None:
-    _, needs_n, needs_l = _SPACES.get(name, (None, False, False))
+def space_ring(name: str, n: int | None = None, l: int | None = None, degree_cap: int | None = None) -> RingPresentation:
+    """Presentation of H^{<= cap} for the named space: the one rule for a
+    named space's cap is ``degree_cap`` (DEFAULT_CAP if not given), raised
+    to the space's top generator degree."""
+    if name not in _SPACES:
+        raise PreconditionError(f"unknown space {name!r}")
+    generators, needs_n, needs_l = _SPACES[name]
     if needs_n:
         if n is None or n < 1:
             raise PreconditionError(f"space {name} needs a positive rank n")
@@ -82,12 +91,5 @@ def check_parameters(name: str, n, l) -> None:
             )
         if n is not None and n % l:
             raise PreconditionError(f"l={l} must divide n={n}")
-
-
-def space_ring(name: str, n: int | None = None, l: int | None = None, degree_cap: int = DEFAULT_CAP) -> RingPresentation:
-    """Presentation of H^{<= degree_cap} for the named space."""
-    check_parameters(name, n, l)
-    if name not in _SPACES:
-        raise PreconditionError(f"unknown space {name!r}")
-    gens = _SPACES[name][0](n)
-    return RingPresentation(gens, max(degree_cap, max((d for _, d in gens), default=0)))
+    gens = generators(n)
+    return RingPresentation(gens, max(degree_cap or DEFAULT_CAP, max((d for _, d in gens), default=0)))

@@ -21,7 +21,7 @@ from math import comb
 from . import transgression
 from .errors import ExpressionError, PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, element_of_degree, json_int, transplant
-from .spaces import SPACE_NAMES, check_n_l, space_ring, working_cap
+from .spaces import SPACE_NAMES, check_n_l, space_ring
 from .symroots import _check_k, shifted_chern_sum
 from .transgression import DerivationTable, free_suspend
 
@@ -49,7 +49,7 @@ def phi_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grade
     """
     check_n_l(n, l)
     _check_k(k, n)
-    ring = space_ring("BU1xBUn", n=n, degree_cap=working_cap(n, degree_cap))
+    ring = space_ring("BU1xBUn", n=n, degree_cap=degree_cap)
     return shifted_chern_sum(ring, "g", "c", n, l, k)
 
 
@@ -62,22 +62,20 @@ def phi2_pullback(n: int, l: int, k: int, degree_cap: int | None = None) -> Grad
     check_n_l(n, l, require_higher=True)
     if not 2 <= k <= n:
         raise PreconditionError(f"k={k} must satisfy 2 <= k <= n")
-    ring = space_ring("BUn_l", n=n, l=l, degree_cap=working_cap(n, degree_cap))
+    ring = space_ring("BUn_l", n=n, l=l, degree_cap=degree_cap)
     top = ring.gen("cb1") ** k * (Fraction(-1, l) ** k * (1 - k) * comb(n, k))
     return shifted_chern_sum(ring, "cb1", "c", n, l, k, terms=k - 1) + top
 
 
-def _lphi_z2_image(n: int, l: int, degree_cap: int) -> GradedPolynomial:
+def _lphi_z2_image(n: int, l: int, degree_cap: int | None) -> GradedPolynomial:
     """Loop pullback of z2Q to BLU(1) x BLU(n), built through the
     transgression of the c2Q pullback:
 
         nu(phi*(c2Q)) - (z1 - s*h)(c1 - s*g)
     """
     s = n // l
-    table = transgression.builtin_table("BU1xBUn", n=max(n, 2), degree_cap=degree_cap)
-    phi_c2 = phi_pullback(n, l, 2, degree_cap)
-    # the k=2 image involves only g, c1, c2; rebuild it over the table source
-    suspended = free_suspend(table, transplant(phi_c2, table.source))
+    table = transgression.builtin_table("BU1xBUn", n=n, degree_cap=degree_cap)
+    suspended = free_suspend(table, phi_pullback(n, l, 2, degree_cap))
     loop_ring = table.target
     correction = loop_ring.poly(f"(z1 - {s}*h)*(c1 - {s}*g)")
     return suspended - correction
@@ -161,14 +159,13 @@ class MorphismTable:
 
 def builtin_morphism(name: str, n: int, l: int, degree_cap: int | None = None) -> MorphismTable:
     """Generator-image table for a named map of the towers."""
-    cap = working_cap(n, degree_cap)
     # an unknown name is checked like a map of the higher towers first
     source, target, higher, images = _MORPHISMS.get(name, (None, None, True, None))
     s = check_n_l(n, l, require_higher=higher)
     if images is None:
         raise PreconditionError(f"unknown morphism table {name!r}")
-    tgt = space_ring(target, n=n, l=l, degree_cap=cap)
-    src = space_ring(source, n=n, l=l, degree_cap=cap)
+    tgt = space_ring(target, n=n, l=l, degree_cap=degree_cap)
+    src = space_ring(source, n=n, l=l, degree_cap=degree_cap)
     given = images(tgt, n, l, s)
     full = {g: given[g] if g in given else tgt.gen(g) for g in src.names}
     return MorphismTable(name, n, l, RingMorphism(src, tgt, full))
@@ -184,12 +181,10 @@ def xi2_pullback(n: int, l: int, which: str, degree_cap: int | None = None) -> G
     """
     if which not in ("c1Q", "z2Q"):
         raise PreconditionError("which must be 'c1Q' or 'z2Q'")
-    cap = working_cap(n, degree_cap)
-    table = builtin_morphism("xi2", n, l, cap)
-    value = table.images[which]
+    value = builtin_morphism("xi2", n, l, degree_cap).images[which]
     if which == "z2Q":
-        biota2l = builtin_morphism("Biota2l", n, l, cap)
-        pipeline = biota2l(_lphi_z2_image(n, l, cap))
+        biota2l = builtin_morphism("Biota2l", n, l, degree_cap)
+        pipeline = biota2l(_lphi_z2_image(n, l, degree_cap))
         if pipeline != value:
             raise VerificationError(
                 f"transgression pipeline disagrees with the table: {pipeline} != {value}"
@@ -202,15 +197,14 @@ def lphi2_z2(n: int, l: int, degree_cap: int | None = None) -> GradedPolynomial:
     two independent routes (transgression of the level-1 pullback, and the
     loop-tower factorization)."""
     check_n_l(n, l, require_higher=True)
-    cap = working_cap(n, degree_cap)
-    value = builtin_morphism("Lphi2", n, l, cap).images["z2Q"]
+    value = builtin_morphism("Lphi2", n, l, degree_cap).images["z2Q"]
 
     # route 1: suspend phi2*(c2Q) over BU(n)_l
-    table = transgression.builtin_table("BUn_l", n=n, l=l, degree_cap=cap)
-    route1 = free_suspend(table, transplant(phi2_pullback(n, l, 2, cap), table.source))
+    table = transgression.builtin_table("BUn_l", n=n, l=l, degree_cap=degree_cap)
+    route1 = free_suspend(table, phi2_pullback(n, l, 2, degree_cap))
     # route 2: collapse the level-1 class through the factorization
-    bhat = builtin_morphism("BhatLi2l", n, l, cap)
-    route2 = bhat(builtin_morphism("xi2", n, l, cap).images["z2Q"])
+    bhat = builtin_morphism("BhatLi2l", n, l, degree_cap)
+    route2 = bhat(builtin_morphism("xi2", n, l, degree_cap).images["z2Q"])
     if route1 != value or route2 != value:
         raise VerificationError(
             f"cross-check failed: table={value}, suspension={route1}, factorization={route2}"

@@ -95,7 +95,7 @@ _TABLES = {
 }
 
 
-def builtin_table(space_name: str, n: int | None = None, l: int | None = None, degree_cap: int = spaces.DEFAULT_CAP) -> DerivationTable:
+def builtin_table(space_name: str, n: int | None = None, l: int | None = None, degree_cap: int | None = None) -> DerivationTable:
     """Transgression tables of the classifying spaces used by the towers."""
     if space_name not in _TABLES:
         raise PreconditionError(f"no builtin transgression table for {space_name!r}")

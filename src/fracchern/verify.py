@@ -125,7 +125,7 @@ def tower_composition(max_n: int = 6):
             for k in range(2, n + 1):
                 pulled = bi2l(towers.phi_pullback(n, l, k))
                 yield pulled == towers.phi2_pullback(n, l, k), f"composition mismatch at n={n}, l={l}, k={k}"
-            ring = space_ring("BUn_l", n=n, l=l, degree_cap=working_cap(n))
+            ring = space_ring("BUn_l", n=n, l=l)
             expect = ring.gen("c2") - ring.gen("cb1") ** 2 * Fraction(s * (n - 1), 2 * l)
             yield towers.phi2_pullback(n, l, 2) == expect, f"k=2 shape mismatch at n={n}, l={l}"
 
@@ -151,12 +151,11 @@ def transgression_suite(max_n: int = 6):
 
     for n in range(2, max_n + 1):
         for l in [d for d in _divisors(n) if d > 1]:
-            cap = working_cap(n)
-            blrho = towers.builtin_morphism("BLrho_s", n, l, cap).morphism
-            nu_n = transgression.builtin_table("BUn", n=n, degree_cap=cap)
-            nu_l = transgression.builtin_table("BUn_l", n=n, l=l, degree_cap=cap)
+            blrho = towers.builtin_morphism("BLrho_s", n, l).morphism
+            nu_n = transgression.builtin_table("BUn", n=n)
+            nu_l = transgression.builtin_table("BUn_l", n=n, l=l)
             report = transgression.naturality_check(
-                towers.builtin_morphism("Brho_s", n, l, cap).morphism, blrho, nu_n, nu_l
+                towers.builtin_morphism("Brho_s", n, l).morphism, blrho, nu_n, nu_l
             )
             yield report.ok, f"covering naturality failed at n={n}, l={l}"
             derived = blrho(transgression.free_suspend(nu_n, nu_n.source.gen("c2")))

@@ -1,5 +1,5 @@
 """Acceptance suite: one test per criterion, exact equality throughout,
-wider sweeps of criteria 1 and 9 under the same time budgets, and the
+wider sweeps of criteria 1, 3-6 and 9 under the same time budgets, and the
 check runner's failure path (first failing check, failed cross-check).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
@@ -13,7 +13,7 @@ import pytest
 from fracchern import cli, qtheta, symroots, towers, verify
 from fracchern.errors import VerificationError
 
-_BUDGET_SECONDS = {1: 10.0, 9: 60.0}
+_BUDGET_SECONDS = {1: 10.0, 3: 5.0, 4: 5.0, 5: 5.0, 6: 5.0, 9: 60.0}
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,10 @@ def test_criterion(results, number, description):
         (1, verify.closed_vs_brute, (10,)),
         (1, verify.closed_vs_brute, (11,)),
         (1, verify.closed_vs_brute, (12,)),
+        (3, verify.splitting_relation, (8,)),
+        (4, verify.tower_composition, (12,)),
+        (5, verify.transgression_suite, (12,)),
+        (6, verify.loop_tower, (12,)),
         (9, verify.q_series, (4, 6)),
         (9, verify.q_series, (5, 6)),
     ],
@@ -50,6 +54,10 @@ def test_criterion(results, number, description):
         "criterion_1_n_le_10",
         "criterion_1_n_le_11",
         "criterion_1_n_le_12",
+        "criterion_3_n_le_8",
+        "criterion_4_n_le_12",
+        "criterion_5_n_le_12",
+        "criterion_6_n_le_12",
         "criterion_9_n_le_4_q_order_6",
         "criterion_9_n_le_5_q_order_6",
     ],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fracchern import towers as tw
+from fracchern import transgression as tg
 from fracchern.errors import ExpressionError, PreconditionError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.spaces import SPACE_NAMES, space_ring
@@ -147,6 +148,29 @@ def test_builtin_morphism_cited_images():
         space_ring("BNowhere", n=4, l=2)
     with pytest.raises(PreconditionError):
         tw.builtin_morphism("Bi2l", 4, 3)
+
+
+@pytest.mark.parametrize("cap", [None, 4, 20])
+def test_one_cap_rule_for_every_named_space(cap):
+    """Every ring a map table or a transgression table is built on takes the
+    requested cap (12 if none), raised to its own top generator degree."""
+    ends = []
+    for name in tw.MORPHISM_NAMES:
+        for n, l in ((3, 1), (4, 2), (7, 7), (8, 2), (8, 8)):
+            try:
+                morphism = tw.builtin_morphism(name, n, l, cap).morphism
+            except PreconditionError:
+                continue
+            ends += [(name, n, morphism.source), (name, n, morphism.target)]
+    for space, l in (("BUn", None), ("BUn_l", 2), ("BSpinc", None), ("BU1", None), ("BU1xBUn", None)):
+        for n in (2, 8):
+            table = tg.builtin_table(space, n=n, l=l, degree_cap=cap)
+            ends += [(space, n, table.source), (space, n, table.target)]
+    # both ends of 82 map tables and of 10 transgression tables
+    assert len(ends) == 184
+    for name, n, ring in ends:
+        top = max((g.degree for g in ring.generators), default=0)
+        assert ring.degree_cap == max(cap or 12, top), (name, n, ring)
 
 
 def test_morphism_tables_preserve_degree():
