@@ -98,6 +98,13 @@ def _lphi_images(tgt, n, l, s):
     }
 
 
+def _br_images(tgt, n, l, s):
+    """Br sends q1 to -c2, which BU(1) lacks."""
+    if n < 2:
+        raise PreconditionError(f"map Br needs n >= 2, got n={n}")
+    return {"t": "c1", "q1": "-c2"}
+
+
 # name -> (source space, target space, needs l > 1, images(target ring, n, l, s)).
 # Images are expressions over the target or polynomials built over it; a
 # source generator left out maps to its namesake in the target.
@@ -126,7 +133,7 @@ _MORPHISMS = {
     "Biota3l": ("BLUn_l", "BhatLSUn_l", True, lambda tgt, n, l, s: {
         "z2": f"-{Fraction(s, l)}*zb1*cb1"
     }),
-    "Br": ("BSpinc", "BUn", False, lambda tgt, n, l, s: {"t": "c1", "q1": "-c2"}),
+    "Br": ("BSpinc", "BUn", False, _br_images),
     "BLr": ("BLSpinc", "BLUn", False, lambda tgt, n, l, s: {"sp1": "z1", "t": "c1", "mu": "-z2"}),
     "Bmu_s": ("BU1", "BU1xBUn", False, lambda tgt, n, l, s: {"g": f"c1 - {s}*g"}),
     "Bepsilon": ("S1", "BLUn", False, lambda tgt, n, l, s: {"h": "z1"}),
@@ -552,31 +559,46 @@ class ObstructionPair:
         return self.render()
 
 
+@dataclass
+class IdentityCheck:
+    description: str
+    lhs: GradedPolynomial
+    rhs: GradedPolynomial
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs == self.rhs
+
+    def __str__(self):
+        verdict = "ok" if self.ok else f"FAILED ({self.lhs} != {self.rhs})"
+        return f"{self.description}: {verdict}"
+
+
 def _level(level: str, d: BundleDescriptor):
     """(upstairs class, downstairs class, pullback along pi, pi* of the
-    downstairs class in upstairs classes) of a level; the last follows
-    exactly from the root-shift formulas, with no side conditions."""
+    downstairs class in upstairs classes, identities a lift forces) of a
+    level; the fourth follows exactly from the root-shift formulas, with no
+    side conditions."""
     s, n, l = d.s, d.n, d.l
-    if level == "fracSU":
-        up = d.chern(1) - d.a * s
-        return up, d.fractional(1), d.pi_star, up
-    if level == "fracU6":
+    if level in ("fracSU", "fracU6"):
+        c1 = IdentityCheck("c1(E) = s*a", d.chern(1), d.a * s)
+        if level == "fracSU":
+            up = c1.lhs - c1.rhs
+            return up, d.fractional(1), d.pi_star, up, [c1]
         twist = d.a * d.a * _c2_twist(n, l)
-        up = d.chern(2) - twist
-        expected = d.chern(2) - d.a * d.chern(1) * Fraction(n - 1, l) + twist
-        return up, d.fractional(2), d.pi_star, expected
+        c2 = IdentityCheck("c2(E) = s(n-1)/(2l)*a^2", d.chern(2), twist)
+        expected = c2.lhs - d.a * c1.lhs * Fraction(n - 1, l) + twist
+        return c2.lhs - twist, d.fractional(2), d.pi_star, expected, [c1, c2]
     lo = d.require_loop()
+    z1 = IdentityCheck("z1(LE) = s*af", lo.z_class(1), lo.afrak * s)
     if level == "loopU":
-        up = lo.z_class(1) - lo.afrak * s
-        return up, lo.zfrac_class(1), lo.pi_star, up
-    up = lo.z_class(2) + lo.z_class(1) * lo.c_class(1) * Fraction(1, n)
-    expected = (
-        lo.z_class(2)
-        + lo.afrak * lo.c_class(1) * Fraction(1, l)
-        + lo.z_class(1) * lo.a * Fraction(1, l)
-        - lo.afrak * lo.a * Fraction(s, l)
-    )
-    return up, lo.zfrac_class(2), lo.pi_star, expected
+        up = z1.lhs - z1.rhs
+        return up, lo.zfrac_class(1), lo.pi_star, up, [z1]
+    c1 = IdentityCheck("c1(LE) = s*a", lo.c_class(1), lo.a * s)
+    z2 = IdentityCheck("z2(LE) = -(s/l)*af*a", lo.z_class(2), -lo.afrak * lo.a * Fraction(s, l))
+    up = z2.lhs + z1.lhs * c1.lhs * Fraction(1, n)
+    expected = z2.lhs + (lo.afrak * c1.lhs + z1.lhs * lo.a) * Fraction(1, l) + z2.rhs
+    return up, lo.zfrac_class(2), lo.pi_star, expected, [z1, c1, z2]
 
 
 def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
@@ -600,7 +622,7 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
             raise PreconditionError(
                 "loopSU side conditions c1(LE) = s*a, z1(LE) = s*af do not hold"
             )
-    up, down, pi, expected = _level(level, d)
+    up, down, pi, expected, _ = _level(level, d)
     compatible = pi(down) == expected
     vanishes = up.is_zero and down.is_zero
     note = ""
@@ -612,48 +634,11 @@ def obstruction(level: str, d: BundleDescriptor) -> ObstructionPair:
     return ObstructionPair(level, up, down, vanishes, compatible, note)
 
 
-@dataclass
-class IdentityCheck:
-    description: str
-    lhs: GradedPolynomial
-    rhs: GradedPolynomial
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-    def __str__(self):
-        verdict = "ok" if self.ok else f"FAILED ({self.lhs} != {self.rhs})"
-        return f"{self.description}: {verdict}"
-
-
 def lift_consequences(level: str, d: BundleDescriptor) -> list:
     """Class identities forced by the existence of the level's lift."""
-    pair = obstruction(level, d)
-    if not pair.vanishes:
+    if not obstruction(level, d).vanishes:
         raise PreconditionError(f"{level} obstruction does not vanish; no lift exists")
-    s = d.s
-    checks = []
-    if level in ("fracSU", "fracU6"):
-        checks.append(IdentityCheck("c1(E) = s*a", d.chern(1), d.a * s))
-    if level == "fracU6":
-        checks.append(
-            IdentityCheck("c2(E) = s(n-1)/(2l)*a^2", d.chern(2), d.a * d.a * _c2_twist(d.n, d.l))
-        )
-    if level in ("loopU", "loopSU"):
-        lo = d.require_loop()
-        checks.append(IdentityCheck("z1(LE) = s*af", lo.z_class(1), lo.afrak * s))
-    if level == "loopSU":
-        lo = d.require_loop()
-        checks.append(IdentityCheck("c1(LE) = s*a", lo.c_class(1), lo.a * s))
-        checks.append(
-            IdentityCheck(
-                "z2(LE) = -(s/l)*af*a",
-                lo.z_class(2),
-                -lo.afrak * lo.a * Fraction(s, d.l),
-            )
-        )
-    return checks
+    return _level(level, d)[4]
 
 
 @dataclass
@@ -700,8 +685,8 @@ def transgress_obstruction(level: str, d: BundleDescriptor) -> TransgressionRepo
     if level not in ("fracSU->loopU", "fracU6->loopSU"):
         raise PreconditionError(f"unknown transgression level {level!r}")
     base, loop_level = level.split("->")
-    up, down, _, _ = _level(base, d)
-    loop_up, loop_down, _, _ = _level(loop_level, d)
+    up, down, *_ = _level(base, d)
+    loop_up, loop_down, *_ = _level(loop_level, d)
     nu_up = free_suspend(lo.nu_y, up)
     nu_down = free_suspend(lo.nu_m, down)
     subs_y = RingMorphism.substitution(lo.ring_ly, lo.side_conditions_y)

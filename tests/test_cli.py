@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import fracchern
-from fracchern import verify
+from fracchern import symroots, towers, verify
 from fracchern.cli import main
+from fracchern.errors import VerificationError
 
 
 def fixture_path(name):
@@ -147,6 +148,32 @@ def test_degree_cap_env_changes_truncation(capsys, monkeypatch):
     assert "f1^4" not in shallow
 
 
+@pytest.mark.parametrize(
+    "raw,line",
+    [("x", "FRACCHERN_DEGREE_CAP must be an integer, got 'x'"), ("0", "FRACCHERN_DEGREE_CAP must be positive")],
+)
+def test_bad_degree_cap_env_exits_one(capsys, monkeypatch, raw, line):
+    monkeypatch.setenv("FRACCHERN_DEGREE_CAP", raw)
+    code, out, err = run(capsys, "frac-chern", "--n", "2", "--l", "2", "--k", "1")
+    assert (code, out, err) == (1, "", f"parse error: {line}\n")
+
+
+def test_oracle_mismatch_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(symroots, "fractional_chern_brute", lambda model, k: model.e_ring.zero())
+    code, out, err = run(capsys, "frac-chern", "--n", "4", "--l", "2", "--k", "2", "--oracle")
+    assert (code, err) == (3, "")
+    assert out == "e2 - 3/2*a*e1 + 3/2*a^2\n0\nMISMATCH\n"
+
+
+def test_verification_error_exits_three(capsys, monkeypatch):
+    def disagree(n, l, degree_cap=None):
+        raise VerificationError("cross-check failed: injected")
+
+    monkeypatch.setattr(towers, "lphi2_z2", disagree)
+    code, out, err = run(capsys, "universal", "--map", "lphi2", "--n", "4", "--l", "2", "--k", "2")
+    assert (code, out, err) == (3, "", "verification mismatch: cross-check failed: injected\n")
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "universal", "--map", "phi", "--n", "6", "--l", "3", "--k", "4")
     second = run(capsys, "universal", "--map", "phi", "--n", "6", "--l", "3", "--k", "4")
@@ -173,6 +200,8 @@ def test_bad_expression_exit_code(capsys):
     assert code == 1
     assert err.startswith("parse error: ") and "Traceback" not in err
     assert "position 5" in err
+    code, out, err = run(capsys, "transgress", "--space", "BUn", "--expr", "c1 c2")
+    assert (code, out, err) == (1, "", "parse error: trailing input after expression: 'c1 c2'\n")
 
 
 def _without_class_a(d):
@@ -288,6 +317,44 @@ def test_descriptor_precondition_names_the_path(capsys, monkeypatch, mutate, pat
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert line.startswith(f"precondition violated: {path}: ")
+
+
+def _loop_c1_zero(d):
+    d["loop"]["classes"]["c"][0] = "0"
+    return d
+
+
+@pytest.mark.parametrize(
+    "mutate,code,line",
+    [
+        (
+            _loop_c1_zero,
+            2,
+            "precondition violated: loopSU side conditions c1(LE) = s*a, z1(LE) = s*af do not hold",
+        ),
+        (
+            lambda d: {**d, "classes": {**d["classes"], "c": "2*a"}},
+            1,
+            "parse error: classes.c: expected a list",
+        ),
+        (
+            lambda d: {**d, "cohomology": {"hM": [1]}},
+            1,
+            "parse error: cohomology.hM: expected an object",
+        ),
+        (
+            lambda d: _with_group(d, "hM", "1", [0]),
+            1,
+            "parse error: cohomology.hM.1: group descriptor must be an object",
+        ),
+    ],
+    ids=["loopSU_side_conditions", "classes_c_not_list", "hM_not_object", "group_not_object"],
+)
+def test_descriptor_refusal_lines(capsys, monkeypatch, mutate, code, line):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        payload = json.dumps(mutate(json.load(fh)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(capsys, "obstruction", "--level", "loopSU", "--descriptor", "-") == (code, "", line + "\n")
 
 
 def test_zero_loop_twist_class_is_accepted(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -148,6 +149,22 @@ def test_builtin_morphism_cited_images():
         space_ring("BNowhere", n=4, l=2)
     with pytest.raises(PreconditionError):
         tw.builtin_morphism("Bi2l", 4, 3)
+
+
+def test_every_undefined_map_table_is_a_precondition():
+    refused = []
+    for name in tw.MORPHISM_NAMES:
+        for n in range(1, 5):
+            for l in range(1, n + 1):
+                try:
+                    tw.builtin_morphism(name, n, l)
+                except PreconditionError:
+                    refused.append((name, n, l))
+    assert ("Br", 1, 1) in refused
+    # BLUn keeps z2 at n = 1, so BLr has a table there while Br has none
+    assert ("BLr", 1, 1) not in refused
+    with pytest.raises(PreconditionError, match="^map Br needs n >= 2, got n=1$"):
+        tw.builtin_morphism("Br", 1, 1)
 
 
 @pytest.mark.parametrize("cap", [None, 4, 20])
@@ -305,11 +322,24 @@ def test_lift_consequences(u6, su, symbolic):
     for level in tw.LEVELS:
         for check in tw.lift_consequences(level, u6):
             assert check.ok
+    assert {level: [str(c) for c in tw.lift_consequences(level, u6)] for level in tw.LEVELS} == {
+        "fracSU": ["c1(E) = s*a: ok"],
+        "fracU6": ["c1(E) = s*a: ok", "c2(E) = s(n-1)/(2l)*a^2: ok"],
+        "loopU": ["z1(LE) = s*af: ok"],
+        "loopSU": ["z1(LE) = s*af: ok", "c1(LE) = s*a: ok", "z2(LE) = -(s/l)*af*a: ok"],
+    }
+    assert [str(c) for c in tw.lift_consequences("fracSU", su)] == ["c1(E) = s*a: ok"]
     assert all(c.ok for c in tw.lift_consequences("fracSU", su))
     with pytest.raises(PreconditionError):
         tw.lift_consequences("fracU6", su)
     with pytest.raises(PreconditionError):
         tw.lift_consequences("fracSU", symbolic)
+
+
+def test_failed_identity_names_both_sides(symbolic):
+    check = tw.IdentityCheck("c1(E) = s*a", symbolic.chern(1), symbolic.a * symbolic.s)
+    assert not check.ok
+    assert str(check) == "c1(E) = s*a: FAILED (c1 != 2*a)"
 
 
 def test_count_structures(symbolic, su, u6):
@@ -351,6 +381,17 @@ def test_transgress_obstruction_with_side_conditions(symbolic):
     assert report.upstairs_transgressed != report.upstairs_loop
 
 
+def test_transgress_obstruction_renders(symbolic):
+    assert [tw.transgress_obstruction(pair, symbolic).render() for pair in ("fracSU->loopU", "fracU6->loopSU")] == [
+        "transgression fracSU->loopU:\n"
+        "  nu(upstairs)   = z1 - 2*af == z1 - 2*af\n"
+        "  nu(downstairs) = zf1 == zf1",
+        "transgression fracU6->loopSU:\n"
+        "  nu(upstairs)   = z2 + z1*c1 - 3*af*a == z2 + 1/4*z1*c1\n"
+        "  nu(downstairs) = zf2 + zf1*f1 == zf2",
+    ]
+
+
 def test_transgress_zero_goes_to_zero(u6):
     for level in ("fracSU->loopU", "fracU6->loopSU"):
         report = tw.transgress_obstruction(level, u6)
@@ -373,6 +414,22 @@ def test_transgress_requires_tables(symbolic):
     )
     with pytest.raises(PreconditionError):
         tw.transgress_obstruction("fracSU->loopU", stripped)
+
+
+@pytest.mark.parametrize("table", ["nuY", "nuM"])
+def test_transgress_requires_both_loop_tables(table):
+    path = resources.files("fracchern").joinpath("fixtures").joinpath("symbolic_n4l2.json")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["loop"][table]
+    d = tw.descriptor_from_json(data)
+    assert d.loop is not None
+    with pytest.raises(PreconditionError, match="^descriptor loop data carries no transgression tables$"):
+        tw.transgress_obstruction("fracSU->loopU", d)
+
+
+def test_transgress_refuses_an_unknown_pair(symbolic):
+    with pytest.raises(PreconditionError, match="^unknown transgression level 'fracSU->loopSU'$"):
+        tw.transgress_obstruction("fracSU->loopSU", symbolic)
 
 
 def test_descriptor_validation():
