@@ -622,21 +622,36 @@ class RingMorphism:
         return cls(source, target, images)
 
     def __call__(self, p: GradedPolynomial) -> GradedPolynomial:
+        if self._moves is None:
+            return self.map_all([p])[0]
         if p.ring != self.source:
             raise PresentationMismatch("polynomial is not over the morphism source")
+        return remap_keys(p, self.target, self._moves)
+
+    def map_all(self, polys) -> list:
+        """``[self(p) for p in polys]``.  A generator-to-generator map rewrites
+        each one's keys; any other map takes the generic route once for the
+        whole list, which builds each monomial image once for all of them."""
         if self._moves is not None:
-            return remap_keys(p, self.target, self._moves)
-        return self._apply_generic(p)
+            return [self(p) for p in polys]
+        if any(p.ring != self.source for p in polys):
+            raise PresentationMismatch("polynomial is not over the morphism source")
+        return self._map_generic(polys)
 
     def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:
-        """Sum over p's terms of the coefficient times the monomial's image:
-        the route for any images, and the reference for ``remap_keys``.
+        """The generic route for one polynomial, whatever the images: the
+        reference for ``remap_keys``."""
+        return self._map_generic([p])[0]
 
-        The images of monomials are memoized for this call only.  Monomial
-        m's image is image(m / g) * image(g) for g the last generator of m in
-        declared order, so the factors keep m's own (Koszul) order.  Every
-        term is merged into one numerator dict over the lcm of the image
-        denominators and normalized once.
+    def _map_generic(self, polys) -> list:
+        """For each p, the sum over its terms of the coefficient times the
+        monomial's image.
+
+        The images of monomials are memoized for this call only, across the
+        whole list.  Monomial m's image is image(m / g) * image(g) for g the
+        last generator of m in declared order, so the factors keep m's own
+        (Koszul) order.  Every term of one p is merged into one numerator
+        dict over the lcm of its image denominators and normalized once.
         """
         source = self.source
         shift = source.degree_shift
@@ -659,14 +674,17 @@ class RingMorphism:
                 memo[k] = img
             return img
 
-        terms = [(n, image(m)) for m, n in p._terms.items()]
-        den = lcm(*(img._den for _, img in terms))
-        out = {}
-        for n, img in terms:
-            scale = n * (den // img._den)
-            for m, c in img._terms.items():
-                out[m] = out.get(m, 0) + scale * c
-        return _normal_form(self.target, p._den * den, out)
+        out = []
+        for p in polys:
+            terms = [(n, image(m)) for m, n in p._terms.items()]
+            den = lcm(*(img._den for _, img in terms))
+            nums = {}
+            for n, img in terms:
+                scale = n * (den // img._den)
+                for m, c in img._terms.items():
+                    nums[m] = nums.get(m, 0) + scale * c
+            out.append(_normal_form(self.target, p._den * den, nums))
+        return out
 
     def then(self, after: "RingMorphism") -> "RingMorphism":
         """Composite morphism: first self, then ``after``."""

@@ -8,9 +8,12 @@ The two character constructions are deliberately independent:
                   with s = -1 for the alternating kind and +1 otherwise,
                   expanded for the first root and carried to the others by
                   root transpositions;
-  lambda_tensor   expands the exterior-power series level by level, via
-                  elementary symmetric polynomials in the exponentials
-                  of the shifted roots, times the scalar Euler factor.
+  lambda_tensor   expands the exterior-power series level by level, times
+                  the scalar Euler factor, in the ring of the fractional
+                  classes f_k = sigma_k(x - a/l): its level tables
+                  sigma_k(e^{+-r}) come from the f's by Newton's identities,
+                  and one batched ring map f_k -> sigma_k(x - a/l) carries
+                  every coefficient back to the roots.
 
 Their agreement (exact, at every truncation) is the module's central
 oracle.  At shift 0 the products reduce to the classical sums
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import factorial
 
-from .errors import PreconditionError, VerificationError
+from .errors import EngineError, PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation
 from .symroots import RootModel, _esp, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
@@ -134,6 +138,12 @@ class HalfQSeries:
     @property
     def is_zero(self) -> bool:
         return not self._halves
+
+    def _map_coefficients(self, f: RingMorphism) -> "HalfQSeries":
+        """The series of the images of the coefficients under f, mapped as
+        one batch."""
+        images = f.map_all(list(self._halves.values()))
+        return HalfQSeries._from_halves(f.target, dict(zip(self._halves, images)), self._top)
 
     def _check_compatible(self, other: "HalfQSeries"):
         if self.ring != other.ring or self._top != other._top:
@@ -295,8 +305,11 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     expands root 1's factor once and obtains each later root's factor from
     the one before by the root transposition x_i <-> x_{i+1}, which sends
     x_i - a/l to x_{i+1} - a/l.  "lambda_tensor" expands the exterior-power
-    levels and shares none of that, so it stays the independent reference;
-    "both" runs the two and insists they agree.
+    levels in the ring of f_k = sigma_k(x - a/l), with level tables built by
+    Newton's identities, and maps the series back to the roots with one
+    batched ring map.  It calls neither ``formal_exp`` nor a transposition,
+    so it stays the independent reference; "both" runs the two and insists
+    they agree.
     """
     top = _q_top(q_order)
     if method == "both":
@@ -307,29 +320,72 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
                 "theta_product and lambda_tensor expansions disagree"
             )
         return via_theta
-    ring = model.ring
-    shifted = model.shifted_roots()
     if method == "theta_product":
-        factor = series = theta_series(kind, shifted[0], q_order)
+        factor = series = theta_series(kind, model.shifted_roots()[0], q_order)
         for swap in root_transpositions(model):
-            moved = {k: swap(p) for k, p in factor._halves.items()}
-            factor = HalfQSeries._from_halves(ring, moved, top)
+            factor = factor._map_coefficients(swap)
             series = series * factor
         return series
     if method != "lambda_tensor":
         raise PreconditionError(f"unknown method {method!r}")
+    f_ring, _, back = _fractional_maps(model)
     sign = kind.sign
-    exp_plus = _esp([formal_exp(r) for r in shifted], model.n, ring)
-    exp_minus = _esp([formal_exp(-r) for r in shifted], model.n, ring)
-    series = HalfQSeries._from_halves(ring, {0: ring.one()}, top)
+    series = HalfQSeries._from_halves(f_ring, {0: f_ring.one()}, top)
     for k in range(2, top + 1, 2):
-        series = series * _euler_factor(ring, k, top) ** model.n
+        series = series * _euler_factor(f_ring, k, top) ** model.n
+    tables = _level_tables(f_ring, min(model.n, top))
     for level in range(1, top + 1, 2):
         last = min(model.n, top // level)
-        for table in (exp_plus, exp_minus):
+        for table in tables:
             coeffs = {k * level: table[k] * (sign ** k) for k in range(last + 1)}
-            series = series * HalfQSeries._from_halves(ring, coeffs, top)
-    return series
+            series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
+    return series._map_coefficients(back)
+
+
+def _fractional_maps(model: RootModel):
+    """(f_ring, rename, back) for the fractional classes f_k = sigma_k(x - a/l):
+    the ring of f_1..f_n under the model's cap, the rename e_k -> f_k that
+    sends the parameters to 0, and back: f_k -> sigma_k(x - a/l)."""
+    n = model.n
+    f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], model.ring.degree_cap)
+    images = {name: f_ring.zero() for name in model.params}
+    images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
+    rename = RingMorphism(model.e_ring, f_ring, images)
+    sigma = _esp(model.shifted_roots(), n, model.ring)
+    back = RingMorphism(f_ring, model.ring, {f"f{k}": sigma[k] for k in range(1, n + 1)})
+    return f_ring, rename, back
+
+
+def _level_tables(f_ring: RingPresentation, k_max: int) -> list:
+    """[sigma_k(e^r) for k = 0..k_max, sigma_k(e^{-r}) for k = 0..k_max], where
+    f_ring's generators f_1..f_n are sigma_k(r) of n roots r, by Newton's
+    identities: the power sums p_j of the r from the f's (p_0 = n), the
+    power sums P_m = sum_j (+-m)^j p_j / j! of the e^{+-r}, and
+    k * sigma_k = sum_{m=1..k} (-1)^(m-1) sigma_{k-m} P_m."""
+    n = len(f_ring.generators)
+    f = [f_ring.one()] + [f_ring.gen(f"f{k}") for k in range(1, n + 1)]
+    p = [f_ring.constant(n)]
+    for j in range(1, f_ring.degree_cap // 2 + 1):
+        pj = f[j] * ((-1) ** (j - 1) * j) if j <= n else f_ring.zero()
+        for i in range(1, min(j - 1, n) + 1):
+            term = f[i] * p[j - i]
+            pj = pj + term if i % 2 else pj - term
+        p.append(pj)
+    tables = []
+    for sign in (1, -1):
+        power = [None]  # P_m from m = 1
+        for m in range(1, k_max + 1):
+            terms = (pj * Fraction((sign * m) ** j, factorial(j)) for j, pj in enumerate(p))
+            power.append(sum(terms, f_ring.zero()))
+        table = [f_ring.one()]
+        for k in range(1, k_max + 1):
+            acc = f_ring.zero()
+            for m in range(1, k + 1):
+                term = table[k - m] * power[m]
+                acc = acc + term if m % 2 else acc - term
+            table.append(acc * Fraction(1, k))
+        tables.append(table)
+    return tables
 
 
 def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> HalfQSeries:
@@ -348,23 +404,24 @@ def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     classes f_k = sigma_k(x - a/l): P is read off c at a = 0, where f_k is
     sigma_k(x), and must map back to c under f_k -> sigma_k(x - a/l).  Fails
     if c is not a symmetric function of the shifted roots alone."""
-    ring = model.ring
-    n = model.n
-    f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], ring.degree_cap)
-    at_zero = RingMorphism.substitution(ring, {"a": ring.zero()})
-    images = {name: f_ring.zero() for name in model.params}
-    images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
-    rename = RingMorphism(model.e_ring, f_ring, images)
-    sigma = _esp(model.shifted_roots(), n, ring)
-    back = RingMorphism(f_ring, ring, {f"f{k}": sigma[k] for k in range(1, n + 1)})
+    f_ring, rename, back = _fractional_maps(model)
+    at_zero = RingMorphism.substitution(model.ring, {"a": model.ring.zero()})
     out = {}
+    refusal = None
     for k, coeff in sorted(series._halves.items()):
-        out[k] = rename(express_in_elementary(at_zero(coeff), model))
-        if back(out[k]) != coeff:
+        try:
+            out[k] = rename(express_in_elementary(at_zero(coeff), model))
+        except EngineError as exc:
+            refusal = exc  # raised after the coefficients before k are checked
+            break
+    for k, image in zip(out, back.map_all(list(out.values()))):
+        if image != series._halves[k]:
             raise PreconditionError(
                 "coefficient does not descend: twist class survives at "
                 f"q^{_format_half_steps(k)}"
             )
+    if refusal is not None:
+        raise refusal
     return HalfQSeries._from_halves(f_ring, out, series._top)
 
 

@@ -1,5 +1,6 @@
-"""Property-based tests: ring laws, parse/render round-trip, morphisms, and
-the CLI exit-code contract on mutated descriptors."""
+"""Property-based tests: ring laws, parse/render round-trip, morphisms and
+batched maps, unit inverses, q-series laws, and the CLI exit-code contract
+on mutated descriptors."""
 
 import contextlib
 import io
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracchern import cli
-from fracchern.errors import PreconditionError
+from fracchern.errors import PreconditionError, PresentationMismatch
 from fracchern.gcring import RingMorphism, RingPresentation, remap_keys, transplant
+from fracchern.qtheta import HalfQSeries, qseries_div_unit
 from fracchern.towers import LEVELS
 from fracchern.verify import FIXTURE_NAMES
 
@@ -196,6 +198,62 @@ def test_key_remap_matches_generic_path(case):
     f, p = case
     assert f._moves is not None
     assert f(p) == f._apply_generic(p)
+
+
+@st.composite
+def batches(draw):
+    """A map on the key path or the generic path, with a list of source
+    elements that mixes denominators 3 and 4, zero and a constant."""
+    f, p = draw(generator_maps() | morphisms().map(lambda case: case[:2]))
+    q = draw(polynomials(f.source))
+    constant = f.source.constant(draw(coefficients))
+    polys = [p, p * Fraction(1, 3), q * Fraction(1, 4), f.source.zero(), constant]
+    return f, draw(st.permutations(polys))
+
+
+@checked
+@given(batches())
+def test_batched_map_matches_single_maps(case):
+    f, polys = case
+    images = f.map_all(polys)
+    assert images == [f(p) for p in polys] == [f._apply_generic(p) for p in polys]
+    assert f.map_all([]) == []
+    stranger = RingPresentation(f.source.generators, f.source.degree_cap + 1).one()
+    with pytest.raises(PresentationMismatch):
+        f.map_all(polys + [stranger])
+
+
+@st.composite
+def even_series(draw, count):
+    """``count`` series over one ring of even generators, where the
+    coefficients commute, at one q-order up to 2."""
+    degrees = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    ring = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], draw(st.integers(4, 8)))
+    top = draw(st.integers(1, 4))
+    halves = st.dictionaries(st.integers(0, top), polynomials(ring), max_size=3)
+    return [
+        HalfQSeries(ring, {Fraction(k, 2): p for k, p in draw(halves).items()}, Fraction(top, 2))
+        for _ in range(count)
+    ]
+
+
+@settings(checked, max_examples=30)
+@given(even_series(3), coefficients.filter(bool))
+def test_series_products_and_unit_division(series, scalar):
+    f, g, h = series
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    unit = g + HalfQSeries.unit(g.ring, g.q_order) * (scalar - g.coefficient(0).constant_term())
+    assert qseries_div_unit(f * unit, unit) == f
+
+
+@checked
+@given(ring_with(1), coefficients.filter(bool))
+def test_inverse_unit_inverts_units(case, scalar):
+    ring, [p] = case
+    unit = p + (scalar - p.constant_term())
+    inverse = unit.inverse_unit()
+    assert unit * inverse == ring.one() == inverse * unit
 
 
 def assert_normal_form(p):

@@ -8,7 +8,8 @@ from fracchern import qtheta as qt
 from fracchern.errors import PreconditionError, SymmetryError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
-from fracchern.symroots import RootModel, shifted_total_chern
+from fracchern.spaces import working_cap
+from fracchern.symroots import RootModel, _esp, express_in_elementary, shifted_total_chern
 from fracchern.verify import load_fixture
 
 HALF = Fraction(1, 2)
@@ -218,6 +219,19 @@ def test_gch_methods_agree():
         )
 
 
+def test_lambda_route_shares_nothing_with_the_theta_route(monkeypatch):
+    model = RootModel(3, 3, degree_cap=8)
+    expected = {kind: qt.gch_witten(model, kind, 2) for kind in WittenKind}
+
+    def shared(*args):
+        raise AssertionError("the lambda route reached a theta-route helper")
+
+    monkeypatch.setattr(qt, "formal_exp", shared)
+    monkeypatch.setattr(qt, "root_transpositions", shared)
+    for kind in WittenKind:
+        assert qt.gch_witten(model, kind, 2, method="lambda_tensor") == expected[kind]
+
+
 def test_gch_constant_in_roots_part():
     model = RootModel(2, 2, degree_cap=8)
     series_ = qt.gch_witten(model, WittenKind.THETA2, 2)
@@ -324,6 +338,17 @@ def test_descend_reports_asymmetry_before_a_surviving_twist():
         qt.descend_gch(bad, model)
 
 
+def test_descend_refuses_the_first_coefficient_that_fails():
+    # a surviving twist at q^0 is named before an asymmetric q^1/2, and an
+    # asymmetric q^0 before a surviving twist at q^1/2
+    model = RootModel(2, 2, degree_cap=8)
+    twisted, asymmetric = model.ring.gen("a"), model.ring.poly("x1 - 1/2*a")
+    with pytest.raises(PreconditionError, match=r"survives at q\^0$"):
+        qt.descend_gch(HalfQSeries(model.ring, {0: twisted, HALF: asymmetric}, 1), model)
+    with pytest.raises(SymmetryError):
+        qt.descend_gch(HalfQSeries(model.ring, {0: asymmetric, HALF: twisted}, 1), model)
+
+
 @pytest.mark.parametrize(
     "n, l, extra", [(2, 1, ()), (2, 2, ()), (3, 3, ()), (4, 2, ()), (4, 2, ("b",))]
 )
@@ -351,6 +376,25 @@ def test_descend_inverts_the_fractional_substitution(n, l, extra, rng):
                 bad[e] = bad[e] + twist
                 with pytest.raises(PreconditionError, match="does not descend"):
                     qt.descend_gch(HalfQSeries(ring, bad, 1), model)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_newton_level_tables_match_the_reduced_root_tables(n):
+    """The lambda route's level tables, built from the f's by Newton's
+    identities, equal sigma_k(e^{+-x}) reduced over the unshifted roots and
+    renamed e_k -> f_k; mapped back, they equal sigma_k(e^{+-(x - a/l)})
+    expanded over the shifted roots.  The caps are criterion 9's (8 up to
+    n = 4) and the default working cap."""
+    for cap in sorted({working_cap(n, 8), working_cap(n)}):
+        model = RootModel(n, n, degree_cap=cap)
+        f_ring, rename, back = qt._fractional_maps(model)
+        tables = qt._level_tables(f_ring, n)
+        for sign, table in zip((1, -1), tables):
+            roots = _esp([qt.formal_exp(x * sign) for x in model.roots()], n, model.ring)
+            shifted = _esp([qt.formal_exp(r * sign) for r in model.shifted_roots()], n, model.ring)
+            for k in range(n + 1):
+                assert table[k] == rename(express_in_elementary(roots[k], model)), (cap, sign, k)
+                assert back(table[k]) == shifted[k], (cap, sign, k)
 
 
 def _theta3_at(q_order):

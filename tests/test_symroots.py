@@ -97,6 +97,14 @@ def test_express_rejects_asymmetric():
     assert info.value.transposition == ("x1", "x2")
 
 
+def test_express_rejects_a_polynomial_over_another_ring():
+    m = sr.RootModel(2, 2)
+    other = sr.RootModel(3, 3)
+    for p in (other.root(1), m.e_ring.gen("e1")):
+        with pytest.raises(PreconditionError, match="^polynomial is not over the model's root ring$"):
+            sr.express_in_elementary(p, m)
+
+
 def _asymmetry_by_rename(p, model):
     """The rename route: one rename morphism per adjacent transposition,
     applied as a product of generator images."""
@@ -229,6 +237,16 @@ def test_splitting_check():
     for n in range(1, 6):
         for l in divisors(n):
             assert sr.splitting_check(sr.RootModel(n, l, degree_cap=2 * n)).ok
+
+
+def test_splitting_report_renders_one_line_per_root():
+    report = sr.splitting_check(sr.RootModel(2, 2))
+    assert str(report) == "splitting relation: ok\n  root 1: residual 0\n  root 2: residual 0"
+    m = sr.RootModel(1, 1, degree_cap=4)
+    failed = sr.SplittingReport(False, [m.ring.zero(), m.ring.poly("x1 - 1/2*a^2")])
+    assert str(failed) == (
+        "splitting relation: FAILED\n  root 1: residual 0\n  root 2: residual x1 - 1/2*a^2"
+    )
 
 
 def test_root_model_validation():
