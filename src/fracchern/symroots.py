@@ -29,7 +29,8 @@ class RootModel:
 
     ``params`` (a, then the extra even parameters) lead both ``ring`` (then
     x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  The
-    root tables (sigma_k(x), transpositions) are built on first use.
+    root tables (sigma_k(x), the adjacent transpositions, the n-cycle) are
+    built on first use.
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -57,6 +58,12 @@ class RootModel:
             RingMorphism.rename(self.ring, self.ring, {f"x{i}": f"x{i+1}", f"x{i+1}": f"x{i}"})
             for i in range(1, self.n)
         ]
+
+    @cached_property
+    def _cycle(self) -> RingMorphism:
+        """x_i -> x_{i+1}, x_n -> x_1: with x1 <-> x2 it generates S_n."""
+        mapping = {f"x{i}": f"x{i % self.n + 1}" for i in range(1, self.n + 1)}
+        return RingMorphism.rename(self.ring, self.ring, mapping)
 
     def root(self, i: int) -> GradedPolynomial:
         return self.ring.gen(f"x{i}")
@@ -110,8 +117,15 @@ def root_transpositions(model: RootModel) -> list[RingMorphism]:
 
 
 def find_asymmetry(p: GradedPolynomial, model: RootModel):
-    """Return the first adjacent root transposition not fixing p, or None."""
-    for i, swap in enumerate(root_transpositions(model), start=1):
+    """Return the first adjacent root transposition not fixing p, or None.
+
+    x1 <-> x2 and the n-cycle generate S_n, so when both fix p (two key
+    remaps) every permutation does; otherwise the adjacent scan names the
+    first transposition that moves p."""
+    swaps = root_transpositions(model)
+    if model.n >= 3 and swaps[0](p) == p and model._cycle(p) == p:
+        return None
+    for i, swap in enumerate(swaps, start=1):
         if swap(p) != p:
             return (f"x{i}", f"x{i+1}")
     return None

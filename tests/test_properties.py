@@ -1,6 +1,6 @@
 """Property-based tests: ring laws, parse/render round-trip, morphisms and
-batched maps, unit inverses, q-series laws, and the CLI exit-code contract
-on mutated descriptors."""
+batched maps, unit inverses, q-series laws, formal_exp and free suspension
+laws, and the CLI exit-code contract on mutated descriptors."""
 
 import contextlib
 import io
@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from fracchern import cli
 from fracchern.errors import PreconditionError, PresentationMismatch
 from fracchern.gcring import RingMorphism, RingPresentation, remap_keys, transplant
-from fracchern.qtheta import HalfQSeries, qseries_div_unit
+from fracchern.qtheta import HalfQSeries, formal_exp, qseries_div_unit
 from fracchern.towers import LEVELS
+from fracchern.transgression import builtin_table, free_suspend
 from fracchern.verify import FIXTURE_NAMES
 
 # fixed examples, so that a failure repeats and the file stays fast
@@ -224,11 +225,18 @@ def test_batched_map_matches_single_maps(case):
 
 
 @st.composite
+def even_rings(draw):
+    """A presentation on 1-3 generators of degree 2 or 4, cap 4-8: its
+    elements commute."""
+    degrees = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    return RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], draw(st.integers(4, 8)))
+
+
+@st.composite
 def even_series(draw, count):
     """``count`` series over one ring of even generators, where the
     coefficients commute, at one q-order up to 2."""
-    degrees = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
-    ring = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], draw(st.integers(4, 8)))
+    ring = draw(even_rings())
     top = draw(st.integers(1, 4))
     halves = st.dictionaries(st.integers(0, top), polynomials(ring), max_size=3)
     return [
@@ -254,6 +262,34 @@ def test_inverse_unit_inverts_units(case, scalar):
     unit = p + (scalar - p.constant_term())
     inverse = unit.inverse_unit()
     assert unit * inverse == ring.one() == inverse * unit
+
+
+@checked
+@given(even_rings().flatmap(lambda ring: st.tuples(polynomials(ring), polynomials(ring))))
+def test_formal_exp_turns_sums_into_products(pair):
+    x, y = (p - p.constant_term() for p in pair)
+    assert formal_exp(x + y) == formal_exp(x) * formal_exp(y)
+
+
+# every generator of each source ring carries a value, so nu is defined on
+# all of its polynomials
+SUSPENSION_TABLES = (
+    builtin_table("BUn", n=2, degree_cap=8),
+    builtin_table("BUn_l", n=2, l=2, degree_cap=8),
+)
+
+
+@checked
+@given(
+    st.sampled_from(SUSPENSION_TABLES).flatmap(
+        lambda t: st.tuples(st.just(t), polynomials(t.source), polynomials(t.source))
+    ),
+    coefficients,
+)
+def test_free_suspend_is_linear_and_kills_constants(case, scalar):
+    table, p, q = case
+    assert free_suspend(table, p + q * scalar) == free_suspend(table, p) + free_suspend(table, q) * scalar
+    assert free_suspend(table, table.source.constant(scalar)) == table.target.zero()
 
 
 def assert_normal_form(p):

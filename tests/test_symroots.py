@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracchern import symroots as sr
 from fracchern.errors import PreconditionError, SymmetryError
@@ -54,6 +56,7 @@ def test_root_tables_are_built_once_per_model():
     m = sr.RootModel(4, 2)
     assert sr.root_transpositions(m) is sr.root_transpositions(m)
     assert len(sr.root_transpositions(m)) == 3
+    assert m._cycle is m._cycle
     for k in range(5):
         assert sr.elementary_symmetric(k, m) is sr.elementary_symmetric(k, m)
     other = sr.RootModel(4, 2)
@@ -129,6 +132,72 @@ def test_find_asymmetry_matches_rename_route(rng):
     assert all(sr.find_asymmetry(p, m) is None for p in symmetric)
     found = {sr.find_asymmetry(p, m) for p in asymmetric}
     assert {("x1", "x2"), ("x2", "x3"), ("x3", "x4")} <= found
+
+
+# one model per rank, with b beside a; the cap leaves room for e_n
+_MODELS = {n: sr.RootModel(n, n, degree_cap=max(2 * n, 6), extra_even=("b",)) for n in range(1, 6)}
+
+
+def _monomial(ring, indices):
+    exps = [0] * len(ring.generators)
+    for i in indices:
+        exps[i] += 1
+    return tuple(exps)
+
+
+def _terms(ring, size):
+    """Up to ``size`` terms of ring under its cap, each a product of up to
+    three generators with an integer coefficient."""
+    factors = st.lists(st.integers(0, len(ring.generators) - 1), max_size=3)
+    monomials = factors.map(lambda f: _monomial(ring, f))
+    terms = st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=size)
+    return terms.map(
+        lambda terms: ring.from_exponents(
+            {e: c for e, c in dict(terms).items() if ring.monomial_degree(e) <= ring.degree_cap}
+        )
+    )
+
+
+@st.composite
+def _symmetric_and_perturbed(draw):
+    """(model, a symmetric polynomial in a, b and the roots, the same plus a
+    few root-ring monomials, which may or may not break the symmetry)."""
+    model = _MODELS[draw(st.integers(1, 5))]
+    symmetric = model.elementary_to_roots()(draw(_terms(model.e_ring, 4)))
+    return model, symmetric, symmetric + draw(_terms(model.ring, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_symmetric_and_perturbed())
+def test_find_asymmetry_matches_the_full_adjacent_scan(case):
+    model, symmetric, perturbed = case
+    assert sr.find_asymmetry(symmetric, model) is None
+    assert sr.find_asymmetry(perturbed, model) == _asymmetry_by_rename(perturbed, model)
+
+
+def test_two_generator_prepass_pinned_cases():
+    m3 = sr.RootModel(3, 3)
+    x1, x2, x3 = m3.roots()
+    swap = sr.root_transpositions(m3)[0]
+    # the cycle fixes it, x1 <-> x2 does not
+    cyclic = x1 * x1 * x2 + x2 * x2 * x3 + x3 * x3 * x1
+    assert m3._cycle(cyclic) == cyclic and swap(cyclic) != cyclic
+    assert sr.find_asymmetry(cyclic, m3) == ("x1", "x2")
+    # x1 <-> x2 fixes it, the cycle does not
+    paired = x1 * x2 + x3 * x3
+    assert swap(paired) == paired and m3._cycle(paired) != paired
+    assert sr.find_asymmetry(paired, m3) == ("x2", "x3")
+    m5 = sr.RootModel(5, 5)
+    assert sr.find_asymmetry(m5.ring.poly("x1 + x2 + x3 + x4"), m5) == ("x4", "x5")
+    with pytest.raises(SymmetryError) as info:
+        sr.express_in_elementary(paired, m3)
+    assert str(info.value) == "input is not symmetric: transposition x2 <-> x3 changes it"
+    assert info.value.transposition == ("x2", "x3")
+    m1 = sr.RootModel(1, 1, degree_cap=4)
+    assert sr.find_asymmetry(m1.ring.poly("x1^2 + a*x1"), m1) is None
+    m2 = sr.RootModel(2, 2)
+    assert sr.find_asymmetry(m2.ring.poly("x1 + x2 - a"), m2) is None
+    assert sr.find_asymmetry(m2.ring.poly("x1 - a"), m2) == ("x1", "x2")
 
 
 @pytest.mark.parametrize(

@@ -141,3 +141,45 @@ def test_naturality_shape_mismatch():
     wrong = RingMorphism.identity(space_ring("BSpinc"))
     with pytest.raises(PreconditionError):
         tg.naturality_check(wrong, RingMorphism.identity(tab.target), tab, tab)
+
+
+def test_free_suspend_refuses_a_polynomial_over_another_ring():
+    tab = tg.builtin_table("BUn", n=2)
+    for p in (tg.builtin_table("BUn", n=3).source.gen("c1"), tab.target.gen("c1")):
+        with pytest.raises(PreconditionError, match="^polynomial is not over the table's source ring$"):
+            tg.free_suspend(tab, p)
+
+
+def test_naturality_refuses_incompatible_morphisms():
+    tab = tg.builtin_table("BUn", n=2)
+    f, Lf = RingMorphism.identity(tab.source), RingMorphism.identity(tab.target)
+    spin = RingMorphism.identity(space_ring("BSpinc"))
+    for bad_f in (spin, RingMorphism(tab.source, space_ring("BSpinc"), {"c1": "t", "c2": "q1"})):
+        with pytest.raises(PreconditionError, match="^morphism f is not compatible with the tables$"):
+            tg.naturality_check(bad_f, Lf, tab, tab)
+    for bad_Lf in (spin, RingMorphism.identity(space_ring("BLUn", degree_cap=10))):
+        with pytest.raises(PreconditionError, match="^morphism Lf is not compatible with the tables$"):
+            tg.naturality_check(f, bad_Lf, tab, tab)
+
+
+def test_naturality_report_renders_both_failure_lines(monkeypatch):
+    src, tgt = tg.builtin_table("BUn", n=2), tg.builtin_table("BUn", n=2)
+    f, Lf = RingMorphism.identity(src.source), RingMorphism.identity(src.target)
+    assert str(tg.naturality_check(f, Lf, src, tgt, samples=2)) == (
+        "naturality: ok\n  c1: ok\n  c2: ok\n  random monomials checked: 2"
+    )
+    # a fault injected into nu on the target side breaks every square
+    real = tg.free_suspend
+    monkeypatch.setattr(tg, "free_suspend", lambda table, p: real(table, p) * (2 if table is tgt else 1))
+    report = tg.naturality_check(f, Lf, src, tgt, samples=2)
+    assert not report.ok and report.generator_results == {"c1": False, "c2": False}
+    assert str(report) == "\n".join([
+        "naturality: FAILED",
+        "  c1: MISMATCH",
+        "  c2: MISMATCH",
+        "  random monomials checked: 2",
+        "  generator c1: 2*z1 != z1",
+        "  generator c2: 2*z2 + 2*z1*c1 != z2 + z1*c1",
+        "  monomial c1*c2: 2*c1*z2 + 2*z1*c2 + 2*z1*c1^2 != c1*z2 + z1*c2 + z1*c1^2",
+        "  monomial c2^2: 4*z2*c2 + 4*z1*c1*c2 != 2*z2*c2 + 2*z1*c1*c2",
+    ])
