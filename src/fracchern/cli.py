@@ -20,7 +20,12 @@ from .symroots import RootModel
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse error -> exit code 1 (argument parsing failure)."""
+    """argparse error -> exit code 1 (argument parsing failure); help and
+    usage wrap at one width whatever the terminal's."""
+
+    def _get_formatter(self):
+        # the width argparse itself picks for an 80-column terminal
+        return self.formatter_class(prog=self.prog, width=78)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -358,23 +358,18 @@ class GradedPolynomial:
         return q + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            num = c.numerator
-            return _normal_form(
-                self.ring, self._den * c.denominator, {m: n * num for m, n in self._terms.items()}
-            )
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         den = self._den * q._den
-        # a lone constant term scales the other operand: no sign, no truncation
-        if len(q._terms) == 1 and 0 in q._terms:
-            num = q._terms[0]
-            return _normal_form(self.ring, den, {m: n * num for m, n in self._terms.items()})
-        if len(self._terms) == 1 and 0 in self._terms:
-            num = self._terms[0]
-            return _normal_form(self.ring, den, {m: n * num for m, n in q._terms.items()})
+        # a lone constant term scales the other operand: no sign, no
+        # truncation, and a factor 1 shares it (elements are immutable)
+        for const, p in ((q, self), (self, q)):
+            if len(const._terms) == 1 and 0 in const._terms:
+                num = const._terms[0]
+                if num == const._den == 1:
+                    return p
+                return _normal_form(self.ring, den, {m: n * num for m, n in p._terms.items()})
         out = mul_terms(self._terms, q._terms, self.ring.odd_fields, self.ring.key_limit)
         return _normal_form(self.ring, den, out)
 
@@ -622,20 +617,16 @@ class RingMorphism:
         return cls(source, target, images)
 
     def __call__(self, p: GradedPolynomial) -> GradedPolynomial:
-        if self._moves is None:
-            return self.map_all([p])[0]
-        if p.ring != self.source:
-            raise PresentationMismatch("polynomial is not over the morphism source")
-        return remap_keys(p, self.target, self._moves)
+        return self.map_all([p])[0]
 
     def map_all(self, polys) -> list:
-        """``[self(p) for p in polys]``.  A generator-to-generator map rewrites
-        each one's keys; any other map takes the generic route once for the
-        whole list, which builds each monomial image once for all of them."""
-        if self._moves is not None:
-            return [self(p) for p in polys]
+        """Each of ``polys`` mapped.  A generator-to-generator map rewrites
+        keys; any other map takes the generic route once for the whole
+        list, which builds each monomial image once for all of them."""
         if any(p.ring != self.source for p in polys):
             raise PresentationMismatch("polynomial is not over the morphism source")
+        if self._moves is not None:
+            return [remap_keys(p, self.target, self._moves) for p in polys]
         return self._map_generic(polys)
 
     def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:

@@ -49,6 +49,7 @@ def test_criterion(results, number, description):
         (9, verify.q_series, (4, 6)),
         (9, verify.q_series, (5, 6)),
         (9, verify.q_series, (6, 6)),
+        (9, verify.q_series, (7, 6)),
     ],
     ids=[
         "criterion_1_n_le_9",
@@ -62,6 +63,7 @@ def test_criterion(results, number, description):
         "criterion_9_n_le_4_q_order_6",
         "criterion_9_n_le_5_q_order_6",
         "criterion_9_n_le_6_q_order_6",
+        "criterion_9_n_le_7_q_order_6",
     ],
 )
 def test_wider_sweep(number, sweep, args):

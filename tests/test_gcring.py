@@ -348,6 +348,30 @@ def test_morphism_rejects_foreign_polynomial(even_ring, loop_ring):
         ident(loop_ring.gen("z1"))
 
 
+def test_product_by_one_returns_the_other_factor(loop_ring, rng):
+    """Elements are immutable, so a factor 1 shares its operand; so does
+    the first power."""
+    p = random_polynomial(loop_ring, rng) + loop_ring.gen("z2") * Fraction(1, 6)
+    one = loop_ring.one()
+    for same in (p * 1, 1 * p, p * Fraction(1), one * p, p * one, p ** 1):
+        assert same is p
+    assert one * one is one
+
+
+@pytest.mark.parametrize("key_path", [True, False])
+def test_single_and_batched_maps_refuse_a_foreign_polynomial_alike(even_ring, loop_ring, key_path):
+    images = {"c1": "2*c1", "c2": "c2"} if key_path else {"c1": "c1", "c2": "c2 - c1^2"}
+    f = RingMorphism.substitution(even_ring, images)
+    assert (f._moves is not None) == key_path
+    stranger = loop_ring.gen("c1")
+    messages = []
+    for apply in (lambda: f(stranger), lambda: f.map_all([even_ring.one(), stranger])):
+        with pytest.raises(PresentationMismatch) as info:
+            apply()
+        messages.append(str(info.value))
+    assert messages == ["polynomial is not over the morphism source"] * 2
+
+
 def test_presentation_size_limits():
     with pytest.raises(PreconditionError):
         RingPresentation([(f"x{i}", 2) for i in range(65)], 4)

@@ -111,6 +111,16 @@ def test_leading_term_is_the_last_term(case):
         ring.zero().leading_term()
 
 
+@checked
+@given(ring_with(1), st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1), Fraction(0)]) | coefficients)
+def test_scalar_products_agree_on_either_side(case, c):
+    """A scalar times p, as a number or as a constant element, on either
+    side, against p's terms scaled one by one."""
+    ring, [p] = case
+    scaled = ring.from_exponents({e: x * c for e, x in p.terms()})
+    assert p * c == c * p == p * ring.constant(c) == ring.constant(c) * p == scaled
+
+
 def homogeneous(ring, degree):
     """Sums of up to 3 of ring's monomials of the degree (zero if it has none)."""
     ranges = [range(2 if d % 2 else degree // d + 1) for d in ring.degrees]
@@ -290,6 +300,22 @@ def test_free_suspend_is_linear_and_kills_constants(case, scalar):
     table, p, q = case
     assert free_suspend(table, p + q * scalar) == free_suspend(table, p) + free_suspend(table, q) * scalar
     assert free_suspend(table, table.source.constant(scalar)) == table.target.zero()
+
+
+@checked
+@given(
+    st.sampled_from(SUSPENSION_TABLES).flatmap(
+        lambda t: st.tuples(st.just(t), polynomials(t.source), polynomials(t.source))
+    )
+)
+def test_free_suspend_obeys_leibniz(case):
+    """nu(pq) = nu(p) q + p nu(q) for even p, q moved to the loop ring by
+    name.  Both caps are 8 and every source degree is even, so the terms pq
+    loses above the cap are the ones the right side loses too."""
+    table, p, q = case
+    nu_p, nu_q = free_suspend(table, p), free_suspend(table, q)
+    leibniz = nu_p * transplant(q, table.target) + transplant(p, table.target) * nu_q
+    assert free_suspend(table, p * q) == leibniz
 
 
 def assert_normal_form(p):

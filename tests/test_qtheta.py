@@ -397,6 +397,35 @@ def test_newton_level_tables_match_the_reduced_root_tables(n):
                 assert back(table[k]) == shifted[k], (cap, sign, k)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series(n, monkeypatch):
+    """The lambda route's series before its map back to the roots, over
+    f_1..f_n, normalized, is an independent value for descending the
+    normalized theta route's series, at criterion 9's caps."""
+    cases = [
+        (RootModel(n, l, degree_cap=working_cap(n, 8)), kind, q)
+        for l in range(1, n + 1)
+        if n % l == 0
+        for kind in WittenKind
+        for q in (2, 3)
+    ]
+    descended = [
+        qt.descend_gch(qt.normalize_gch(qt.gch_witten(model, kind, q), kind, n, q), model)
+        for model, kind, q in cases
+    ]
+    fractional_maps = qt._fractional_maps
+
+    def stay_in_the_fractional_ring(model):
+        f_ring, rename, _ = fractional_maps(model)
+        return f_ring, rename, RingMorphism.identity(f_ring)
+
+    monkeypatch.setattr(qt, "_fractional_maps", stay_in_the_fractional_ring)
+    for (model, kind, q), want in zip(cases, descended):
+        f_series = qt.gch_witten(model, kind, q, "lambda_tensor")
+        assert f_series.ring == want.ring
+        assert qt.normalize_gch(f_series, kind, n, q) == want, (model.l, kind, q)
+
+
 def _theta3_at(q_order):
     ring = RingPresentation([("x", 2)], 4)
     return qt.theta_series(WittenKind.THETA3, ring.gen("x"), q_order)

@@ -63,6 +63,19 @@ def test_root_tables_are_built_once_per_model():
     assert sr.root_transpositions(other) is not sr.root_transpositions(m)
 
 
+def test_lone_sigma_cache_entries_share_the_sigma_table():
+    m = sr.RootModel(4, 2)
+    sr.express_in_elementary(sr.shifted_total_chern(m), m)
+    lone = {
+        mult.index(1) + 1: power
+        for mult, power in m._sigma_power_cache.items()
+        if sorted(mult)[-2:] == [0, 1]
+    }
+    assert sorted(lone) == [1, 2, 3, 4]
+    for k, power in lone.items():
+        assert power is m._sigma[k]
+
+
 def test_untwisted_limit():
     m = sr.RootModel(3, 3, degree_cap=6)
     kill_a = RingMorphism.substitution(m.ring, {"a": "0"})
