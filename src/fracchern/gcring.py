@@ -584,6 +584,9 @@ class RingMorphism:
     def __init__(self, source: RingPresentation, target: RingPresentation, images: dict):
         self.source = source
         self.target = target
+        for name in images:
+            if name not in source.index:
+                raise PreconditionError(f"unknown source generator {name!r}")
         imgs = {}
         for g in source.generators:
             if g.name not in images:

@@ -96,13 +96,13 @@ class HalfQSeries:
         coeffs = {}
         for e, poly in coefficients.items():
             k = _half_steps(e)
-            if k > self._top:
-                continue
             if isinstance(poly, (int, Fraction)):
                 poly = ring.constant(poly)
+            elif not isinstance(poly, GradedPolynomial):
+                raise PreconditionError(f"series coefficient must be a polynomial, got {poly!r}")
             if poly.ring != ring:
                 raise PreconditionError("series coefficients must share one ring")
-            if not poly.is_zero:
+            if k <= self._top and not poly.is_zero:
                 coeffs[k] = poly
         self._halves = coeffs
 

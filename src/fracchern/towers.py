@@ -388,23 +388,24 @@ def _degree_key(key: str, path: str) -> int:
         raise ExpressionError(f"{path}: expected an integer, got {key!r}") from None
 
 
-def _ring(data, path: str) -> RingPresentation:
-    value = _field(data, path)
+def _nested(path: str, read, *args):
+    """``read(*args)``, with ``path: `` put in front of its ExpressionError or
+    PreconditionError: the one place a field's path names a reader's error."""
     try:
-        return RingPresentation.from_json(value)
+        return read(*args)
     except (ExpressionError, PreconditionError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _expression(ring, text, path: str) -> GradedPolynomial:
+def _expression(ring, text) -> GradedPolynomial:
     if not isinstance(text, str):
-        raise ExpressionError(f"{path}: expected an expression string, got {text!r}")
+        raise ExpressionError(f"expected an expression string, got {text!r}")
     return ring.poly(text)
 
 
 def _class(ring, data, path: str, degree: int) -> GradedPolynomial:
     """A twist class: zero or homogeneous of ``degree``."""
-    poly = _expression(ring, _field(data, path), path)
+    poly = _nested(path, _expression, ring, _field(data, path))
     if not poly.is_homogeneous(degree):
         raise ExpressionError(f"{path}: class must have degree {degree}")
     return poly
@@ -422,14 +423,19 @@ def _parse_classes(ring, data, path, expected_degrees, what):
     entries = _field(data, path, [])
     if not isinstance(entries, list):
         raise ExpressionError(f"{path}: expected a list")
-    out = []
-    for k, text in enumerate(entries, start=1):
-        poly = _expression(ring, text, f"{path}[{k - 1}]")
-        try:
-            out.append(element_of_degree(ring, poly, expected_degrees(k), f"{what} #{k}"))
-        except PreconditionError as exc:
-            raise ExpressionError(f"{exc}: got {poly}") from None
-    return out
+    return [
+        _nested(f"{path}[{k - 1}]", _entry, ring, text, expected_degrees(k), f"{what} #{k}")
+        for k, text in enumerate(entries, start=1)
+    ]
+
+
+def _entry(ring, text, degree: int, what: str) -> GradedPolynomial:
+    """A class-list entry; a wrong degree is a parse error that shows it."""
+    poly = _expression(ring, text)
+    try:
+        return element_of_degree(ring, poly, degree, what)
+    except PreconditionError as exc:
+        raise ExpressionError(f"{exc}: got {poly}") from None
 
 
 def _parse_groups(data, path):
@@ -439,34 +445,27 @@ def _parse_groups(data, path):
     if not isinstance(groups, dict):
         raise ExpressionError(f"{path}: expected an object")
     return {
-        _degree_key(degree, f"{path}.{degree}"): _group(group, f"{path}.{degree}")
+        _degree_key(degree, f"{path}.{degree}"): _nested(f"{path}.{degree}", AbelianGroupDesc.from_json, group)
         for degree, group in groups.items()
     }
-
-
-def _group(value, path: str) -> AbelianGroupDesc:
-    try:
-        return AbelianGroupDesc.from_json(value)
-    except (ExpressionError, PreconditionError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def descriptor_from_json(data: dict) -> BundleDescriptor:
     n = _integer(_field(data, "n"), "n")
     l = _integer(_field(data, "l"), "l")
-    ring_y = _ring(data, "ringY")
-    ring_m = _ring(data, "ringM")
+    ring_y, ring_m = (_nested(key, RingPresentation.from_json, _field(data, key)) for key in ("ringY", "ringM"))
     _field(data, "classes")
     check_n_l(n, l)
-    pi_star = RingMorphism(ring_m, ring_y, _expressions(data, "pi_star"))
+    pi_star = _nested("pi_star", RingMorphism, ring_m, ring_y, _expressions(data, "pi_star"))
     a = _class(ring_y, data, "classes.a", 2)
     c = _parse_classes(ring_y, data, "classes.c", lambda k: 2 * k, "c_k(E)")
     frac = _parse_classes(ring_m, data, "classes.frac", lambda k: 2 * k, "fractional class")
     loop = None
     if _field(data, "loop", None) is not None:
-        ring_ly = _ring(data, "loop.ringLY")
-        ring_lm = _ring(data, "loop.ringLM")
-        lo_pi = RingMorphism(ring_lm, ring_ly, _expressions(data, "loop.pi_star"))
+        ring_ly, ring_lm = (
+            _nested(key, RingPresentation.from_json, _field(data, key)) for key in ("loop.ringLY", "loop.ringLM")
+        )
+        lo_pi = _nested("loop.pi_star", RingMorphism, ring_lm, ring_ly, _expressions(data, "loop.pi_star"))
         la = _class(ring_ly, data, "loop.classes.a", 2)
         afrak = _class(ring_ly, data, "loop.classes.afrak", 1)
         z = _parse_classes(ring_ly, data, "loop.classes.z", lambda k: 2 * k - 1, "z_k(LE)")
@@ -475,9 +474,9 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
         lfrac = _parse_classes(ring_lm, data, "loop.classes.frac", lambda k: 2 * k, "loop fractional c")
         nu_y = nu_m = None
         if _field(data, "loop.nuY", None) is not None:
-            nu_y = DerivationTable(ring_y, ring_ly, _expressions(data, "loop.nuY"))
+            nu_y = _nested("loop.nuY", DerivationTable, ring_y, ring_ly, _expressions(data, "loop.nuY"))
         if _field(data, "loop.nuM", None) is not None:
-            nu_m = DerivationTable(ring_m, ring_lm, _expressions(data, "loop.nuM"))
+            nu_m = _nested("loop.nuM", DerivationTable, ring_m, ring_lm, _expressions(data, "loop.nuM"))
         loop = LoopData(
             ring_ly,
             ring_lm,

@@ -32,8 +32,12 @@ def load_fixture(name: str) -> BundleDescriptor:
         return load_descriptor(fh)
 
 
-def _divisors(n: int):
-    return [l for l in range(1, n + 1) if n % l == 0]
+def _cases(max_n: int, higher: bool = False):
+    """(n, l, n/l) for n <= max_n and l | n, l > 1 if ``higher``, by n then l."""
+    for n in range(1, max_n + 1):
+        for l in range(2 if higher else 1, n + 1):
+            if n % l == 0:
+                yield n, l, n // l
 
 
 @dataclass
@@ -76,40 +80,36 @@ def _sweep(noun: str):
 @_sweep("identities")
 def closed_vs_brute(max_n: int = 8):
     """Closed-form fractional Chern classes equal the expanded product."""
-    for n in range(1, max_n + 1):
-        for l in _divisors(n):
-            model = RootModel(n, l, degree_cap=2 * n)
-            for k in range(n + 1):
-                closed = symroots.fractional_chern_closed(model, k)
-                yield closed == symroots.fractional_chern_brute(model, k), f"mismatch at n={n}, l={l}, k={k}"
+    for n, l, _ in _cases(max_n):
+        model = RootModel(n, l, degree_cap=2 * n)
+        for k in range(n + 1):
+            closed = symroots.fractional_chern_closed(model, k)
+            yield closed == symroots.fractional_chern_brute(model, k), f"mismatch at n={n}, l={l}, k={k}"
 
 
 @_sweep("identities")
 def low_specializations(max_n: int = 8):
     """k=1 and k=2 closed forms match their explicit low-degree shapes."""
-    for n in range(1, max_n + 1):
-        for l in _divisors(n):
-            model = RootModel(n, l, degree_cap=2 * n)
-            s = n // l
-            ring = model.e_ring
-            expect1 = ring.gen("e1") - ring.gen("a") * s
-            yield symroots.fractional_chern_closed(model, 1) == expect1, f"k=1 mismatch at n={n}, l={l}"
-            if n >= 2:
-                expect2 = (
-                    ring.gen("e2")
-                    - ring.gen("a") * ring.gen("e1") * Fraction(n - 1, l)
-                    + ring.gen("a") ** 2 * Fraction(s * (n - 1), 2 * l)
-                )
-                yield symroots.fractional_chern_closed(model, 2) == expect2, f"k=2 mismatch at n={n}, l={l}"
+    for n, l, s in _cases(max_n):
+        model = RootModel(n, l, degree_cap=2 * n)
+        ring = model.e_ring
+        expect1 = ring.gen("e1") - ring.gen("a") * s
+        yield symroots.fractional_chern_closed(model, 1) == expect1, f"k=1 mismatch at n={n}, l={l}"
+        if n >= 2:
+            expect2 = (
+                ring.gen("e2")
+                - ring.gen("a") * ring.gen("e1") * Fraction(n - 1, l)
+                + ring.gen("a") ** 2 * Fraction(s * (n - 1), 2 * l)
+            )
+            yield symroots.fractional_chern_closed(model, 2) == expect2, f"k=2 mismatch at n={n}, l={l}"
 
 
 @_sweep("residuals")
 def splitting_relation(max_n: int = 6):
     """Every shifted root annihilates the fractional characteristic sum."""
-    for n in range(1, max_n + 1):
-        for l in _divisors(n):
-            for residual in symroots.splitting_check(RootModel(n, l, degree_cap=2 * n)).residuals:
-                yield residual.is_zero, f"nonzero residual at n={n}, l={l}"
+    for n, l, _ in _cases(max_n):
+        for residual in symroots.splitting_check(RootModel(n, l, degree_cap=2 * n)).residuals:
+            yield residual.is_zero, f"nonzero residual at n={n}, l={l}"
 
 
 @_sweep("identities")
@@ -117,17 +117,15 @@ def tower_composition(max_n: int = 6):
     """Covering substitution of the level-0 pullback equals the level-1
     pullback (and kills the k=1 class), and the k=2 image has its stated
     shape."""
-    for n in range(2, max_n + 1):
-        for l in [d for d in _divisors(n) if d > 1]:
-            s = n // l
-            bi2l = towers.builtin_morphism("Bi2l", n, l)
-            yield bi2l(towers.phi_pullback(n, l, 1)).is_zero, f"k=1 class survives the covering at n={n}, l={l}"
-            for k in range(2, n + 1):
-                pulled = bi2l(towers.phi_pullback(n, l, k))
-                yield pulled == towers.phi2_pullback(n, l, k), f"composition mismatch at n={n}, l={l}, k={k}"
-            ring = space_ring("BUn_l", n=n, l=l)
-            expect = ring.gen("c2") - ring.gen("cb1") ** 2 * Fraction(s * (n - 1), 2 * l)
-            yield towers.phi2_pullback(n, l, 2) == expect, f"k=2 shape mismatch at n={n}, l={l}"
+    for n, l, s in _cases(max_n, higher=True):
+        bi2l = towers.builtin_morphism("Bi2l", n, l)
+        yield bi2l(towers.phi_pullback(n, l, 1)).is_zero, f"k=1 class survives the covering at n={n}, l={l}"
+        for k in range(2, n + 1):
+            pulled = bi2l(towers.phi_pullback(n, l, k))
+            yield pulled == towers.phi2_pullback(n, l, k), f"composition mismatch at n={n}, l={l}, k={k}"
+        ring = space_ring("BUn_l", n=n, l=l)
+        expect = ring.gen("c2") - ring.gen("cb1") ** 2 * Fraction(s * (n - 1), 2 * l)
+        yield towers.phi2_pullback(n, l, 2) == expect, f"k=2 shape mismatch at n={n}, l={l}"
 
 
 @_sweep("checks")
@@ -149,43 +147,40 @@ def transgression_suite(max_n: int = 6):
     )
     yield report.ok, "comparison-map naturality square failed"
 
-    for n in range(2, max_n + 1):
-        for l in [d for d in _divisors(n) if d > 1]:
-            blrho = towers.builtin_morphism("BLrho_s", n, l).morphism
-            nu_n = transgression.builtin_table("BUn", n=n)
-            nu_l = transgression.builtin_table("BUn_l", n=n, l=l)
-            report = transgression.naturality_check(
-                towers.builtin_morphism("Brho_s", n, l).morphism, blrho, nu_n, nu_l
-            )
-            yield report.ok, f"covering naturality failed at n={n}, l={l}"
-            derived = blrho(transgression.free_suspend(nu_n, nu_n.source.gen("c2")))
-            expect = transgression.free_suspend(nu_l, nu_l.source.gen("c2"))
-            yield derived == expect, f"nu(c2) re-derivation failed at n={n}, l={l}"
+    for n, l, _ in _cases(max_n, higher=True):
+        blrho = towers.builtin_morphism("BLrho_s", n, l).morphism
+        nu_n = transgression.builtin_table("BUn", n=n)
+        nu_l = transgression.builtin_table("BUn_l", n=n, l=l)
+        report = transgression.naturality_check(
+            towers.builtin_morphism("Brho_s", n, l).morphism, blrho, nu_n, nu_l
+        )
+        yield report.ok, f"covering naturality failed at n={n}, l={l}"
+        derived = blrho(transgression.free_suspend(nu_n, nu_n.source.gen("c2")))
+        expect = transgression.free_suspend(nu_l, nu_l.source.gen("c2"))
+        yield derived == expect, f"nu(c2) re-derivation failed at n={n}, l={l}"
 
 
 @_sweep("identities (each internally cross-checked)")
 def loop_tower(max_n: int = 6):
     """Level-1 and level-2 loop pullbacks via both their routes."""
-    for n in range(2, max_n + 1):
-        for l in [d for d in _divisors(n) if d > 1]:
-            s = n // l
-            # xi2_pullback internally re-derives z2Q through the
-            # transgression pipeline and raises on disagreement
-            ring = space_ring("BLUbar_n_l", n=n, l=l)
-            z2q = towers.xi2_pullback(n, l, "z2Q")
-            yield z2q == ring.poly(f"z2 + 1/{l}*zb1*c1"), f"xi2 z2Q shape mismatch at n={n}, l={l}"
-            c1q = towers.xi2_pullback(n, l, "c1Q")
-            yield c1q == ring.poly(f"c1 - {s}*g"), f"xi2 c1Q shape mismatch at n={n}, l={l}"
-            # lphi2_z2 internally cross-checks the suspension route and
-            # the factorization route
-            expect = space_ring("BLUn_l", n=n, l=l).poly(f"z2 + {Fraction(s, l)}*zb1*cb1")
-            yield towers.lphi2_z2(n, l) == expect, f"Lphi2 z2Q shape mismatch at n={n}, l={l}"
-            # full generator-table factorization of the looped covering
-            composite = towers.builtin_morphism("Biota2l", n, l).morphism.then(
-                towers.builtin_morphism("BhatLi2l", n, l).morphism
-            )
-            factors = composite.images == towers.builtin_morphism("BLi2l", n, l).images
-            yield factors, f"loop-square factorization failed at n={n}, l={l}"
+    for n, l, s in _cases(max_n, higher=True):
+        # xi2_pullback internally re-derives z2Q through the
+        # transgression pipeline and raises on disagreement
+        ring = space_ring("BLUbar_n_l", n=n, l=l)
+        z2q = towers.xi2_pullback(n, l, "z2Q")
+        yield z2q == ring.poly(f"z2 + 1/{l}*zb1*c1"), f"xi2 z2Q shape mismatch at n={n}, l={l}"
+        c1q = towers.xi2_pullback(n, l, "c1Q")
+        yield c1q == ring.poly(f"c1 - {s}*g"), f"xi2 c1Q shape mismatch at n={n}, l={l}"
+        # lphi2_z2 internally cross-checks the suspension route and
+        # the factorization route
+        expect = space_ring("BLUn_l", n=n, l=l).poly(f"z2 + {Fraction(s, l)}*zb1*cb1")
+        yield towers.lphi2_z2(n, l) == expect, f"Lphi2 z2Q shape mismatch at n={n}, l={l}"
+        # full generator-table factorization of the looped covering
+        composite = towers.builtin_morphism("Biota2l", n, l).morphism.then(
+            towers.builtin_morphism("BhatLi2l", n, l).morphism
+        )
+        factors = composite.images == towers.builtin_morphism("BLi2l", n, l).images
+        yield factors, f"loop-square factorization failed at n={n}, l={l}"
 
 
 @_sweep("pairs")
@@ -226,20 +221,19 @@ def q_series(max_n: int = 3, q_order: int = 4):
             m += 1
         got = {e: p.constant_term() for e, p in series.coefficients.items()}
         yield got == {e: c for e, c in expect.items() if c}, f"triple product failed for {kind.value}"
-    for n in range(1, max_n + 1):
-        for l in _divisors(n):
-            model = RootModel(n, l, degree_cap=working_cap(n, 8))
-            for kind in qtheta.WittenKind:
-                where = f"n={n}, l={l}, {kind.value}"
-                series = qtheta.gch_witten(model, kind, q_order, "theta_product")
-                same = series == qtheta.gch_witten(model, kind, q_order, "lambda_tensor")
-                yield same, f"theta_product and lambda_tensor expansions disagree at {where}"
-                try:
-                    qtheta.descend_gch(series, model)
-                except EngineError as exc:
-                    yield False, f"descent failed at {where}: {exc}"
-                else:
-                    yield True, f"descends at {where}"
+    for n, l, _ in _cases(max_n):
+        model = RootModel(n, l, degree_cap=working_cap(n, 8))
+        for kind in qtheta.WittenKind:
+            where = f"n={n}, l={l}, {kind.value}"
+            series = qtheta.gch_witten(model, kind, q_order, "theta_product")
+            same = series == qtheta.gch_witten(model, kind, q_order, "lambda_tensor")
+            yield same, f"theta_product and lambda_tensor expansions disagree at {where}"
+            try:
+                qtheta.descend_gch(series, model)
+            except EngineError as exc:
+                yield False, f"descent failed at {where}: {exc}"
+            else:
+                yield True, f"descends at {where}"
 
 
 @_sweep("fixtures")

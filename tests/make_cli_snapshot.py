@@ -25,7 +25,8 @@ from pathlib import Path
 from fracchern import cli
 
 SNAPSHOT = Path(__file__).resolve().parent / "cli_snapshot.json"
-# argparse wraps --help text to the terminal width it reads from COLUMNS
+# the CLI wraps --help and usage text at a fixed 78 columns, whatever COLUMNS
+# says; the setting is kept so that every entry runs under the same environment
 COLUMNS = "80"
 SUBCOMMANDS = (
     "frac-chern", "change-triv", "universal", "transgress",

@@ -357,6 +357,79 @@ def test_descriptor_refusal_lines(capsys, monkeypatch, mutate, code, line):
     assert run(capsys, "obstruction", "--level", "loopSU", "--descriptor", "-") == (code, "", line + "\n")
 
 
+def _setting(value, *keys):
+    """A mutation that sets the descriptor entry at ``keys``, or deletes it
+    when ``value`` is None."""
+
+    def mutate(d):
+        owner = d
+        for key in keys[:-1]:
+            owner = owner[key]
+        if value is None:
+            del owner[keys[-1]]
+        else:
+            owner[keys[-1]] = value
+        return d
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,code,line",
+    [
+        (_setting("a +", "classes", "a"), 1, "parse error: classes.a: unexpected token 'end'"),
+        (_setting("zz", "classes", "c", 0), 1, "parse error: classes.c[0]: unknown generator 'zz'"),
+        (
+            _setting("a^2", "classes", "c", 0),
+            1,
+            "parse error: classes.c[0]: c_k(E) #1 must be homogeneous of degree 2: got a^2",
+        ),
+        (
+            _setting("f3", "classes", "frac", 1),
+            1,
+            "parse error: classes.frac[1]: fractional class #2 must be homogeneous of degree 4: got f3",
+        ),
+        (_setting("f2 +", "classes", "frac", 1), 1, "parse error: classes.frac[1]: unexpected token 'end'"),
+        (
+            _setting("a", "loop", "classes", "z", 0),
+            1,
+            "parse error: loop.classes.z[0]: z_k(LE) #1 must be homogeneous of degree 1: got a",
+        ),
+        (_setting("zz", "loop", "classes", "z", 1), 1, "parse error: loop.classes.z[1]: unknown generator 'zz'"),
+        (_setting("c2 +", "pi_star", "f2"), 1, "parse error: pi_star: unexpected token 'end'"),
+        (
+            _setting("a", "pi_star", "f2"),
+            2,
+            "precondition violated: pi_star: image of f2 must be homogeneous of degree 4",
+        ),
+        (_setting(None, "pi_star", "f2"), 2, "precondition violated: pi_star: no image given for generator f2"),
+        (_setting("a", "pi_star", "zzz"), 2, "precondition violated: pi_star: unknown source generator 'zzz'"),
+        (
+            _setting("z2", "loop", "pi_star", "f2"),
+            2,
+            "precondition violated: loop.pi_star: image of f2 must be homogeneous of degree 4",
+        ),
+        (
+            _setting("af", "loop", "nuY", "q9"),
+            2,
+            "precondition violated: loop.nuY: unknown source generator 'q9'",
+        ),
+        (_setting("zz", "loop", "nuM", "f2"), 1, "parse error: loop.nuM: unknown generator 'zz'"),
+    ],
+    ids=[
+        "class_a_syntax", "class_c_unknown", "class_c_degree", "class_frac_degree",
+        "class_frac_syntax", "loop_z_degree", "loop_z_unknown", "pi_star_syntax",
+        "pi_star_degree", "pi_star_missing_image", "pi_star_unknown_key", "loop_pi_star_degree",
+        "loop_nuY_unknown_key", "loop_nuM_unknown_generator",
+    ],
+)
+def test_nested_reader_errors_name_the_field(capsys, monkeypatch, mutate, code, line):
+    with open(fixture_path("su_n4l2.json")) as fh:
+        payload = json.dumps(mutate(json.load(fh)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(capsys, "obstruction", "--level", "fracSU", "--descriptor", "-") == (code, "", line + "\n")
+
+
 def test_zero_loop_twist_class_is_accepted(capsys, monkeypatch):
     with open(fixture_path("symbolic_n4l2.json")) as fh:
         d = json.load(fh)

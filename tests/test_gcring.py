@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fracchern import _kernel
-from fracchern.errors import PreconditionError, PresentationMismatch
+from fracchern.errors import ExpressionError, PreconditionError, PresentationMismatch
 from fracchern.gcring import (
     Generator,
     GradedPolynomial,
@@ -165,6 +165,46 @@ def test_morphism_validation(even_ring, loop_ring):
         RingMorphism(even_ring, even_ring, {"a": "a", "c1": "c1"})
     with pytest.raises(PresentationMismatch):
         even_ring.gen("a") + loop_ring.gen("c1")
+
+
+@pytest.mark.parametrize(
+    "build,error,match",
+    [
+        (lambda r, o: r.gen("a") ** -1, PreconditionError, "^polynomial powers must be nonnegative integers$"),
+        (lambda r, o: r.gen("a") ** 1.5, PreconditionError, "^polynomial powers must be nonnegative integers$"),
+        (lambda r, o: r.from_exponents({(1, 0): 1}), PreconditionError, "^exponent tuple length mismatch$"),
+        (lambda r, o: r.from_exponents({(-1, 0, 0): 1}), PreconditionError, "^negative exponent$"),
+        (lambda r, o: r.from_exponents({(1, 0, 0): 0.5}), TypeError, "^expected an exact rational, got float$"),
+        (
+            lambda r, o: RingMorphism.substitution(r, {"zz": r.gen("a")}),
+            ExpressionError,
+            "^unknown generator 'zz'$",
+        ),
+        (
+            lambda r, o: RingMorphism(r, r, {"a": o.gen("c1"), "c1": "c1", "c2": "c2"}),
+            PresentationMismatch,
+            "^image of a is not over the target$",
+        ),
+        (
+            lambda r, o: RingMorphism(r, r, {"a": "a", "c1": "c1", "c2": "c2", "zzz": "a"}),
+            PreconditionError,
+            "^unknown source generator 'zzz'$",
+        ),
+        (
+            lambda r, o: RingMorphism.identity(r).then(RingMorphism.identity(o)),
+            PresentationMismatch,
+            "^morphisms do not compose$",
+        ),
+    ],
+    ids=[
+        "negative_power", "fractional_power", "exponent_length", "negative_exponent",
+        "float_coefficient", "substitution_unknown", "image_over_another_ring",
+        "image_of_an_unknown_generator", "then_mismatch",
+    ],
+)
+def test_library_refusals(even_ring, loop_ring, build, error, match):
+    with pytest.raises(error, match=match):
+        build(even_ring, loop_ring)
 
 
 @pytest.mark.parametrize(

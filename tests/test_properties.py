@@ -20,7 +20,7 @@ from fracchern.errors import PreconditionError, PresentationMismatch
 from fracchern.gcring import RingMorphism, RingPresentation, remap_keys, transplant
 from fracchern.qtheta import HalfQSeries, formal_exp, qseries_div_unit
 from fracchern.towers import LEVELS
-from fracchern.transgression import builtin_table, free_suspend
+from fracchern.transgression import builtin_table, free_suspend, naturality_check
 from fracchern.verify import FIXTURE_NAMES
 
 # fixed examples, so that a failure repeats and the file stays fast
@@ -316,6 +316,24 @@ def test_free_suspend_obeys_leibniz(case):
     nu_p, nu_q = free_suspend(table, p), free_suspend(table, q)
     leibniz = nu_p * transplant(q, table.target) + transplant(p, table.target) * nu_q
     assert free_suspend(table, p * q) == leibniz
+
+
+@settings(checked, max_examples=30)
+@given(coefficients, coefficients, coefficients)
+def test_naturality_holds_for_a_loop_map_built_to_commute(alpha, beta, gamma):
+    """f: c1 -> alpha c1, c2 -> beta c2 + gamma c1^2 on BUn (n = 2); Lf is f on
+    the c's, z1 -> nu(f(c1)) and z2 -> nu(f(c2)) - Lf(z1) Lf(c1), so the
+    square commutes.  Adding z1 c1 to Lf(z2) must break it."""
+    nu = builtin_table("BUn", n=2)
+    bun, blun = nu.source, nu.target
+    c1, c2 = bun.gen("c1"), bun.gen("c2")
+    f = RingMorphism(bun, bun, {"c1": c1 * alpha, "c2": c2 * beta + c1 * c1 * gamma})
+    lc1, lc2 = blun.gen("c1"), blun.gen("c2")
+    lift = {"c1": lc1 * alpha, "c2": lc2 * beta + lc1 * lc1 * gamma, "z1": free_suspend(nu, f.images["c1"])}
+    lift["z2"] = free_suspend(nu, f.images["c2"]) - lift["z1"] * lift["c1"]
+    assert naturality_check(f, RingMorphism(blun, blun, lift), nu, nu).ok
+    lift["z2"] = lift["z2"] + blun.gen("z1") * lc1
+    assert not naturality_check(f, RingMorphism(blun, blun, lift), nu, nu).ok
 
 
 def assert_normal_form(p):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_polynomial
 from fracchern import qtheta as qt
-from fracchern.errors import PreconditionError, SymmetryError
+from fracchern.errors import PreconditionError, SymmetryError, VerificationError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
 from fracchern.spaces import working_cap
@@ -60,6 +60,35 @@ def test_qseries_validation(scalar_ring):
     g = HalfQSeries.unit(scalar_ring, 3)
     with pytest.raises(PreconditionError):
         qt.qseries_mul(f, g)
+
+
+@pytest.mark.parametrize("value", ["x", None, 2.5, [1]], ids=["str", "None", "float", "list"])
+def test_qseries_refuses_a_coefficient_that_is_not_a_polynomial(scalar_ring, value):
+    expected = f"^series coefficient must be a polynomial, got {re.escape(repr(value))}$"
+    for e in (0, 3):  # above the truncation order too
+        with pytest.raises(PreconditionError, match=expected):
+            HalfQSeries(scalar_ring, {e: value}, 2)
+
+
+def test_qseries_refuses_a_negative_power_and_a_foreign_coefficient(scalar_ring):
+    with pytest.raises(PreconditionError, match="^series powers must be nonnegative integers$"):
+        HalfQSeries.unit(scalar_ring, 2) ** -1
+    other = RingPresentation([("x", 2)], 4)
+    for e in (0, 3):  # above the truncation order too
+        with pytest.raises(PreconditionError, match="^series coefficients must share one ring$"):
+            HalfQSeries(scalar_ring, {e: other.gen("x")}, 2)
+
+
+def test_both_methods_refuse_a_disagreement(monkeypatch):
+    original = qt.gch_witten
+
+    def faulty(model, kind, q_order, method="theta_product"):
+        series = original(model, kind, q_order, method)
+        return series * 2 if method == "lambda_tensor" else series
+
+    monkeypatch.setattr(qt, "gch_witten", faulty)
+    with pytest.raises(VerificationError, match="^theta_product and lambda_tensor expansions disagree$"):
+        original(RootModel(2, 2, degree_cap=8), WittenKind.THETA3, 1, "both")
 
 
 def test_qseries_exponent_boundary():

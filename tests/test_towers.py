@@ -6,7 +6,7 @@ import pytest
 
 from fracchern import towers as tw
 from fracchern import transgression as tg
-from fracchern.errors import ExpressionError, PreconditionError
+from fracchern.errors import ExpressionError, PreconditionError, VerificationError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.spaces import SPACE_NAMES, space_ring
 from fracchern.symroots import RootModel, fractional_chern_closed
@@ -213,6 +213,22 @@ def test_lphi2_z2():
     assert tw.lphi2_z2(2, 2).render() == "z2 + 1/2*zb1*cb1"
     assert tw.lphi2_z2(4, 2).render() == "z2 + zb1*cb1"
     assert tw.lphi2_z2(6, 3).render() == "z2 + 2/3*zb1*cb1"
+
+
+def test_loop_cross_checks_refuse_a_faulty_route(monkeypatch):
+    """A fault injected into one route of each loop cross-check raises."""
+    lphi_image, phi2 = tw._lphi_z2_image, tw.phi2_pullback
+    monkeypatch.setattr(tw, "_lphi_z2_image", lambda n, l, cap: lphi_image(n, l, cap) * 2)
+    with pytest.raises(VerificationError, match="^transgression pipeline disagrees with the table: "):
+        tw.xi2_pullback(4, 2, "z2Q")
+    monkeypatch.setattr(tw, "phi2_pullback", lambda n, l, k, cap=None: phi2(n, l, k, cap) * 2)
+    with pytest.raises(VerificationError, match="^cross-check failed: table="):
+        tw.lphi2_z2(4, 2)
+
+
+def test_obstruction_refuses_an_unknown_level():
+    with pytest.raises(PreconditionError, match="^unknown level 'fracSO'$"):
+        tw.obstruction("fracSO", load_fixture("su_n4l2.json"))
 
 
 def test_loop_square_factorization():

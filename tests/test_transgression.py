@@ -136,6 +136,12 @@ def test_covering_route_rederives_loop_table(n, l):
     assert derived == tg.free_suspend(nu_l, nu_l.source.gen("c2"))
 
 
+def test_derivation_table_refuses_a_value_on_an_odd_generator():
+    loop = space_ring("BLUn", n=2)
+    with pytest.raises(PreconditionError, match="^odd generator z1 cannot carry a transgression value$"):
+        tg.DerivationTable(loop, loop, {"z1": "c1"})
+
+
 def test_naturality_shape_mismatch():
     tab = tg.builtin_table("BUn", n=2)
     wrong = RingMorphism.identity(space_ring("BSpinc"))
