@@ -7,15 +7,11 @@ lies above the degree cap.  The odd generators present are the key's bits
 in the ring's ``odd_fields``, and a later generator sits in a lower bit.
 Coefficients are integer numerators: ``gcring`` keeps each element's one
 denominator and multiplies the two denominators of a product itself.
-``_kernel`` re-exports it.
+The kernel sorts only its right operand, once per call, and cuts each inner
+loop at the key limit.  ``_kernel`` re-exports it.
 """
 
 KERNEL_NAME = "python"
-
-
-def _prepare(terms, odd_fields):
-    """Turn {key: int} into [(key, odd bits, int)] sorted by key."""
-    return sorted((key, key & odd_fields, c) for key, c in terms.items())
 
 
 def _koszul_sign(odd_a, odd_b):
@@ -36,21 +32,17 @@ def mul_terms(terms_a, terms_b, odd_fields, limit):
 
     terms_a/terms_b: dict mapping monomial key -> int numerator.
     odd_fields: the lowest bit of each odd generator's field.
-    Returns a dict in the same format, without zero numerators; its
-    denominator is the product of the operands' denominators.
+    Returns a dict in the same format, without zero numerators.
     """
-    if not terms_a or not terms_b:
-        return {}
-    ea = _prepare(terms_a, odd_fields)
-    eb = _prepare(terms_b, odd_fields)
+    sorted_b = sorted(terms_b.items())
     acc = {}
-    for key_a, odd_a, num_a in ea:
+    for key_a, num_a in terms_a.items():
         room = limit - key_a
-        if eb[0][0] >= room:
-            break
-        for key_b, odd_b, num_b in eb:
+        odd_a = key_a & odd_fields
+        for key_b, num_b in sorted_b:
             if key_b >= room:
                 break
+            odd_b = key_b & odd_fields
             if odd_a & odd_b:
                 continue
             n = num_a * num_b

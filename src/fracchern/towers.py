@@ -419,6 +419,13 @@ def _expressions(data, path: str) -> dict:
     return dict(value)
 
 
+def _side_conditions(ring, data, path: str) -> dict:
+    """Optional substitutions on ``ring``: each named generator's checked image."""
+    given = _expressions(data, path)
+    images = _nested(path, RingMorphism.substitution, ring, given).images
+    return {name: images[name] for name in given}
+
+
 def _parse_classes(ring, data, path, expected_degrees, what):
     entries = _field(data, path, [])
     if not isinstance(entries, list):
@@ -489,8 +496,8 @@ def descriptor_from_json(data: dict) -> BundleDescriptor:
             lfrac,
             nu_y,
             nu_m,
-            _expressions(data, "loop.side_conditions.Y"),
-            _expressions(data, "loop.side_conditions.M"),
+            _side_conditions(ring_ly, data, "loop.side_conditions.Y"),
+            _side_conditions(ring_lm, data, "loop.side_conditions.M"),
         )
     return BundleDescriptor(
         n,

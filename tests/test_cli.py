@@ -415,12 +415,33 @@ def _setting(value, *keys):
             "precondition violated: loop.nuY: unknown source generator 'q9'",
         ),
         (_setting("zz", "loop", "nuM", "f2"), 1, "parse error: loop.nuM: unknown generator 'zz'"),
+        (
+            _setting({"a": "a +"}, "loop", "side_conditions", "Y"),
+            1,
+            "parse error: loop.side_conditions.Y: unexpected token 'end'",
+        ),
+        (
+            _setting({"zz": "a"}, "loop", "side_conditions", "Y"),
+            1,
+            "parse error: loop.side_conditions.Y: unknown generator 'zz'",
+        ),
+        (
+            _setting({"c2": "a"}, "loop", "side_conditions", "Y"),
+            2,
+            "precondition violated: loop.side_conditions.Y: image of c2 must be homogeneous of degree 4",
+        ),
+        (
+            _setting({"f2": "zf2 *"}, "loop", "side_conditions", "M"),
+            1,
+            "parse error: loop.side_conditions.M: unexpected token 'end'",
+        ),
     ],
     ids=[
         "class_a_syntax", "class_c_unknown", "class_c_degree", "class_frac_degree",
         "class_frac_syntax", "loop_z_degree", "loop_z_unknown", "pi_star_syntax",
         "pi_star_degree", "pi_star_missing_image", "pi_star_unknown_key", "loop_pi_star_degree",
-        "loop_nuY_unknown_key", "loop_nuM_unknown_generator",
+        "loop_nuY_unknown_key", "loop_nuM_unknown_generator", "side_Y_syntax",
+        "side_Y_unknown_generator", "side_Y_degree", "side_M_syntax",
     ],
 )
 def test_nested_reader_errors_name_the_field(capsys, monkeypatch, mutate, code, line):
@@ -557,13 +578,18 @@ def test_transgress_space_preconditions(capsys, argv, line):
     assert err == f"precondition violated: {line}\n"
 
 
-def test_module_entry_point():
+def test_module_entry_point(module="fracchern"):
     env = dict(os.environ, PYTHONPATH=str(Path(fracchern.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-m", "fracchern", "frac-chern", "--n", "2", "--l", "2", "--k", "1"],
+        [sys.executable, "-m", module, "frac-chern", "--n", "2", "--l", "2", "--k", "1"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "e1 - a (integral)\n", "")
+
+
+def test_cli_module_entry_point():
+    """``python -m fracchern.cli`` runs the same main as ``python -m fracchern``."""
+    test_module_entry_point("fracchern.cli")

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracchern import _kernel
 from fracchern.errors import ExpressionError, PreconditionError, PresentationMismatch
@@ -346,6 +348,42 @@ def test_kernel_matches_naive_product(loop_ring):
         odd_signed += any(e[2] for e, _ in p.terms()) and any(e[0] for e, _ in q.terms())
     # the random pairs reach both the cap and the Koszul signs
     assert truncated and odd_signed
+
+
+@st.composite
+def kernel_operands(draw):
+    """A ring with an odd generator and two integral operands.  Each holds
+    one monomial of a boundary pair whose product has degree cap (key just
+    below the key limit) or cap + 1 (key just past it)."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    if not any(d % 2 for d in degrees):
+        degrees[0] = 1
+    exponents = st.tuples(*[st.integers(0, 1 if d % 2 else 3) for d in degrees])
+    pair = [draw(exponents.filter(any)) for _ in range(2)]
+    pair_degrees = [sum(d * e for d, e in zip(degrees, m)) for m in pair]
+    cap = sum(pair_degrees) - draw(st.integers(0, 1))
+    assume(cap >= max(degrees + pair_degrees))
+    ring = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], cap)
+    coefficients = st.integers(-9, 9)
+    operands = []
+    for boundary in pair:
+        terms = draw(st.dictionaries(exponents, coefficients, max_size=6))
+        terms = {e: c for e, c in terms.items() if ring.monomial_degree(e) <= cap}
+        terms[boundary] = draw(coefficients.filter(bool))
+        operands.append(ring.from_exponents(terms))
+    return ring, operands
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kernel_operands())
+def test_kernel_matches_naive_product_at_the_key_limit(case):
+    """The kernel against the naive product in both operand orders and with
+    an empty operand on either side, on random rings with odd generators,
+    at and just past the key limit."""
+    ring, (p, q) = case
+    for a, b in ((p, q), (q, p), (p, ring.zero()), (ring.zero(), q)):
+        terms = _kernel.mul_terms(a._terms, b._terms, ring.odd_fields, ring.key_limit)
+        assert GradedPolynomial(ring, terms) == naive_product(a, b)
 
 
 def test_product_over_two_denominators_matches_naive_product(loop_ring):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracchern import symroots as sr
-from fracchern.errors import PreconditionError, SymmetryError
+from fracchern.errors import EngineError, PreconditionError, SymmetryError
 from fracchern.gcring import RingMorphism
 
 from conftest import random_polynomial
@@ -111,6 +111,17 @@ def test_express_rejects_asymmetric():
     with pytest.raises(SymmetryError) as info:
         sr.express_in_elementary(m.root(1), m)
     assert info.value.transposition == ("x1", "x2")
+
+
+def test_express_reports_an_internal_error_if_asymmetry_slips_through(monkeypatch):
+    """With the symmetry check made to pass an asymmetric input, the
+    elimination loop reaches a leading term that is not a partition."""
+    m = sr.RootModel(3, 3)
+    monkeypatch.setattr(sr, "find_asymmetry", lambda p, model: None)
+    with pytest.raises(EngineError) as info:
+        sr.express_in_elementary(m.root(1), m)
+    assert type(info.value) is EngineError
+    assert str(info.value) == "nonzero remainder in symmetric reduction (internal error)"
 
 
 def test_express_rejects_a_polynomial_over_another_ring():

@@ -395,6 +395,10 @@ def test_transgress_obstruction_with_side_conditions(symbolic):
     expected = symbolic.loop.ring_ly.poly("z2 + z1*c1 - 3*af*a")
     assert report.upstairs_transgressed == expected
     assert report.upstairs_transgressed != report.upstairs_loop
+    # the descriptor holds each side condition as parsed when it was read
+    ly, lm = symbolic.loop.ring_ly, symbolic.loop.ring_lm
+    assert symbolic.loop.side_conditions_y == {"c1": ly.poly("2*a"), "z1": ly.poly("2*af")}
+    assert symbolic.loop.side_conditions_m == {"f1": lm.zero(), "zf1": lm.zero()}
 
 
 def test_transgress_obstruction_renders(symbolic):
