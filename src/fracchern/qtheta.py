@@ -329,11 +329,13 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     if method != "lambda_tensor":
         raise PreconditionError(f"unknown method {method!r}")
     f_ring, _, back = _fractional_maps(model)
+    tables = model._witten_tables.get("levels")
+    if tables is None:
+        tables = model._witten_tables["levels"] = _level_tables(f_ring)
     sign = kind.sign
     series = HalfQSeries._from_halves(f_ring, {0: f_ring.one()}, top)
     for k in range(2, top + 1, 2):
         series = series * _euler_factor(f_ring, k, top) ** model.n
-    tables = _level_tables(f_ring, min(model.n, top))
     for level in range(1, top + 1, 2):
         last = min(model.n, top // level)
         for table in tables:
@@ -345,7 +347,11 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
 def _fractional_maps(model: RootModel):
     """(f_ring, rename, back) for the fractional classes f_k = sigma_k(x - a/l):
     the ring of f_1..f_n under the model's cap, the rename e_k -> f_k that
-    sends the parameters to 0, and back: f_k -> sigma_k(x - a/l)."""
+    sends the parameters to 0, and back: f_k -> sigma_k(x - a/l).  Built
+    once per model, on first use."""
+    maps = model._witten_tables.get("maps")
+    if maps is not None:
+        return maps
     n = model.n
     f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], model.ring.degree_cap)
     images = {name: f_ring.zero() for name in model.params}
@@ -353,11 +359,12 @@ def _fractional_maps(model: RootModel):
     rename = RingMorphism(model.e_ring, f_ring, images)
     sigma = _esp(model.shifted_roots(), n, model.ring)
     back = RingMorphism(f_ring, model.ring, {f"f{k}": sigma[k] for k in range(1, n + 1)})
-    return f_ring, rename, back
+    maps = model._witten_tables["maps"] = (f_ring, rename, back)
+    return maps
 
 
-def _level_tables(f_ring: RingPresentation, k_max: int) -> list:
-    """[sigma_k(e^r) for k = 0..k_max, sigma_k(e^{-r}) for k = 0..k_max], where
+def _level_tables(f_ring: RingPresentation) -> list:
+    """[sigma_k(e^r) for k = 0..n, sigma_k(e^{-r}) for k = 0..n], where
     f_ring's generators f_1..f_n are sigma_k(r) of n roots r, by Newton's
     identities: the power sums p_j of the r from the f's (p_0 = n), the
     power sums P_m = sum_j (+-m)^j p_j / j! of the e^{+-r}, and
@@ -374,11 +381,11 @@ def _level_tables(f_ring: RingPresentation, k_max: int) -> list:
     tables = []
     for sign in (1, -1):
         power = [None]  # P_m from m = 1
-        for m in range(1, k_max + 1):
+        for m in range(1, n + 1):
             terms = (pj * Fraction((sign * m) ** j, factorial(j)) for j, pj in enumerate(p))
             power.append(sum(terms, f_ring.zero()))
         table = [f_ring.one()]
-        for k in range(1, k_max + 1):
+        for k in range(1, n + 1):
             acc = f_ring.zero()
             for m in range(1, k + 1):
                 term = table[k - m] * power[m]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import EngineError, PreconditionError, SymmetryError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, eliminate_leading
 from .spaces import check_n_l, working_cap
 
 
@@ -30,7 +30,7 @@ class RootModel:
     ``params`` (a, then the extra even parameters) lead both ``ring`` (then
     x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  The
     root tables (sigma_k(x), the adjacent transpositions, the n-cycle) are
-    built on first use.
+    built on first use, as are the shifted roots x_i - a/l.
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -47,10 +47,18 @@ class RootModel:
         elementary = [(f"e{k}", 2 * k) for k in range(1, n + 1)]
         self.e_ring = RingPresentation(params + elementary, degree_cap)
         self._sigma_power_cache: dict[tuple, GradedPolynomial] = {}
+        # qtheta's tables for this model (the fractional-class maps and the
+        # Newton level tables), each built on its first use
+        self._witten_tables: dict = {}
 
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
         return _esp(self.roots(), self.n, self.ring)
+
+    @cached_property
+    def _shifted(self) -> list[GradedPolynomial]:
+        shift = self.ring.gen("a") * Fraction(-1, self.l)
+        return [r + shift for r in self.roots()]
 
     @cached_property
     def _transpositions(self) -> list[RingMorphism]:
@@ -72,9 +80,8 @@ class RootModel:
         return [self.root(i) for i in range(1, self.n + 1)]
 
     def shifted_roots(self):
-        """The fractional Chern roots x_i - a/l."""
-        shift = self.ring.gen("a") * Fraction(-1, self.l)
-        return [r + shift for r in self.roots()]
+        """The fractional Chern roots x_i - a/l, as a new list."""
+        return list(self._shifted)
 
     def elementary_to_roots(self) -> RingMorphism:
         """e_k -> sigma_k(x); parameters map to their namesakes."""
@@ -90,11 +97,18 @@ def _check_k(k: int, n: int) -> None:
         raise PreconditionError(f"k={k} out of range 0..{n}")
 
 
-def _esp(values, k_max, ring):
-    """Elementary symmetric polynomials e_0..e_k_max of ring elements."""
+def _esp(values, k_max, ring, k_min=0):
+    """Elementary symmetric polynomials e_0..e_k_max of ring elements.
+
+    Only the entries from k_min up are final: after the i-th value the
+    recurrence updates entry j only for j <= i (the others are still zero)
+    and for j >= k_min minus the number of values still to come (lower ones
+    can no longer reach k_min)."""
     table = [ring.one()] + [ring.zero()] * k_max
-    for v in values:
-        for j in range(k_max, 0, -1):
+    left = len(values)
+    for i, v in enumerate(values, start=1):
+        left -= 1
+        for j in range(min(k_max, i), max(k_min - left, 1) - 1, -1):
             table[j] = table[j] + v * table[j - 1]
     return table
 
@@ -147,11 +161,12 @@ def _sigma_power_product(model: RootModel, multiplicities: tuple) -> GradedPolyn
 def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
     """Rewrite a root-symmetric polynomial in e_1..e_n and the parameters.
 
-    Classical leading-monomial elimination: for symmetric input the lex
+    Classical leading-monomial elimination, run in place on the packed
+    keys by ``gcring.eliminate_leading``: for symmetric input the lex
     leading root exponents form a partition lambda, and subtracting
-    coeff * prod_k sigma_k^(lambda_k - lambda_{k+1}) strictly lowers the
-    leading monomial.  Substituting e_k -> sigma_k in the result
-    reproduces the input exactly.
+    coeff * (parameter monomial) * prod_k sigma_k^(lambda_k - lambda_{k+1})
+    strictly lowers the leading monomial.  Substituting e_k -> sigma_k in
+    the result reproduces the input exactly.
     """
     if p.ring != model.ring:
         raise PreconditionError("polynomial is not over the model's root ring")
@@ -163,22 +178,19 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
         )
     n = model.n
     n_params = len(model.params)
+
     # The parameters precede the roots, so the leading key has the top
-    # degree, then that degree's top parameter monomial, then the lex-leading
-    # root exponents of that symmetric part; each step removes that key and
-    # adds only smaller ones.
-    work = p
-    out = {}
-    while not work.is_zero:
-        exps, lead_coef = work.leading_term()
+    # degree, then that degree's top parameter monomial, then the
+    # lex-leading root exponents of that symmetric part, which are those of
+    # the sigma product's leading monomial.
+    def step(exps):
         param, lam = exps[:n_params], exps[n_params:]
         if any(lam[i] < lam[i + 1] for i in range(n - 1)):
             raise EngineError("nonzero remainder in symmetric reduction (internal error)")
         mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
-        lead = model.ring.from_exponents({param + (0,) * n: lead_coef})
-        work = work - _sigma_power_product(model, mult) * lead
-        out[param + mult] = lead_coef
-    return model.e_ring.from_exponents(out)
+        return param + mult, _sigma_power_product(model, mult)
+
+    return eliminate_leading(p, model.e_ring, step)
 
 
 def shifted_chern_sum(
@@ -210,7 +222,7 @@ def fractional_chern_brute(model: RootModel, k: int) -> GradedPolynomial:
     """Independent oracle: sigma_k of the shifted roots, expanded over the
     roots and rewritten in the elementary basis."""
     _check_k(k, model.n)
-    part = _esp(model.shifted_roots(), k, model.ring)[k]
+    part = _esp(model._shifted, k, model.ring, k)[k]
     return express_in_elementary(part, model)
 
 

@@ -417,7 +417,7 @@ def test_newton_level_tables_match_the_reduced_root_tables(n):
     for cap in sorted({working_cap(n, 8), working_cap(n)}):
         model = RootModel(n, n, degree_cap=cap)
         f_ring, rename, back = qt._fractional_maps(model)
-        tables = qt._level_tables(f_ring, n)
+        tables = qt._level_tables(f_ring)
         for sign, table in zip((1, -1), tables):
             roots = _esp([qt.formal_exp(x * sign) for x in model.roots()], n, model.ring)
             shifted = _esp([qt.formal_exp(r * sign) for r in model.shifted_roots()], n, model.ring)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracchern import qtheta as qt
 from fracchern import symroots as sr
 from fracchern.errors import EngineError, PreconditionError, SymmetryError
 from fracchern.gcring import RingMorphism
@@ -61,6 +62,23 @@ def test_root_tables_are_built_once_per_model():
         assert sr.elementary_symmetric(k, m) is sr.elementary_symmetric(k, m)
     other = sr.RootModel(4, 2)
     assert sr.root_transpositions(other) is not sr.root_transpositions(m)
+    # shifted roots: built once, handed out as a new list each time
+    assert m._shifted is m._shifted
+    roots = m.shifted_roots()
+    assert roots == m._shifted and roots is not m._shifted
+    roots[0] = m.ring.zero()
+    roots.append(m.ring.one())
+    assert m.shifted_roots() == [x - m.ring.gen("a") / 2 for x in m.roots()]
+    # the oracle builds no Witten table; the lambda route builds them once
+    for k in range(5):
+        sr.fractional_chern_brute(m, k)
+    assert m._witten_tables == {}
+    qt.gch_witten(m, qt.WittenKind.THETA2, 2, "lambda_tensor")
+    maps, levels = m._witten_tables["maps"], m._witten_tables["levels"]
+    qt.gch_witten(m, qt.WittenKind.THETA3, 3, "lambda_tensor")
+    assert qt._fractional_maps(m) is maps and m._witten_tables["levels"] is levels
+    assert len(levels) == 2 and all(len(table) == 5 for table in levels)
+    assert qt._fractional_maps(other) is not maps
 
 
 def test_lone_sigma_cache_entries_share_the_sigma_table():
@@ -169,12 +187,15 @@ def _monomial(ring, indices):
     return tuple(exps)
 
 
-def _terms(ring, size):
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _terms(ring, size, coefficients=st.integers(-3, 3)):
     """Up to ``size`` terms of ring under its cap, each a product of up to
-    three generators with an integer coefficient."""
+    three generators with a coefficient drawn from ``coefficients``."""
     factors = st.lists(st.integers(0, len(ring.generators) - 1), max_size=3)
     monomials = factors.map(lambda f: _monomial(ring, f))
-    terms = st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=size)
+    terms = st.lists(st.tuples(monomials, coefficients), max_size=size)
     return terms.map(
         lambda terms: ring.from_exponents(
             {e: c for e, c in dict(terms).items() if ring.monomial_degree(e) <= ring.degree_cap}
@@ -197,6 +218,64 @@ def test_find_asymmetry_matches_the_full_adjacent_scan(case):
     model, symmetric, perturbed = case
     assert sr.find_asymmetry(symmetric, model) is None
     assert sr.find_asymmetry(perturbed, model) == _asymmetry_by_rename(perturbed, model)
+
+
+def _express_by_arithmetic(p, model):
+    """The elimination as whole-polynomial arithmetic, one subtraction of a
+    full product per step: the reference for the in-place route."""
+    n = model.n
+    n_params = len(model.params)
+    work = p
+    out = {}
+    while not work.is_zero:
+        exps, lead_coef = work.leading_term()
+        param, lam = exps[:n_params], exps[n_params:]
+        mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
+        lead = model.ring.from_exponents({param + (0,) * n: lead_coef})
+        work = work - sr._sigma_power_product(model, mult) * lead
+        out[param + mult] = lead_coef
+    return model.e_ring.from_exponents(out)
+
+
+@st.composite
+def _rational_symmetric(draw):
+    """(model, a polynomial in a, b and e_1..e_n with rational coefficients,
+    its image over the roots)."""
+    model = _MODELS[draw(st.integers(1, 5))]
+    e_poly = draw(_terms(model.e_ring, 5, _RATIONALS))
+    return model, e_poly, model.elementary_to_roots()(e_poly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_rational_symmetric())
+def test_in_place_elimination_matches_the_arithmetic_loop(case):
+    model, e_poly, p = case
+    expressed = sr.express_in_elementary(p, model)
+    assert expressed == _express_by_arithmetic(p, model)
+    assert expressed == e_poly
+
+
+def _esp_full(values, k_max, ring):
+    """The recurrence over every entry for every value: the reference for
+    the banded one."""
+    table = [ring.one()] + [ring.zero()] * k_max
+    for v in values:
+        for j in range(k_max, 0, -1):
+            table[j] = table[j] + v * table[j - 1]
+    return table
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_banded_esp_entry_matches_the_full_table(data):
+    model = _MODELS[data.draw(st.integers(1, 5))]
+    values = data.draw(st.lists(_terms(model.ring, 3, _RATIONALS), max_size=6))
+    top = len(values)
+    full = _esp_full(values, top, model.ring)
+    assert sr._esp(values, top, model.ring) == full
+    for k in range(top + 1):
+        assert sr._esp(values, k, model.ring, k)[k] == full[k]
+        assert sr._esp(values, top, model.ring, k)[k:] == full[k:]
 
 
 def test_two_generator_prepass_pinned_cases():
