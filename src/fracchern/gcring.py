@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 from math import gcd, lcm
 
 from ._kernel import mul_terms
@@ -155,12 +156,15 @@ class RingPresentation:
         c = as_fraction(value)
         return _normal_form(self, c.denominator, {0: c.numerator})
 
-    def gen(self, name: str) -> "GradedPolynomial":
-        if name not in self.index:
+    def generator_key(self, name: str) -> int:
+        """The key of the monomial ``name``; adding keys multiplies monomials."""
+        i = self.index.get(name)
+        if i is None:
             raise ExpressionError(f"unknown generator {name!r}")
-        exps = [0] * len(self.generators)
-        exps[self.index[name]] = 1
-        return self.from_exponents({tuple(exps): Fraction(1)})
+        return self.degrees[i] << self.degree_shift | 1 << self.degree_shift - FIELD_BITS * (i + 1)
+
+    def gen(self, name: str) -> "GradedPolynomial":
+        return GradedPolynomial(self, {self.generator_key(name): 1})
 
     def from_exponents(self, terms) -> "GradedPolynomial":
         """Build an element from {exponent tuple: coefficient}, validating."""
@@ -464,61 +468,113 @@ def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPo
     target field, vanish; the rest take the Koszul sign of sorting their odd
     generators' target indices, read in source order.  Integer scalars keep
     the numerators ints over p's denominator; a rational one scales
-    Fractions, brought back to one denominator at the end.
+    Fractions, brought back to one denominator at the end.  The rewrite is
+    planned for this call; a ``RingMorphism`` plans its own once.
     """
-    source = p.ring
-    src_shift, dst_shift = source.degree_shift, target.degree_shift
-    # fields sent to zero, and fields copied where they are (even, scale 1,
-    # same shift)
-    dropped = kept = 0
-    rational = False
-    moved = []  # (source shift, target shift, scalar, target index if odd)
-    for i, move in enumerate(moves):
-        shift = src_shift - FIELD_BITS * (i + 1)
-        if move is None:
-            dropped |= FIELD_MASK << shift
-            continue
-        j, s = move
-        s = as_fraction(s)
-        if s.denominator == 1:
-            s = s.numerator
-        else:
-            rational = True
-        to = dst_shift - FIELD_BITS * (j + 1)
-        odd = source.generators[i].is_odd
-        if to == shift and s == 1 and not odd:
-            kept |= FIELD_MASK << shift
-        else:
-            moved.append((shift, to, s, j if odd else None))
-    terms = p._terms
-    if rational:
-        terms = {m: Fraction(n, p._den) for m, n in terms.items()}
-    limit = target.key_limit
-    out = {}
-    for key, c in terms.items():
-        if key & dropped:
-            continue
-        new = (key >> src_shift << dst_shift) | (key & kept)
-        seen = 0  # bit j: an odd generator already landed on target field j
-        swaps = 0
-        for shift, to, s, j in moved:
-            e = (key >> shift) & FIELD_MASK
-            if not e:
+    return _KeyPlan(p.ring, target, moves).apply(p)
+
+
+class _KeyPlan:
+    """The key rewrite of one generator-to-generator map (see
+    ``remap_keys``), worked out once from its moves.
+
+    A map that can neither scale, sign, drop, merge nor truncate a key
+    takes the mask case: every moved generator is even with scalar 1, none
+    goes to zero, no two fields land on one target field, and the target's
+    cap is not below the source's.  Its key map is then injective, so the
+    numerators and the denominator carry over unchanged, and each key is
+    cut by one mask per field offset (the degree field's included) and
+    each piece shifted by its offset.  Any other map walks each key's
+    moved fields.
+    """
+
+    __slots__ = ("target", "src_shift", "dst_shift", "dropped", "kept", "moved", "rational", "blocks")
+
+    def __init__(self, source: RingPresentation, target: RingPresentation, moves):
+        self.target = target
+        self.src_shift = src_shift = source.degree_shift
+        self.dst_shift = dst_shift = target.degree_shift
+        # fields sent to zero, and fields copied where they are (even, scale 1,
+        # same shift)
+        dropped = kept = 0
+        rational = False
+        moved = []  # (source shift, target shift, scalar, target index if odd)
+        offsets = {dst_shift - src_shift: FIELD_MASK << src_shift}  # offset: mask
+        landed = set()
+        for i, move in enumerate(moves):
+            shift = src_shift - FIELD_BITS * (i + 1)
+            if move is None:
+                dropped |= FIELD_MASK << shift
                 continue
-            new += e << to
-            if s != 1:
-                c = c * s**e
-            if j is not None:
-                if seen >> j & 1:
-                    break  # the square of an odd generator
-                swaps += (seen >> j).bit_count()
-                seen |= 1 << j
-        else:
-            if new < limit:
-                out[new] = out.get(new, 0) + (-c if swaps & 1 else c)
-    if rational:
-        return _from_fractions(target, out)
-    return _normal_form(target, p._den, out)
+            j, s = move
+            s = as_fraction(s)
+            if s.denominator == 1:
+                s = s.numerator
+            else:
+                rational = True
+            to = dst_shift - FIELD_BITS * (j + 1)
+            landed.add(to)
+            offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
+            odd = source.generators[i].is_odd
+            if to == shift and s == 1 and not odd:
+                kept |= FIELD_MASK << shift
+            else:
+                moved.append((shift, to, s, j if odd else None))
+        self.dropped, self.kept, self.moved, self.rational = dropped, kept, moved, rational
+        # the mask case: the mask of offset 0, then (up mask, shift, down
+        # mask, shift) per pair of an upward and a downward offset, the
+        # shorter side padded with empty masks
+        self.blocks = None
+        if (
+            not dropped
+            and len(landed) == len(moves)
+            and target.degree_cap >= source.degree_cap
+            and all(s == 1 and j is None for _, _, s, j in moved)
+        ):
+            still = offsets.pop(0, 0)
+            up = [(mask, d) for d, mask in offsets.items() if d > 0]
+            down = [(mask, -d) for d, mask in offsets.items() if d < 0]
+            self.blocks = still, [a + b for a, b in zip_longest(up, down, fillvalue=(0, 0))]
+
+    def apply(self, p: GradedPolynomial) -> GradedPolynomial:
+        if self.blocks is not None:
+            still, pairs = self.blocks
+            keys = p._terms.keys()
+            new = [key & still for key in keys]
+            for up, u, down, d in pairs:
+                new = [m | (key & up) << u | (key & down) >> d for m, key in zip(new, keys)]
+            return GradedPolynomial(self.target, dict(zip(new, p._terms.values())), p._den)
+        src_shift, dst_shift = self.src_shift, self.dst_shift
+        dropped, kept, moved = self.dropped, self.kept, self.moved
+        terms = p._terms
+        if self.rational:
+            terms = {m: Fraction(n, p._den) for m, n in terms.items()}
+        limit = self.target.key_limit
+        out = {}
+        for key, c in terms.items():
+            if key & dropped:
+                continue
+            new = (key >> src_shift << dst_shift) | (key & kept)
+            seen = 0  # bit j: an odd generator already landed on target field j
+            swaps = 0
+            for shift, to, s, j in moved:
+                e = (key >> shift) & FIELD_MASK
+                if not e:
+                    continue
+                new += e << to
+                if s != 1:
+                    c = c * s**e
+                if j is not None:
+                    if seen >> j & 1:
+                        break  # the square of an odd generator
+                    swaps += (seen >> j).bit_count()
+                    seen |= 1 << j
+            else:
+                if new < limit:
+                    out[new] = out.get(new, 0) + (-c if swaps & 1 else c)
+        if self.rational:
+            return _from_fractions(self.target, out)
+        return _normal_form(self.target, p._den, out)
 
 
 def eliminate_leading(p: GradedPolynomial, target: RingPresentation, step) -> GradedPolynomial:
@@ -659,6 +715,7 @@ class RingMorphism:
             )
         self.images = imgs
         self._moves = _generator_moves(imgs.values())
+        self._plan = None if self._moves is None else _KeyPlan(source, target, self._moves)
 
     @classmethod
     def identity(cls, ring: RingPresentation) -> "RingMorphism":
@@ -691,8 +748,8 @@ class RingMorphism:
         list, which builds each monomial image once for all of them."""
         if any(p.ring != self.source for p in polys):
             raise PresentationMismatch("polynomial is not over the morphism source")
-        if self._moves is not None:
-            return [remap_keys(p, self.target, self._moves) for p in polys]
+        if self._plan is not None:
+            return [self._plan.apply(p) for p in polys]
         return self._map_generic(polys)
 
     def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import EngineError, PreconditionError, SymmetryError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, eliminate_leading
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _normal_form, eliminate_leading
 from .spaces import check_n_l, working_cap
 
 
@@ -200,16 +200,16 @@ def shifted_chern_sum(
 
         sum_{i=0..k} (-1/l)^i C(n-k+i, i) twist^i prefix_{k-i}    (prefix_0 = 1)
 
-    over ring, whose generators include twist and prefix1..prefixk."""
-    t_idx = ring.index[twist]
-    out = {}
+    over ring, whose generators include an even twist and prefix1..prefixk,
+    prefix_j of j times the twist's degree, so every summand has prefix_k's
+    degree.  Summand i is (-1)^i C(n-k+i, i) l^(k-i) over l^k at the key of
+    its monomial: i twist keys plus the prefix_{k-i} key."""
+    t = ring.generator_key(twist)
+    nums = {}
     for i in range(k + 1 if terms is None else terms):
-        exps = [0] * len(ring.generators)
-        exps[t_idx] = i
-        if k - i >= 1:
-            exps[ring.index[f"{prefix}{k - i}"]] = 1
-        out[tuple(exps)] = Fraction(-1, l) ** i * comb(n - k + i, i)
-    return ring.from_exponents(out)
+        key = i * t + (ring.generator_key(f"{prefix}{k - i}") if k - i else 0)
+        nums[key] = (-1) ** i * comb(n - k + i, i) * l ** (k - i)
+    return _normal_form(ring, l**k, nums)
 
 
 def fractional_chern_closed(model: RootModel, k: int) -> GradedPolynomial:

@@ -16,6 +16,8 @@ from fracchern.gcring import (
     eliminate_leading,
     transplant,
 )
+from fracchern.spaces import SPACE_NAMES, space_ring
+from fracchern.symroots import RootModel
 from fracchern.transgression import DerivationTable
 
 from conftest import random_polynomial
@@ -493,6 +495,18 @@ def test_single_and_batched_maps_refuse_a_foreign_polynomial_alike(even_ring, lo
             apply()
         messages.append(str(info.value))
     assert messages == ["polynomial is not over the morphism source"] * 2
+
+
+def test_gen_is_the_unit_exponent_element():
+    rings = [space_ring(name, n=4, l=2) for name in SPACE_NAMES]
+    model = RootModel(3, 3, extra_even=("b",))
+    for ring in rings + [model.ring, model.e_ring]:
+        for i, name in enumerate(ring.names):
+            unit = tuple(int(j == i) for j in range(len(ring.names)))
+            reference = ring.from_exponents({unit: 1})
+            assert ring.gen(name) == reference and hash(ring.gen(name)) == hash(reference)
+        with pytest.raises(ExpressionError, match="^unknown generator 'zz'$"):
+            ring.gen("zz")
 
 
 def test_presentation_size_limits():

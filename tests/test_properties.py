@@ -212,6 +212,43 @@ def test_key_remap_matches_generic_path(case):
 
 
 @st.composite
+def unit_renames(draw):
+    """A unit-scalar rename of an even ring, with an element of the source:
+    an endomorphism sending each generator to one of equal degree (most
+    often a permutation, else two may merge), or a map by name onto the
+    generators in another order, with the target cap below, at or above the
+    source's."""
+    degrees = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=6))
+    cap = draw(st.integers(max(degrees), 10))
+    source = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], cap)
+    if draw(st.booleans()):
+        target, mapping = source, {}
+        merge = draw(st.integers(0, 3)) == 0
+        for d in set(degrees):
+            names = [g.name for g in source.generators if g.degree == d]
+            images = [draw(st.sampled_from(names)) for _ in names] if merge else draw(st.permutations(names))
+            mapping.update(zip(names, images))
+    else:
+        cap = source.degree_cap + draw(st.sampled_from([-2, 0, 2]))
+        target = RingPresentation(draw(st.permutations(source.generators)), max(cap, max(degrees)))
+        mapping = {}
+    return RingMorphism.rename(source, target, mapping), draw(polynomials(source))
+
+
+@settings(checked, max_examples=300)
+@given(unit_renames())
+def test_mask_case_matches_generic_path(case):
+    """Such a map takes the mask case exactly when it is injective and the
+    target's cap is not below the source's."""
+    f, p = case
+    injective = len({j for j, _ in f._moves}) == len(f._moves)
+    assert (f._plan.blocks is not None) == (injective and f.target.degree_cap >= f.source.degree_cap)
+    image = f(p)
+    assert image == f._apply_generic(p)
+    assert_normal_form(image)
+
+
+@st.composite
 def batches(draw):
     """A map on the key path or the generic path, with a list of source
     elements that mixes denominators 3 and 4, zero and a constant."""

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from fracchern import qtheta as qt
 from fracchern import symroots as sr
 from fracchern.errors import EngineError, PreconditionError, SymmetryError
-from fracchern.gcring import RingMorphism
+from fracchern.gcring import RingMorphism, RingPresentation
 
 from conftest import random_polynomial
 
@@ -79,6 +80,14 @@ def test_root_tables_are_built_once_per_model():
     assert qt._fractional_maps(m) is maps and m._witten_tables["levels"] is levels
     assert len(levels) == 2 and all(len(table) == 5 for table in levels)
     assert qt._fractional_maps(other) is not maps
+
+
+@pytest.mark.parametrize("n,extra", [(2, ()), (3, ()), (6, ("b",)), (9, ())])
+def test_root_permutations_take_the_mask_case(n, extra):
+    """A silent fall back to the per-field loop would show here."""
+    m = sr.RootModel(n, 1, extra_even=extra)
+    for f in [*sr.root_transpositions(m), m._cycle]:
+        assert f._plan.blocks is not None
 
 
 def test_lone_sigma_cache_entries_share_the_sigma_table():
@@ -315,6 +324,34 @@ def test_express_roundtrip_random(rng, n, l, extra):
     for _ in range(15):
         e_poly = random_polynomial(m.e_ring, rng)
         assert sr.express_in_elementary(back(e_poly), m) == e_poly
+
+
+def _shifted_chern_sum_reference(ring, twist, prefix, n, l, k, terms):
+    """shifted_chern_sum built from exponent tuples and Fractions."""
+    out = {}
+    for i in range(k + 1 if terms is None else terms):
+        exps = [0] * len(ring.generators)
+        exps[ring.index[twist]] = i
+        if k - i >= 1:
+            exps[ring.index[f"{prefix}{k - i}"]] = 1
+        out[tuple(exps)] = Fraction(-1, l) ** i * comb(n - k + i, i)
+    return ring.from_exponents(out)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_shifted_chern_sum_matches_exponent_reference(n):
+    """The twist first (the elementary ring, the trivialization ring) and
+    last, every l | n, every k and every number of summands."""
+    model = sr.RootModel(n, 1)
+    twist_last = RingPresentation([(f"c{j}", 2 * j) for j in range(1, n + 1)] + [("g", 2)], 2 * n)
+    trivialization = sr.change_trivialization_ring(model)
+    for ring, twist, prefix in [(model.e_ring, "a", "e"), (trivialization, "x", "f"), (twist_last, "g", "c")]:
+        for l in divisors(n):
+            for k in range(n + 1):
+                for terms in (None, *range(k + 2)):
+                    got = sr.shifted_chern_sum(ring, twist, prefix, n, l, k, terms)
+                    want = _shifted_chern_sum_reference(ring, twist, prefix, n, l, k, terms)
+                    assert got == want and hash(got) == hash(want)
 
 
 def test_closed_form_examples():
