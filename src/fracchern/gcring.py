@@ -683,17 +683,22 @@ def element_of_degree(target: RingPresentation, value, degree: int, what: str) -
 
 def _generator_moves(images):
     """``remap_keys`` moves for images that are each zero or a scalar times
-    one generator, else None."""
+    one generator, else None.  Such an image has one key whose exponent
+    bits are a single 1 at the bottom of a field."""
     moves = []
     for img in images:
-        terms = img.terms()
-        if not terms:
+        if not img._terms:
             moves.append(None)
-        elif len(terms) == 1 and sum(terms[0][0]) == 1:
-            exps, s = terms[0]
-            moves.append((exps.index(1), s))
-        else:
+            continue
+        if len(img._terms) != 1:
             return None
+        ((key, num),) = img._terms.items()
+        ring = img.ring
+        bits = key & ((1 << ring.degree_shift) - 1)
+        if bits & (bits - 1) or bits.bit_length() % FIELD_BITS != 1:
+            return None
+        field = bits.bit_length() // FIELD_BITS
+        moves.append((len(ring.generators) - 1 - field, num if img._den == 1 else Fraction(num, img._den)))
     return tuple(moves)
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm, prod
 
+from ._kernel import mul_terms
 from .errors import EngineError, PreconditionError, SymmetryError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _normal_form, eliminate_leading
+from .gcring import FIELD_BITS, FIELD_MASK, GradedPolynomial, RingMorphism, RingPresentation
+from .gcring import _normal_form, eliminate_leading
 from .spaces import check_n_l, working_cap
 
 
@@ -47,6 +49,10 @@ class RootModel:
         elementary = [(f"e{k}", 2 * k) for k in range(1, n + 1)]
         self.e_ring = RingPresentation(params + elementary, degree_cap)
         self._sigma_power_cache: dict[tuple, GradedPolynomial] = {}
+        # express_in_elementary's tables: the dominant part of each sigma
+        # product, and the orbit size of each root part
+        self._dominant_power_cache: dict[tuple, GradedPolynomial] = {}
+        self._orbit_sizes: dict[int, int] = {}
         # qtheta's tables for this model (the fractional-class maps and the
         # Newton level tables), each built on its first use
         self._witten_tables: dict = {}
@@ -54,6 +60,16 @@ class RootModel:
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
         return _esp(self.roots(), self.n, self.ring)
+
+    @cached_property
+    def _dominance_masks(self) -> tuple:
+        """(roots, tail, high): the exponent fields of x1..xn and of x2..xn,
+        and the top bit of each field of x2..xn (the roots are the lowest
+        fields of a key, x_n the lowest)."""
+        high = 0
+        for _ in range(self.n - 1):
+            high = (high << FIELD_BITS) | (1 << (FIELD_BITS - 1))
+        return (1 << FIELD_BITS * self.n) - 1, (1 << FIELD_BITS * (self.n - 1)) - 1, high
 
     @cached_property
     def _shifted(self) -> list[GradedPolynomial]:
@@ -100,17 +116,34 @@ def _check_k(k: int, n: int) -> None:
 def _esp(values, k_max, ring, k_min=0):
     """Elementary symmetric polynomials e_0..e_k_max of ring elements.
 
-    Only the entries from k_min up are final: after the i-th value the
-    recurrence updates entry j only for j <= i (the others are still zero)
-    and for j >= k_min minus the number of values still to come (lower ones
-    can no longer reach k_min)."""
-    table = [ring.one()] + [ring.zero()] * k_max
-    left = len(values)
-    for i, v in enumerate(values, start=1):
+    The recurrence runs on int numerators: the values are brought to one
+    common denominator D, each entry is a plain {key: numerator} dict of
+    e_j(D * values), each product is one kernel call merged into its entry
+    in place, and e_j = e_j(D * values) / D**j is normalized once at the
+    end.  Only the entries from k_min up are final, and only they are
+    returned (the lower ones are None): after the i-th value the recurrence
+    updates entry j only for j <= i (the others are still zero) and for
+    j >= k_min minus the number of values still to come (lower ones can no
+    longer reach k_min)."""
+    den = lcm(*(v._den for v in values))
+    scaled = [{m: n * (den // v._den) for m, n in v._terms.items()} for v in values]
+    odd_fields, limit = ring.odd_fields, ring.key_limit
+    table = [{0: 1}] + [{} for _ in range(k_max)]
+    left = len(scaled)
+    for i, v in enumerate(scaled, start=1):
         left -= 1
         for j in range(min(k_max, i), max(k_min - left, 1) - 1, -1):
-            table[j] = table[j] + v * table[j - 1]
-    return table
+            entry = table[j]
+            for m, n in mul_terms(table[j - 1], v, odd_fields, limit).items():
+                if m in entry:
+                    s = entry[m] + n
+                    if s:
+                        entry[m] = s
+                    else:
+                        del entry[m]
+                else:
+                    entry[m] = n
+    return [None] * k_min + [_normal_form(ring, den**j, table[j]) for j in range(k_min, k_max + 1)]
 
 
 def elementary_symmetric(k: int, model: RootModel) -> GradedPolynomial:
@@ -158,6 +191,30 @@ def _sigma_power_product(model: RootModel, multiplicities: tuple) -> GradedPolyn
     return out
 
 
+def _dominant_terms(model: RootModel, terms: dict) -> dict:
+    """The terms whose root exponents are non-increasing, x1 >= ... >= xn.
+
+    Shifting the root fields down one field puts x_i's exponent in
+    x_{i+1}'s field; with that field's top bit set, subtracting x_{i+1}'s
+    exponent keeps the bit iff x_i >= x_{i+1}, and never borrows across
+    fields, since every exponent is below the top bit."""
+    roots, tail, high = model._dominance_masks
+    return {
+        m: c for m, c in terms.items() if (((m & roots) >> FIELD_BITS | high) - (m & tail)) & high == high
+    }
+
+
+def _dominant_power(model: RootModel, multiplicities: tuple) -> GradedPolynomial:
+    """The dominant terms of prod_k sigma_k^{m_k}, cached per model; the
+    leading monomial is among them, so the part stays monic."""
+    cached = model._dominant_power_cache.get(multiplicities)
+    if cached is None:
+        full = _sigma_power_product(model, multiplicities)
+        cached = _normal_form(model.ring, full._den, _dominant_terms(model, full._terms))
+        model._dominant_power_cache[multiplicities] = cached
+    return cached
+
+
 def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
     """Rewrite a root-symmetric polynomial in e_1..e_n and the parameters.
 
@@ -165,8 +222,13 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     keys by ``gcring.eliminate_leading``: for symmetric input the lex
     leading root exponents form a partition lambda, and subtracting
     coeff * (parameter monomial) * prod_k sigma_k^(lambda_k - lambda_{k+1})
-    strictly lowers the leading monomial.  Substituting e_k -> sigma_k in
-    the result reproduces the input exactly.
+    strictly lowers the leading monomial.  A symmetric polynomial is fixed
+    by its dominant terms (root exponents non-increasing), one per root
+    orbit, and the leading term is one of them, so the elimination runs on
+    the dominant terms of the input and of each sigma product alone.  Once
+    ``find_asymmetry`` has cleared the input, its term count must be the sum
+    of the orbit sizes of its dominant terms.  Substituting e_k -> sigma_k
+    in the result reproduces the input exactly.
     """
     if p.ring != model.ring:
         raise PreconditionError("polynomial is not over the model's root ring")
@@ -178,6 +240,19 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
         )
     n = model.n
     n_params = len(model.params)
+    dominant = _dominant_terms(model, p._terms)
+    # the orbit of a dominant term has n! / prod (multiplicity of each
+    # root exponent)! terms
+    roots, sizes = model._dominance_masks[0], model._orbit_sizes
+    terms = 0
+    for m in dominant:
+        r = m & roots
+        if r not in sizes:
+            exps = [(r >> FIELD_BITS * f) & FIELD_MASK for f in range(n)]
+            sizes[r] = factorial(n) // prod(factorial(exps.count(e)) for e in set(exps))
+        terms += sizes[r]
+    if terms != len(p._terms):
+        raise EngineError("nonzero remainder in symmetric reduction (internal error)")
 
     # The parameters precede the roots, so the leading key has the top
     # degree, then that degree's top parameter monomial, then the
@@ -185,12 +260,10 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     # the sigma product's leading monomial.
     def step(exps):
         param, lam = exps[:n_params], exps[n_params:]
-        if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-            raise EngineError("nonzero remainder in symmetric reduction (internal error)")
         mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
-        return param + mult, _sigma_power_product(model, mult)
+        return param + mult, _dominant_power(model, mult)
 
-    return eliminate_leading(p, model.e_ring, step)
+    return eliminate_leading(_normal_form(model.ring, p._den, dominant), model.e_ring, step)
 
 
 def shifted_chern_sum(

@@ -43,6 +43,7 @@ def test_criterion(results, number, description):
         (1, verify.closed_vs_brute, (11,)),
         (1, verify.closed_vs_brute, (12,)),
         (1, verify.closed_vs_brute, (13,)),
+        (1, verify.closed_vs_brute, (14,)),
         (3, verify.splitting_relation, (8,)),
         (4, verify.tower_composition, (12,)),
         (5, verify.transgression_suite, (12,)),
@@ -58,6 +59,7 @@ def test_criterion(results, number, description):
         "criterion_1_n_le_11",
         "criterion_1_n_le_12",
         "criterion_1_n_le_13",
+        "criterion_1_n_le_14",
         "criterion_3_n_le_8",
         "criterion_4_n_le_12",
         "criterion_5_n_le_12",

@@ -13,6 +13,7 @@ from fracchern.gcring import (
     GradedPolynomial,
     RingMorphism,
     RingPresentation,
+    _generator_moves,
     eliminate_leading,
     transplant,
 )
@@ -495,6 +496,48 @@ def test_single_and_batched_maps_refuse_a_foreign_polynomial_alike(even_ring, lo
             apply()
         messages.append(str(info.value))
     assert messages == ["polynomial is not over the morphism source"] * 2
+
+
+def _generator_moves_by_terms(images):
+    """The moves read through ``terms()``: the reference for the key route."""
+    moves = []
+    for img in images:
+        terms = img.terms()
+        if not terms:
+            moves.append(None)
+        elif len(terms) == 1 and sum(terms[0][0]) == 1:
+            exps, s = terms[0]
+            moves.append((exps.index(1), s))
+        else:
+            return None
+    return tuple(moves)
+
+
+@pytest.mark.parametrize(
+    "images,keyed",
+    [
+        ({}, True),
+        ({"u": "v", "v": "u", "a": "b", "b": "a"}, True),
+        ({"a": "-a", "b": "3/4*b", "v": "-2*u"}, True),
+        ({"u": "0", "a": "0", "b": "-1/3*a"}, True),
+        ({"a": "a - 1/2*a", "u": "5*v", "b": "0*b"}, True),
+        ({"b": "u*v"}, False),
+        ({"a": "a + b"}, False),
+        ({"c": "2*a^2 - c", "u": "v"}, False),
+    ],
+    ids=["identity", "renames", "scaled", "zero", "rational", "odd_product", "two_terms", "square"],
+)
+def test_generator_moves_match_the_terms_route(images, keyed):
+    ring = RingPresentation([("u", 1), ("a", 2), ("v", 1), ("b", 2), ("c", 4)], 8)
+    images = list(RingMorphism.substitution(ring, images).images.values())
+    expected = _generator_moves_by_terms(images)
+    assert _generator_moves(images) == expected
+    assert (expected is not None) == keyed
+    if keyed:
+        # an integral scalar stays an int
+        assert [type(m[1]) for m in _generator_moves(images) if m] == [
+            int if m[1].denominator == 1 else Fraction for m in expected if m
+        ]
 
 
 def test_gen_is_the_unit_exponent_element():

@@ -151,6 +151,27 @@ def test_express_reports_an_internal_error_if_asymmetry_slips_through(monkeypatc
     assert str(info.value) == "nonzero remainder in symmetric reduction (internal error)"
 
 
+@pytest.mark.parametrize("text", ["x1 + x2", "x1*x2 + x3^2"])
+def test_orbit_guard_refuses_an_asymmetric_input_that_slips_through(monkeypatch, text):
+    """Each input's dominant terms alone would reduce without error (to e1
+    and e2); the term count, 2 against an orbit total of 3, refuses it."""
+    m = sr.RootModel(3, 3)
+    monkeypatch.setattr(sr, "find_asymmetry", lambda p, model: None)
+    with pytest.raises(EngineError) as info:
+        sr.express_in_elementary(m.ring.poly(text), m)
+    assert type(info.value) is EngineError
+    assert str(info.value) == "nonzero remainder in symmetric reduction (internal error)"
+
+
+def test_sigma_power_product_stays_the_full_product():
+    m = sr.RootModel(3, 3)
+    e1 = sr.elementary_symmetric(1, m)
+    assert sr.express_in_elementary(e1 * e1, m) == m.e_ring.poly("e1^2")
+    full = sr._sigma_power_product(m, (2, 0, 0))
+    assert full == e1**2 == m.ring.poly("x1^2 + x2^2 + x3^2 + 2*x1*x2 + 2*x1*x3 + 2*x2*x3")
+    assert m._dominant_power_cache[(2, 0, 0)] == m.ring.poly("x1^2 + 2*x1*x2")
+
+
 def test_express_rejects_a_polynomial_over_another_ring():
     m = sr.RootModel(2, 2)
     other = sr.RootModel(3, 3)
@@ -227,6 +248,29 @@ def test_find_asymmetry_matches_the_full_adjacent_scan(case):
     model, symmetric, perturbed = case
     assert sr.find_asymmetry(symmetric, model) is None
     assert sr.find_asymmetry(perturbed, model) == _asymmetry_by_rename(perturbed, model)
+
+
+_DOMINANCE_MODELS = [
+    sr.RootModel(n, 1, degree_cap=cap, extra_even=extra)
+    for n in range(1, 7)
+    for extra in ((), ("b",))
+    for cap in (None, RingPresentation.MAX_DEGREE_CAP)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_packed_dominance_test_matches_the_unpacked_root_exponents(data):
+    model = data.draw(st.sampled_from(_DOMINANCE_MODELS))
+    top = model.ring.degree_cap // 2
+    exponent = st.one_of(st.integers(0, 2), st.integers(0, top))
+    params = data.draw(st.lists(exponent, min_size=len(model.params), max_size=len(model.params)))
+    roots = data.draw(st.lists(exponent, min_size=model.n, max_size=model.n))
+    if data.draw(st.booleans()):
+        roots.sort(reverse=True)
+    key = model.ring.pack(params + roots)
+    dominant = all(roots[i] >= roots[i + 1] for i in range(model.n - 1))
+    assert bool(sr._dominant_terms(model, {key: 1})) == dominant
 
 
 def _express_by_arithmetic(p, model):
