@@ -478,25 +478,24 @@ class _KeyPlan:
     """The key rewrite of one generator-to-generator map (see
     ``remap_keys``), worked out once from its moves.
 
-    A map that can neither scale, sign, drop, merge nor truncate a key
-    takes the mask case: every moved generator is even with scalar 1, none
-    goes to zero, no two fields land on one target field, and the target's
-    cap is not below the source's.  Its key map is then injective, so the
-    numerators and the denominator carry over unchanged, and each key is
-    cut by one mask per field offset (the degree field's included) and
-    each piece shifted by its offset.  Any other map walks each key's
-    moved fields.
+    The degree field and every plain field (even, scalar 1) move by offset
+    masks: each key is cut by one mask per field offset and the pieces,
+    each shifted by its offset, are added.  Two plain fields on one target
+    field add their exponents, which never carries: the sum is at most the
+    key's degree, below 2**15.  If every field is plain, none goes to zero,
+    no two land on one target field and the target's cap is not below the
+    source's, the key map is injective and that is all (``blocks`` is set):
+    the numerators and the denominator carry over.  Otherwise a walk drops
+    the keys with a field sent to zero, adds the scaled and odd fields with
+    their scalars and Koszul signs, truncates and merges.
     """
 
-    __slots__ = ("target", "src_shift", "dst_shift", "dropped", "kept", "moved", "rational", "blocks")
+    __slots__ = ("target", "dropped", "moved", "rational", "masks", "blocks")
 
     def __init__(self, source: RingPresentation, target: RingPresentation, moves):
         self.target = target
-        self.src_shift = src_shift = source.degree_shift
-        self.dst_shift = dst_shift = target.degree_shift
-        # fields sent to zero, and fields copied where they are (even, scale 1,
-        # same shift)
-        dropped = kept = 0
+        src_shift, dst_shift = source.degree_shift, target.degree_shift
+        dropped = 0  # fields sent to zero
         rational = False
         moved = []  # (source shift, target shift, scalar, target index if odd)
         offsets = {dst_shift - src_shift: FIELD_MASK << src_shift}  # offset: mask
@@ -514,54 +513,45 @@ class _KeyPlan:
                 rational = True
             to = dst_shift - FIELD_BITS * (j + 1)
             landed.add(to)
-            offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
             odd = source.generators[i].is_odd
-            if to == shift and s == 1 and not odd:
-                kept |= FIELD_MASK << shift
+            if s == 1 and not odd:
+                offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
             else:
                 moved.append((shift, to, s, j if odd else None))
-        self.dropped, self.kept, self.moved, self.rational = dropped, kept, moved, rational
-        # the mask case: the mask of offset 0, then (up mask, shift, down
-        # mask, shift) per pair of an upward and a downward offset, the
-        # shorter side padded with empty masks
-        self.blocks = None
-        if (
-            not dropped
-            and len(landed) == len(moves)
-            and target.degree_cap >= source.degree_cap
-            and all(s == 1 and j is None for _, _, s, j in moved)
-        ):
-            still = offsets.pop(0, 0)
-            up = [(mask, d) for d, mask in offsets.items() if d > 0]
-            down = [(mask, -d) for d, mask in offsets.items() if d < 0]
-            self.blocks = still, [a + b for a, b in zip_longest(up, down, fillvalue=(0, 0))]
+        self.dropped, self.moved, self.rational = dropped, moved, rational
+        # the mask of offset 0, then (up mask, shift, down mask, shift) per
+        # pair of an upward and a downward offset, the shorter side padded
+        # with empty masks
+        still = offsets.pop(0, 0)
+        up = [(mask, d) for d, mask in offsets.items() if d > 0]
+        down = [(mask, -d) for d, mask in offsets.items() if d < 0]
+        self.masks = still, [a + b for a, b in zip_longest(up, down, fillvalue=(0, 0))]
+        injective = not (dropped or moved) and len(landed) == len(moves)
+        self.blocks = self.masks if injective and target.degree_cap >= source.degree_cap else None
 
     def apply(self, p: GradedPolynomial) -> GradedPolynomial:
+        still, pairs = self.masks
+        keys = p._terms.keys()
+        new = [key & still for key in keys]
+        for up, u, down, d in pairs:
+            new = [m + ((key & up) << u) + ((key & down) >> d) for m, key in zip(new, keys)]
         if self.blocks is not None:
-            still, pairs = self.blocks
-            keys = p._terms.keys()
-            new = [key & still for key in keys]
-            for up, u, down, d in pairs:
-                new = [m | (key & up) << u | (key & down) >> d for m, key in zip(new, keys)]
             return GradedPolynomial(self.target, dict(zip(new, p._terms.values())), p._den)
-        src_shift, dst_shift = self.src_shift, self.dst_shift
-        dropped, kept, moved = self.dropped, self.kept, self.moved
+        dropped, moved = self.dropped, self.moved
         terms = p._terms
         if self.rational:
             terms = {m: Fraction(n, p._den) for m, n in terms.items()}
         limit = self.target.key_limit
         out = {}
-        for key, c in terms.items():
+        for m, (key, c) in zip(new, terms.items()):
             if key & dropped:
                 continue
-            new = (key >> src_shift << dst_shift) | (key & kept)
-            seen = 0  # bit j: an odd generator already landed on target field j
-            swaps = 0
+            seen = swaps = 0  # bit j of seen: an odd generator landed on target field j
             for shift, to, s, j in moved:
                 e = (key >> shift) & FIELD_MASK
                 if not e:
                     continue
-                new += e << to
+                m += e << to
                 if s != 1:
                     c = c * s**e
                 if j is not None:
@@ -570,8 +560,8 @@ class _KeyPlan:
                     swaps += (seen >> j).bit_count()
                     seen |= 1 << j
             else:
-                if new < limit:
-                    out[new] = out.get(new, 0) + (-c if swaps & 1 else c)
+                if m < limit:
+                    out[m] = out.get(m, 0) + (-c if swaps & 1 else c)
         if self.rational:
             return _from_fractions(self.target, out)
         return _normal_form(self.target, p._den, out)

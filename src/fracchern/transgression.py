@@ -74,7 +74,7 @@ def free_suspend(table: DerivationTable, p: GradedPolynomial) -> GradedPolynomia
                     continue
                 name = source.names[j]
                 idx = target.index.get(name)
-                if idx is None:
+                if idx is None or target.degrees[idx] != source.degrees[j]:
                     raise PreconditionError(
                         f"generator {name} has no namesake in the target ring"
                     )

@@ -45,9 +45,13 @@ def test_criterion(results, number, description):
         (1, verify.closed_vs_brute, (13,)),
         (1, verify.closed_vs_brute, (14,)),
         (3, verify.splitting_relation, (8,)),
+        (3, verify.splitting_relation, (10,)),
         (4, verify.tower_composition, (12,)),
+        (4, verify.tower_composition, (24,)),
         (5, verify.transgression_suite, (12,)),
+        (5, verify.transgression_suite, (24,)),
         (6, verify.loop_tower, (12,)),
+        (6, verify.loop_tower, (24,)),
         (9, verify.q_series, (4, 6)),
         (9, verify.q_series, (5, 6)),
         (9, verify.q_series, (6, 6)),
@@ -61,9 +65,13 @@ def test_criterion(results, number, description):
         "criterion_1_n_le_13",
         "criterion_1_n_le_14",
         "criterion_3_n_le_8",
+        "criterion_3_n_le_10",
         "criterion_4_n_le_12",
+        "criterion_4_n_le_24",
         "criterion_5_n_le_12",
+        "criterion_5_n_le_24",
         "criterion_6_n_le_12",
+        "criterion_6_n_le_24",
         "criterion_9_n_le_4_q_order_6",
         "criterion_9_n_le_5_q_order_6",
         "criterion_9_n_le_6_q_order_6",

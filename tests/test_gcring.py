@@ -569,3 +569,19 @@ def test_presentation_size_limits():
     assert (top * z63).render() == f"x1^{cap // 2}*z63"  # exactly at the cap: kept
     assert (top * z63).degree() == cap
     assert (top * z63 * z0).is_zero and (top * (z0 * z63)).is_zero  # one above: dropped
+
+
+def test_merged_plain_fields_reach_the_largest_cap_without_a_carry():
+    """x^a*y^b*z^c -> z^(a+b+c) with the monomial's degree at
+    MAX_DEGREE_CAP: the merged exponent 16383 fills its field, and two
+    monomials merging on one key add their coefficients."""
+    cap = RingPresentation.MAX_DEGREE_CAP
+    ring = RingPresentation([("u", 1), ("x", 2), ("y", 2), ("z", 2)], cap)
+    f = RingMorphism.rename(ring, ring, {"x": "z", "y": "z"})
+    a, b = 5000, 6000
+    c = cap // 2 - a - b
+    p = ring.from_exponents({(1, a, b, c): 3, (0, a, b, c): Fraction(1, 2), (0, c, a, b): -1})
+    image = f(p)
+    assert image == ring.from_exponents({(1, 0, 0, cap // 2): 3, (0, 0, 0, cap // 2): Fraction(-1, 2)})
+    assert image.degree() == cap
+    assert image == f._apply_generic(p)

@@ -90,6 +90,23 @@ def test_root_permutations_take_the_mask_case(n, extra):
         assert f._plan.blocks is not None
 
 
+@pytest.mark.parametrize("extra", [(), ("b",)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parameter_dropping_maps_walk_and_match_the_generic_path(n, extra, rng):
+    """The substitution a -> 0 and the rename e_k -> f_k, which sends the
+    parameters to zero, drop keys, so they take the walk."""
+    m = sr.RootModel(n, n, extra_even=extra)
+    total = sr.shifted_total_chern(m)
+    cases = [
+        (RingMorphism.substitution(m.ring, {"a": 0}), total),
+        (qt._fractional_maps(m)[1], sr.express_in_elementary(total, m)),
+    ]
+    for f, p in cases:
+        assert f._plan is not None and f._plan.blocks is None
+        for q in [p, *(random_polynomial(f.source, rng) for _ in range(8))]:
+            assert f(q) == f._apply_generic(q)
+
+
 def test_lone_sigma_cache_entries_share_the_sigma_table():
     m = sr.RootModel(4, 2)
     sr.express_in_elementary(sr.shifted_total_chern(m), m)

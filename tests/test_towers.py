@@ -12,6 +12,8 @@ from fracchern.spaces import SPACE_NAMES, space_ring
 from fracchern.symroots import RootModel, fractional_chern_closed
 from fracchern.verify import load_fixture
 
+from conftest import random_polynomial
+
 
 def divisors_gt1(n):
     return [l for l in range(2, n + 1) if n % l == 0]
@@ -565,3 +567,15 @@ def test_phi_pullback_parameter_violations():
         tw.phi_pullback(4, 3, 1)
     with pytest.raises(PreconditionError):
         tw.phi_pullback(4, 2, 5)
+
+
+@pytest.mark.parametrize("name", ["Bi2l", "BhatLi2l"])
+@pytest.mark.parametrize("n,l", [(2, 2), (4, 2), (6, 2), (6, 3), (6, 6)])
+def test_merging_maps_walk_and_match_the_generic_path(name, n, l, rng):
+    """g -> cb1 is a plain field and c1 -> s*cb1 a scaled one on the same
+    target field: the merge takes the walk."""
+    f = tw.builtin_morphism(name, n, l).morphism
+    assert f._plan is not None and f._plan.blocks is None
+    g, c1 = f.source.gen("g"), f.source.gen("c1")
+    for p in [g**2 * c1, *(random_polynomial(f.source, rng) for _ in range(12))]:
+        assert f(p) == f._apply_generic(p)

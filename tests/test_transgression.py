@@ -45,6 +45,18 @@ def test_free_suspend_rejects_unvalued_generator():
         tg.free_suspend(tab, tab.source.gen("c3"))
 
 
+def test_free_suspend_refuses_a_namesake_of_another_degree():
+    """The target's c1 has degree 4, not 2: the cofactor c1 of nu(c1^2) has
+    no namesake there, rather than landing as 2*z1*c1 of degree 5."""
+    src = RingPresentation([("c1", 2), ("c2", 4)], 8)
+    tgt = RingPresentation([("z1", 1), ("c1", 4), ("z2", 3)], 8)
+    tab = tg.DerivationTable(src, tgt, {"c1": "z1", "c2": "z2"})
+    with pytest.raises(PreconditionError, match="^generator c1 has no namesake in the target ring$"):
+        tg.free_suspend(tab, src.gen("c1") ** 2)
+    # a lone generator has no cofactor to carry
+    assert tg.free_suspend(tab, src.poly("c1 + 2*c2")) == tgt.poly("z1 + 2*z2")
+
+
 def test_table_validation():
     src = RingPresentation([("c1", 2)], 8)
     tgt = RingPresentation([("z1", 1), ("c1", 2)], 8)
