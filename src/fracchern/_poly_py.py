@@ -8,7 +8,9 @@ in the ring's ``odd_fields``, and a later generator sits in a lower bit.
 Coefficients are integer numerators: ``gcring`` keeps each element's one
 denominator and multiplies the two denominators of a product itself.
 The kernel sorts only its right operand, once per call, and cuts each inner
-loop at the key limit.  ``_kernel`` re-exports it.
+loop at the key limit.  ``_koszul_sign`` is the one Koszul sign rule: ring
+maps that move odd generators take their signs from products made here.
+``_kernel`` re-exports it.
 """
 
 KERNEL_NAME = "python"

@@ -184,7 +184,10 @@ class RingPresentation:
             if key >= self.key_limit:
                 raise PreconditionError("monomial exceeds degree cap")
             packed_terms[key] = packed_terms.get(key, 0) + c
-        return _from_fractions(self, packed_terms)
+        den = lcm(*(c.denominator for c in packed_terms.values()))
+        return _normal_form(
+            self, den, {m: c.numerator * (den // c.denominator) for m, c in packed_terms.items()}
+        )
 
     def poly(self, text: str) -> "GradedPolynomial":
         """Parse an expression ("c2 - 3/2*a*c1 + 3/2*a^2") over this ring."""
@@ -234,14 +237,6 @@ def _normal_form(ring: RingPresentation, den: int, nums: dict) -> "GradedPolynom
             for m, n in nums.items():
                 nums[m] = n // g
     return GradedPolynomial(ring, nums, den)
-
-
-def _from_fractions(ring: RingPresentation, coefs: dict) -> "GradedPolynomial":
-    """The element with {key: Fraction or int} coefficients."""
-    den = lcm(*(c.denominator for c in coefs.values()))
-    return _normal_form(
-        ring, den, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()}
-    )
 
 
 class GradedPolynomial:
@@ -458,46 +453,47 @@ class GradedPolynomial:
 
 
 def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPolynomial:
-    """Apply a generator-to-generator map to p by rewriting its keys.
+    """Apply a generator-to-generator map to p: the ``RingMorphism`` of
+    ``moves``, applied once.
 
     ``moves`` has one entry per generator of p's ring: None sends it to
     zero, ``(j, s)`` sends it to s times target generator j, which must have
-    the same degree.  So a monomial keeps its degree field; each exponent
-    field moves to its target field and scales the coefficient by s**e.
-    Monomials above the target cap, or with two odd generators on one
-    target field, vanish; the rest take the Koszul sign of sorting their odd
-    generators' target indices, read in source order.  Integer scalars keep
-    the numerators ints over p's denominator; a rational one scales
-    Fractions, brought back to one denominator at the end.  The rewrite is
-    planned for this call; a ``RingMorphism`` plans its own once.
+    the same degree; s may be rational.  Monomials above the target cap, or
+    with two odd generators on one target generator, vanish.
     """
-    return _KeyPlan(p.ring, target, moves).apply(p)
+    images = {}
+    for g, move in zip(p.ring.generators, moves):
+        if move is None:
+            images[g.name] = target.zero()
+            continue
+        j, s = move
+        if not 0 <= j < len(target.generators):
+            raise PreconditionError(f"image of {g.name}: no target generator {j}")
+        images[g.name] = target.gen(target.names[j]) * as_fraction(s)
+    return RingMorphism(p.ring, target, images)(p)
 
 
 class _KeyPlan:
-    """The key rewrite of one generator-to-generator map (see
-    ``remap_keys``), worked out once from its moves.
+    """The key rewrite of a map sending each generator to zero or to an
+    even target generator with scalar 1, worked out once from its moves.
 
-    The degree field and every plain field (even, scalar 1) move by offset
-    masks: each key is cut by one mask per field offset and the pieces,
-    each shifted by its offset, are added.  Two plain fields on one target
-    field add their exponents, which never carries: the sum is at most the
-    key's degree, below 2**15.  If every field is plain, none goes to zero,
-    no two land on one target field and the target's cap is not below the
-    source's, the key map is injective and that is all (``blocks`` is set):
-    the numerators and the denominator carry over.  Otherwise a walk drops
-    the keys with a field sent to zero, adds the scaled and odd fields with
-    their scalars and Koszul signs, truncates and merges.
+    The degree field and every kept field move by offset masks: each key is
+    cut by one mask per field offset and the pieces, each shifted by its
+    offset, are added.  Two fields on one target field add their exponents,
+    which never carries: the sum is at most the key's degree, below 2**15.
+    If no field goes to zero, no two land on one target field and the
+    target's cap is not below the source's, the key map is injective and
+    that is all (``blocks`` is set): the numerators and the denominator
+    carry over.  Otherwise one pass drops the keys with a field sent to
+    zero or above the target's cap and sums the keys that collide.
     """
 
-    __slots__ = ("target", "dropped", "moved", "rational", "masks", "blocks")
+    __slots__ = ("target", "dropped", "masks", "blocks")
 
     def __init__(self, source: RingPresentation, target: RingPresentation, moves):
         self.target = target
         src_shift, dst_shift = source.degree_shift, target.degree_shift
         dropped = 0  # fields sent to zero
-        rational = False
-        moved = []  # (source shift, target shift, scalar, target index if odd)
         offsets = {dst_shift - src_shift: FIELD_MASK << src_shift}  # offset: mask
         landed = set()
         for i, move in enumerate(moves):
@@ -505,20 +501,10 @@ class _KeyPlan:
             if move is None:
                 dropped |= FIELD_MASK << shift
                 continue
-            j, s = move
-            s = as_fraction(s)
-            if s.denominator == 1:
-                s = s.numerator
-            else:
-                rational = True
-            to = dst_shift - FIELD_BITS * (j + 1)
+            to = dst_shift - FIELD_BITS * (move[0] + 1)
             landed.add(to)
-            odd = source.generators[i].is_odd
-            if s == 1 and not odd:
-                offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
-            else:
-                moved.append((shift, to, s, j if odd else None))
-        self.dropped, self.moved, self.rational = dropped, moved, rational
+            offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
+        self.dropped = dropped
         # the mask of offset 0, then (up mask, shift, down mask, shift) per
         # pair of an upward and a downward offset, the shorter side padded
         # with empty masks
@@ -526,7 +512,7 @@ class _KeyPlan:
         up = [(mask, d) for d, mask in offsets.items() if d > 0]
         down = [(mask, -d) for d, mask in offsets.items() if d < 0]
         self.masks = still, [a + b for a, b in zip_longest(up, down, fillvalue=(0, 0))]
-        injective = not (dropped or moved) and len(landed) == len(moves)
+        injective = not dropped and len(landed) == len(moves)
         self.blocks = self.masks if injective and target.degree_cap >= source.degree_cap else None
 
     def apply(self, p: GradedPolynomial) -> GradedPolynomial:
@@ -537,33 +523,11 @@ class _KeyPlan:
             new = [m + ((key & up) << u) + ((key & down) >> d) for m, key in zip(new, keys)]
         if self.blocks is not None:
             return GradedPolynomial(self.target, dict(zip(new, p._terms.values())), p._den)
-        dropped, moved = self.dropped, self.moved
-        terms = p._terms
-        if self.rational:
-            terms = {m: Fraction(n, p._den) for m, n in terms.items()}
-        limit = self.target.key_limit
+        dropped, limit = self.dropped, self.target.key_limit
         out = {}
-        for m, (key, c) in zip(new, terms.items()):
-            if key & dropped:
-                continue
-            seen = swaps = 0  # bit j of seen: an odd generator landed on target field j
-            for shift, to, s, j in moved:
-                e = (key >> shift) & FIELD_MASK
-                if not e:
-                    continue
-                m += e << to
-                if s != 1:
-                    c = c * s**e
-                if j is not None:
-                    if seen >> j & 1:
-                        break  # the square of an odd generator
-                    swaps += (seen >> j).bit_count()
-                    seen |= 1 << j
-            else:
-                if m < limit:
-                    out[m] = out.get(m, 0) + (-c if swaps & 1 else c)
-        if self.rational:
-            return _from_fractions(self.target, out)
+        for m, (key, n) in zip(new, p._terms.items()):
+            if not key & dropped and m < limit:
+                out[m] = out.get(m, 0) + n
         return _normal_form(self.target, p._den, out)
 
 
@@ -709,8 +673,11 @@ class RingMorphism:
                 target, images[g.name], g.degree, f"image of {g.name}"
             )
         self.images = imgs
-        self._moves = _generator_moves(imgs.values())
-        self._plan = None if self._moves is None else _KeyPlan(source, target, self._moves)
+        self._moves = moves = _generator_moves(imgs.values())
+        plain = moves is not None and all(
+            m is None or m[1] == 1 and not target.degrees[m[0]] % 2 for m in moves
+        )
+        self._plan = _KeyPlan(source, target, moves) if plain else None
 
     @classmethod
     def identity(cls, ring: RingPresentation) -> "RingMorphism":
@@ -738,9 +705,11 @@ class RingMorphism:
         return self.map_all([p])[0]
 
     def map_all(self, polys) -> list:
-        """Each of ``polys`` mapped.  A generator-to-generator map rewrites
-        keys; any other map takes the generic route once for the whole
-        list, which builds each monomial image once for all of them."""
+        """Each of ``polys`` mapped.  A map sending each generator to zero
+        or to an even generator with scalar 1 rewrites keys; any other map
+        (scaled, odd or rational generator maps too) takes the generic
+        route once for the whole list, which builds each monomial image
+        once for all of them."""
         if any(p.ring != self.source for p in polys):
             raise PresentationMismatch("polynomial is not over the morphism source")
         if self._plan is not None:
@@ -749,7 +718,7 @@ class RingMorphism:
 
     def _apply_generic(self, p: GradedPolynomial) -> GradedPolynomial:
         """The generic route for one polynomial, whatever the images: the
-        reference for ``remap_keys``."""
+        reference for the key plan."""
         return self._map_generic([p])[0]
 
     def _map_generic(self, polys) -> list:

@@ -15,6 +15,7 @@ from fracchern.gcring import (
     RingPresentation,
     _generator_moves,
     eliminate_leading,
+    remap_keys,
     transplant,
 )
 from fracchern.spaces import SPACE_NAMES, space_ring
@@ -134,6 +135,25 @@ def test_transplant_matches_names_and_names_the_first_fault():
         with pytest.raises(PreconditionError) as info:
             transplant(source.poly(text), ring)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "moves,message",
+    [
+        ([(0, 1), (1, 1)], "image of x must be homogeneous of degree 2"),
+        ([(-1, 1), (0, 1)], "image of x: no target generator -1"),
+        ([(5, 1), (0, 1)], "image of x: no target generator 5"),
+    ],
+    ids=["other_degree", "negative_index", "index_past_the_end"],
+)
+def test_remap_keys_refuses_malformed_moves(moves, message):
+    source = RingPresentation([("x", 2), ("y", 4)], 8)
+    target = RingPresentation([("u", 4), ("v", 2)], 8)
+    p = source.poly("x^2 + y")
+    assert remap_keys(p, target, [(1, 1), (0, 1)]) == target.poly("v^2 + u")
+    with pytest.raises(PreconditionError) as info:
+        remap_keys(p, target, moves)
+    assert str(info.value) == message
 
 
 def test_apply_morphism_expands_square(even_ring):

@@ -211,6 +211,15 @@ def test_key_remap_matches_generic_path(case):
     assert f(p) == f._apply_generic(p)
 
 
+@settings(checked, max_examples=300)
+@given(generator_maps())
+def test_remap_keys_matches_generic_path(case):
+    """Odd reorderings, rational scalars, merges and a lower target cap,
+    given as moves."""
+    f, p = case
+    assert remap_keys(p, f.target, f._moves) == f._apply_generic(p)
+
+
 @st.composite
 def unit_renames(draw):
     """A unit-scalar rename of an even ring, with an element of the source:

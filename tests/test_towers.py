@@ -572,10 +572,26 @@ def test_phi_pullback_parameter_violations():
 @pytest.mark.parametrize("name", ["Bi2l", "BhatLi2l"])
 @pytest.mark.parametrize("n,l", [(2, 2), (4, 2), (6, 2), (6, 3), (6, 6)])
 def test_merging_maps_walk_and_match_the_generic_path(name, n, l, rng):
-    """g -> cb1 is a plain field and c1 -> s*cb1 a scaled one on the same
-    target field: the merge takes the walk."""
+    """g -> cb1 and c1 -> s*cb1 land on the same target field.  Only at
+    s = 1 is every field of Bi2l plain, so only then does the merge take the
+    key plan; BhatLi2l always carries the odd zb1 and z2, so it takes the
+    generic route."""
     f = tw.builtin_morphism(name, n, l).morphism
-    assert f._plan is not None and f._plan.blocks is None
+    assert (f._plan is not None) == (name == "Bi2l" and n == l)
     g, c1 = f.source.gen("g"), f.source.gen("c1")
     for p in [g**2 * c1, *(random_polynomial(f.source, rng) for _ in range(12))]:
         assert f(p) == f._apply_generic(p)
+
+
+@pytest.mark.parametrize("n,l", [(4, 4), (4, 2)])
+def test_only_plain_registry_maps_take_the_key_plan(n, l, rng):
+    """A plan is built only when every generator goes to zero or to an even
+    generator with scalar 1: Bi2l and Brho_s at s = 1, no map at s = 2."""
+    planned = set()
+    for name in tw.MORPHISM_NAMES:
+        f = tw.builtin_morphism(name, n, l).morphism
+        if f._plan is not None:
+            planned.add(name)
+        for p in [random_polynomial(f.source, rng) for _ in range(4)]:
+            assert f(p) == f._apply_generic(p), name
+    assert planned == ({"Bi2l", "Brho_s"} if n == l else set())
