@@ -26,6 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm
@@ -237,6 +238,19 @@ def _normal_form(ring: RingPresentation, den: int, nums: dict) -> "GradedPolynom
             for m, n in nums.items():
                 nums[m] = n // g
     return GradedPolynomial(ring, nums, den)
+
+
+def _linear_combination(ring: RingPresentation, den: int, pairs) -> "GradedPolynomial":
+    """The element sum of n/den * p over the (int n, element p of ring)
+    pairs: one numerator dict over den times the lcm of the p's
+    denominators, normalized once."""
+    common = lcm(*(p._den for _, p in pairs))
+    nums = {}
+    for n, p in pairs:
+        scale = n * (common // p._den)
+        for m, c in p._terms.items():
+            nums[m] = nums.get(m, 0) + scale * c
+    return _normal_form(ring, den * common, nums)
 
 
 class GradedPolynomial:
@@ -456,11 +470,14 @@ def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPo
     """Apply a generator-to-generator map to p: the ``RingMorphism`` of
     ``moves``, applied once.
 
-    ``moves`` has one entry per generator of p's ring: None sends it to
-    zero, ``(j, s)`` sends it to s times target generator j, which must have
-    the same degree; s may be rational.  Monomials above the target cap, or
-    with two odd generators on one target generator, vanish.
+    ``moves`` has one entry per generator of p's ring (more or fewer are
+    refused): None sends it to zero, ``(j, s)`` sends it to s times target
+    generator j, which must have the same degree; s may be rational.
+    Monomials above the target cap, or with two odd generators on one
+    target generator, vanish.
     """
+    if len(moves) > len(p.ring.generators):
+        raise PreconditionError(f"{len(moves)} moves for {len(p.ring.generators)} generators")
     images = {}
     for g, move in zip(p.ring.generators, moves):
         if move is None:
@@ -673,11 +690,24 @@ class RingMorphism:
                 target, images[g.name], g.degree, f"image of {g.name}"
             )
         self.images = imgs
-        self._moves = moves = _generator_moves(imgs.values())
+        self._moves = _generator_moves(imgs.values())
+
+    @cached_property
+    def _plan(self):
+        """The ``_KeyPlan`` of a map sending each generator to zero or to an
+        even generator with scalar 1, else None; built on first use."""
+        moves, target = self._moves, self.target
         plain = moves is not None and all(
             m is None or m[1] == 1 and not target.degrees[m[0]] % 2 for m in moves
         )
-        self._plan = _KeyPlan(source, target, moves) if plain else None
+        return _KeyPlan(self.source, target, moves) if plain else None
+
+    @cached_property
+    def _memo(self) -> dict:
+        """{monomial key: its image} for the generic route, built on first
+        use and grown by every call: the monomials mapped through the map
+        and the divisors met on the way to them."""
+        return {0: self.target.one()}
 
     @classmethod
     def identity(cls, ring: RingPresentation) -> "RingMorphism":
@@ -708,8 +738,8 @@ class RingMorphism:
         """Each of ``polys`` mapped.  A map sending each generator to zero
         or to an even generator with scalar 1 rewrites keys; any other map
         (scaled, odd or rational generator maps too) takes the generic
-        route once for the whole list, which builds each monomial image
-        once for all of them."""
+        route, which builds each monomial image once for the life of the
+        map, whatever calls and lists it is mapped in."""
         if any(p.ring != self.source for p in polys):
             raise PresentationMismatch("polynomial is not over the morphism source")
         if self._plan is not None:
@@ -725,18 +755,19 @@ class RingMorphism:
         """For each p, the sum over its terms of the coefficient times the
         monomial's image.
 
-        The images of monomials are memoized for this call only, across the
-        whole list.  Monomial m's image is image(m / g) * image(g) for g the
-        last generator of m in declared order, so the factors keep m's own
-        (Koszul) order.  Every term of one p is merged into one numerator
-        dict over the lcm of its image denominators and normalized once.
+        The images of monomials are memoized on the map (``_memo``), so
+        every call and every list shares them; they are fixed by the map.
+        Monomial m's image is image(m / g) * image(g) for g the last
+        generator of m in declared order, so the factors keep m's own
+        (Koszul) order.  Each p is one ``_linear_combination`` of its
+        monomials' images.
         """
         source = self.source
         shift = source.degree_shift
         exponent_bits = (1 << shift) - 1
         last = len(source.generators) - 1
         gens = [self.images[name] for name in source.names]
-        memo = {0: self.target.one()}
+        memo = self._memo
 
         def image(key):
             chain = []  # (key, index of its last generator), down to a known key
@@ -752,17 +783,10 @@ class RingMorphism:
                 memo[k] = img
             return img
 
-        out = []
-        for p in polys:
-            terms = [(n, image(m)) for m, n in p._terms.items()]
-            den = lcm(*(img._den for _, img in terms))
-            nums = {}
-            for n, img in terms:
-                scale = n * (den // img._den)
-                for m, c in img._terms.items():
-                    nums[m] = nums.get(m, 0) + scale * c
-            out.append(_normal_form(self.target, p._den * den, nums))
-        return out
+        return [
+            _linear_combination(self.target, p._den, [(n, image(m)) for m, n in p._terms.items()])
+            for p in polys
+        ]
 
     def then(self, after: "RingMorphism") -> "RingMorphism":
         """Composite morphism: first self, then ``after``."""

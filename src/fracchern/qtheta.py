@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 from .errors import EngineError, PreconditionError, VerificationError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _linear_combination
 from .symroots import RootModel, _esp, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
@@ -145,14 +146,15 @@ class HalfQSeries:
         images = f.map_all(list(self._halves.values()))
         return HalfQSeries._from_halves(f.target, dict(zip(self._halves, images)), self._top)
 
-    def _check_compatible(self, other: "HalfQSeries"):
-        if self.ring != other.ring or self._top != other._top:
+    def _check_compatible(self, ring: RingPresentation, top: int):
+        """Refuse a series over another ring or to another order 2*top."""
+        if self.ring != ring or self._top != top:
             raise PreconditionError("series must share ring and q_order")
 
     def __add__(self, other):
         if not isinstance(other, HalfQSeries):
             return NotImplemented
-        self._check_compatible(other)
+        self._check_compatible(other.ring, other._top)
         out = dict(self._halves)
         for k, poly in other._halves.items():
             out[k] = out[k] + poly if k in out else poly
@@ -217,7 +219,7 @@ class HalfQSeries:
 
 def qseries_mul(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
     """Cauchy product, truncated at the shared q_order."""
-    f._check_compatible(g)
+    f._check_compatible(g.ring, g._top)
     top = f._top
     out: dict = {}
     for kf, pf in f._halves.items():
@@ -238,7 +240,7 @@ def qseries_mul(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
 def qseries_div_unit(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
     """Solve h with g*h = f; g must have an invertible constant term
     (nonzero scalar part at q^0)."""
-    f._check_compatible(g)
+    f._check_compatible(g.ring, g._top)
     zero = f.ring.zero()
     g0 = g._halves.get(0, zero)
     if not g0.constant_term():
@@ -395,15 +397,45 @@ def _level_tables(f_ring: RingPresentation) -> list:
     return tables
 
 
+@lru_cache(maxsize=64)
+def _theta0_inverse(kind: WittenKind, n: int, top: int):
+    """(den, ((2e, numerator), ...)): the coefficients of 1/theta0^n to
+    q^(top/2) over one denominator, where theta0 is ``theta_series`` at
+    shift 0.  They are constants, so they are found once per (kind, n, top)
+    in the ring without generators."""
+    scalar = RingPresentation([], 0)
+    q_order = Fraction(top, 2)
+    theta0 = theta_series(kind, scalar.zero(), q_order)
+    inverse = qseries_div_unit(HalfQSeries.unit(scalar, q_order), theta0 ** n)._halves
+    den = lcm(*(h._den for h in inverse.values()))
+    return den, tuple((j, h._terms[0] * (den // h._den)) for j, h in inverse.items())
+
+
 def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> HalfQSeries:
     """Divide by the n-th power of the shift-0 theta series.
 
-    The degree-2p coefficients of the result are the q-expansions whose
-    modularity is governed by the degree-4 obstruction class; they are
-    emitted as formal series, not verified analytically.
+    The series is multiplied by the cached constant coefficients h_j of
+    1/theta0^n (``_theta0_inverse``): the coefficient at q^(k/2) is the
+    one linear combination sum_j h_j s_(k-j).  The degree-2p coefficients
+    of the result are the q-expansions whose modularity is governed by the
+    degree-4 obstruction class; they are emitted as formal series, not
+    verified analytically.
     """
-    theta0 = theta_series(kind, series.ring.zero(), q_order)
-    return qseries_div_unit(series, theta0 ** n)
+    top = _half_steps(q_order)
+    # a kind or an n of another type is built uncached, so that it is
+    # refused as the division refuses it, not as an unhashable key
+    cached = isinstance(kind, WittenKind) and isinstance(n, int)
+    build = _theta0_inverse if cached else _theta0_inverse.__wrapped__
+    den, inverse = build(kind, n, top)
+    series._check_compatible(series.ring, top)
+    halves = series._halves
+    out = {
+        k: _linear_combination(
+            series.ring, den, [(h, halves[k - j]) for j, h in inverse if k - j in halves]
+        )
+        for k in range(top + 1)
+    }
+    return HalfQSeries._from_halves(series.ring, out, top)
 
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:

@@ -143,8 +143,10 @@ def test_transplant_matches_names_and_names_the_first_fault():
         ([(0, 1), (1, 1)], "image of x must be homogeneous of degree 2"),
         ([(-1, 1), (0, 1)], "image of x: no target generator -1"),
         ([(5, 1), (0, 1)], "image of x: no target generator 5"),
+        ([(1, 1)], "no image given for generator y"),
+        ([(1, 1), (0, 1), (9, 3)], "3 moves for 2 generators"),
     ],
-    ids=["other_degree", "negative_index", "index_past_the_end"],
+    ids=["other_degree", "negative_index", "index_past_the_end", "too_few", "surplus"],
 )
 def test_remap_keys_refuses_malformed_moves(moves, message):
     source = RingPresentation([("x", 2), ("y", 4)], 8)

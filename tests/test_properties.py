@@ -220,6 +220,35 @@ def test_remap_keys_matches_generic_path(case):
     assert remap_keys(p, f.target, f._moves) == f._apply_generic(p)
 
 
+@settings(checked, max_examples=150)
+@given(generator_maps(), st.data())
+def test_a_map_keeps_its_monomial_images_across_calls(case, data):
+    """A map whose generic route has already mapped other elements, in a
+    batch and one at a time, gives what a freshly built map gives; its
+    memo holds only divisors of the monomials mapped through it.  A new
+    map builds neither its key plan nor its memo before it is applied,
+    and the key path never builds the memo."""
+    f, p = case
+    polys = [p, p * p] + [data.draw(polynomials(f.source)) for _ in range(3)]
+
+    def fresh():
+        g = RingMorphism(f.source, f.target, f.images)
+        assert "_plan" not in vars(g) and "_memo" not in vars(g)
+        return g
+
+    f._map_generic(polys[2:])
+    for q in polys:
+        assert f._apply_generic(q) == fresh()._apply_generic(q)
+    assert f._map_generic(polys) == [fresh()._apply_generic(q) for q in polys]
+    unpack = f.source.unpack
+    mapped = [unpack(m) for q in polys for m in q._terms]
+    for key in f._memo:
+        assert key == 0 or any(all(a <= b for a, b in zip(unpack(key), m)) for m in mapped)
+    g = fresh()
+    g.map_all(polys)
+    assert ("_memo" in vars(g)) == (g._plan is None)
+
+
 @st.composite
 def unit_renames(draw):
     """A unit-scalar rename of an even ring, with an element of the source:

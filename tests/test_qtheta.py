@@ -331,6 +331,87 @@ def test_normalize():
         assert normalized.coefficient(e).homogeneous_part(0) == expected
 
 
+def normalize_by_division(series, kind, n, q_order):
+    """The reference for ``normalize_gch``: divide by theta0^n built over
+    the series' own ring."""
+    return qt.qseries_div_unit(series, qt.theta_series(kind, series.ring.zero(), q_order) ** n)
+
+
+def _random_series(ring, top, rng):
+    """A series to q^(top/2) with random coefficients, one of them at least
+    not a constant."""
+    while True:
+        halves = {
+            Fraction(k, 2): random_polynomial(ring, rng, terms=4)
+            for k in range(top + 1)
+            if rng.random() < 0.7
+        }
+        if any(p.degree() > 0 for p in halves.values()):
+            return HalfQSeries(ring, halves, Fraction(top, 2))
+
+
+@pytest.mark.parametrize("kind", list(WittenKind))
+@pytest.mark.parametrize("n", range(7))
+def test_normalization_by_the_cached_inverse_matches_division(kind, n, rng):
+    """Over a root ring and an f-ring, at every q-order 1/2..4."""
+    model = RootModel(3, 3, degree_cap=8)
+    f_ring = qt._fractional_maps(model)[0]
+    for ring in (model.ring, f_ring):
+        for top in range(1, 9):
+            q = Fraction(top, 2)
+            series_ = _random_series(ring, top, rng)
+            assert qt.normalize_gch(series_, kind, n, q) == normalize_by_division(series_, kind, n, q)
+
+
+@pytest.mark.parametrize(
+    "kind, n, q_order, error, message",
+    [
+        (WittenKind.THETA2, 2, 3, PreconditionError, "series must share ring and q_order"),
+        (WittenKind.THETA3, 2, HALF, PreconditionError, "series must share ring and q_order"),
+        (WittenKind.THETA2, -1, 2, PreconditionError, "series powers must be nonnegative integers"),
+        (WittenKind.THETA3, -1, 3, PreconditionError, "series powers must be nonnegative integers"),
+        (WittenKind.THETA2, HALF, 2, PreconditionError, "series powers must be nonnegative integers"),
+        (WittenKind.THETA2, [], 2, PreconditionError, "series powers must be nonnegative integers"),
+        (WittenKind.THETA2, -1, Fraction(1, 3), PreconditionError, "q-exponents must be half-integers"),
+        (WittenKind.THETA3, 2, -1, PreconditionError, "q-exponents must be nonnegative"),
+        (WittenKind.THETA2, 2, "x", PreconditionError, "q-exponent 'x' is not a number"),
+        ("theta2", 2, 2, AttributeError, "'str' object has no attribute 'sign'"),
+    ],
+)
+def test_normalization_refuses_what_division_refuses(kind, n, q_order, error, message):
+    series_ = qt.gch_witten(RootModel(2, 2, degree_cap=8), WittenKind.THETA2, 2)
+    for call in (normalize_by_division, qt.normalize_gch):
+        with pytest.raises(error) as info:
+            call(series_, kind, n, q_order)
+        assert str(info.value) == message, call
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_the_back_map_keeps_its_images_across_kinds_and_orders(n, monkeypatch):
+    """One model's back map f_k -> sigma_k(x - a/l), applied in turn to the
+    lambda route's f-ring series of both kinds at every q-order 1/2..4,
+    gives for each coefficient what a freshly built map gives."""
+    fractional_maps = qt._fractional_maps
+
+    def stay_in_the_fractional_ring(model):
+        f_ring, rename, _ = fractional_maps(model)
+        return f_ring, rename, RingMorphism.identity(f_ring)
+
+    monkeypatch.setattr(qt, "_fractional_maps", stay_in_the_fractional_ring)
+    for l in (d for d in range(1, n + 1) if n % d == 0):
+        model = RootModel(n, l, degree_cap=8)
+        back = fractional_maps(model)[2]
+        for kind in WittenKind:
+            for top in range(1, 9):
+                f_series = qt.gch_witten(model, kind, Fraction(top, 2), "lambda_tensor")
+                coeffs = list(f_series.coefficients.values())
+                fresh = [
+                    RingMorphism(back.source, back.target, back.images)._apply_generic(c)
+                    for c in coeffs
+                ]
+                assert back.map_all(coeffs) == fresh, (l, kind, top)
+
+
 def test_descend_examples():
     model = RootModel(1, 1, degree_cap=4)
     series_ = qt.gch_witten(model, WittenKind.THETA3, 2)
