@@ -25,11 +25,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .errors import EngineError, PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _linear_combination
-from .symroots import RootModel, _esp, express_in_elementary, root_transpositions
+from .symroots import RootModel, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
 class WittenKind(Enum):
@@ -330,71 +330,23 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
         return series
     if method != "lambda_tensor":
         raise PreconditionError(f"unknown method {method!r}")
-    f_ring, _, back = _fractional_maps(model)
-    tables = model._witten_tables.get("levels")
-    if tables is None:
-        tables = model._witten_tables["levels"] = _level_tables(f_ring)
+    return _lambda_series(model, kind, top)._map_coefficients(model._fractional_maps[3])
+
+
+def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
+    """The lambda route's series to q^(top/2) over the fractional classes
+    f_1..f_n, before its map back to the roots."""
+    f_ring = model._fractional_maps[0]
     sign = kind.sign
     series = HalfQSeries._from_halves(f_ring, {0: f_ring.one()}, top)
     for k in range(2, top + 1, 2):
         series = series * _euler_factor(f_ring, k, top) ** model.n
     for level in range(1, top + 1, 2):
         last = min(model.n, top // level)
-        for table in tables:
+        for table in model._level_tables:
             coeffs = {k * level: table[k] * (sign ** k) for k in range(last + 1)}
             series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
-    return series._map_coefficients(back)
-
-
-def _fractional_maps(model: RootModel):
-    """(f_ring, rename, back) for the fractional classes f_k = sigma_k(x - a/l):
-    the ring of f_1..f_n under the model's cap, the rename e_k -> f_k that
-    sends the parameters to 0, and back: f_k -> sigma_k(x - a/l).  Built
-    once per model, on first use."""
-    maps = model._witten_tables.get("maps")
-    if maps is not None:
-        return maps
-    n = model.n
-    f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], model.ring.degree_cap)
-    images = {name: f_ring.zero() for name in model.params}
-    images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
-    rename = RingMorphism(model.e_ring, f_ring, images)
-    sigma = _esp(model.shifted_roots(), n, model.ring)
-    back = RingMorphism(f_ring, model.ring, {f"f{k}": sigma[k] for k in range(1, n + 1)})
-    maps = model._witten_tables["maps"] = (f_ring, rename, back)
-    return maps
-
-
-def _level_tables(f_ring: RingPresentation) -> list:
-    """[sigma_k(e^r) for k = 0..n, sigma_k(e^{-r}) for k = 0..n], where
-    f_ring's generators f_1..f_n are sigma_k(r) of n roots r, by Newton's
-    identities: the power sums p_j of the r from the f's (p_0 = n), the
-    power sums P_m = sum_j (+-m)^j p_j / j! of the e^{+-r}, and
-    k * sigma_k = sum_{m=1..k} (-1)^(m-1) sigma_{k-m} P_m."""
-    n = len(f_ring.generators)
-    f = [f_ring.one()] + [f_ring.gen(f"f{k}") for k in range(1, n + 1)]
-    p = [f_ring.constant(n)]
-    for j in range(1, f_ring.degree_cap // 2 + 1):
-        pj = f[j] * ((-1) ** (j - 1) * j) if j <= n else f_ring.zero()
-        for i in range(1, min(j - 1, n) + 1):
-            term = f[i] * p[j - i]
-            pj = pj + term if i % 2 else pj - term
-        p.append(pj)
-    tables = []
-    for sign in (1, -1):
-        power = [None]  # P_m from m = 1
-        for m in range(1, n + 1):
-            terms = (pj * Fraction((sign * m) ** j, factorial(j)) for j, pj in enumerate(p))
-            power.append(sum(terms, f_ring.zero()))
-        table = [f_ring.one()]
-        for k in range(1, n + 1):
-            acc = f_ring.zero()
-            for m in range(1, k + 1):
-                term = table[k - m] * power[m]
-                acc = acc + term if m % 2 else acc - term
-            table.append(acc * Fraction(1, k))
-        tables.append(table)
-    return tables
+    return series
 
 
 @lru_cache(maxsize=64)
@@ -443,8 +395,7 @@ def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     classes f_k = sigma_k(x - a/l): P is read off c at a = 0, where f_k is
     sigma_k(x), and must map back to c under f_k -> sigma_k(x - a/l).  Fails
     if c is not a symmetric function of the shifted roots alone."""
-    f_ring, rename, back = _fractional_maps(model)
-    at_zero = RingMorphism.substitution(model.ring, {"a": model.ring.zero()})
+    f_ring, at_zero, rename, back = model._fractional_maps
     out = {}
     refusal = None
     for k, coeff in sorted(series._halves.items()):

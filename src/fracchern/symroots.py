@@ -30,9 +30,10 @@ class RootModel:
     """Splitting-principle workspace for rank n and twist order l (l | n).
 
     ``params`` (a, then the extra even parameters) lead both ``ring`` (then
-    x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  The
-    root tables (sigma_k(x), the adjacent transpositions, the n-cycle) are
-    built on first use, as are the shifted roots x_i - a/l.
+    x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  Each
+    table is built on first use and kept: sigma_k(x), the transpositions and
+    the n-cycle, the shifted roots x_i - a/l and their sigma_k, the maps of
+    the fractional classes f_k = sigma_k(x - a/l) and the Newton tables.
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -48,14 +49,10 @@ class RootModel:
         self.ring = RingPresentation(params + roots, degree_cap)
         elementary = [(f"e{k}", 2 * k) for k in range(1, n + 1)]
         self.e_ring = RingPresentation(params + elementary, degree_cap)
-        self._sigma_power_cache: dict[tuple, GradedPolynomial] = {}
         # express_in_elementary's tables: the dominant part of each sigma
         # product, and the orbit size of each root part
         self._dominant_power_cache: dict[tuple, GradedPolynomial] = {}
         self._orbit_sizes: dict[int, int] = {}
-        # qtheta's tables for this model (the fractional-class maps and the
-        # Newton level tables), each built on its first use
-        self._witten_tables: dict = {}
 
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
@@ -75,6 +72,57 @@ class RootModel:
     def _shifted(self) -> list[GradedPolynomial]:
         shift = self.ring.gen("a") * Fraction(-1, self.l)
         return [r + shift for r in self.roots()]
+
+    @cached_property
+    def _shifted_sigma(self) -> list[GradedPolynomial]:
+        """sigma_0..sigma_n(x - a/l): the fractional classes over the roots."""
+        return _esp(self._shifted, self.n, self.ring)
+
+    @cached_property
+    def _fractional_maps(self):
+        """(f_ring, at_zero, rename, back): the ring of the fractional classes
+        f_1..f_n under the model's cap, the substitution a -> 0, the rename
+        e_k -> f_k sending the parameters to 0, and f_k -> sigma_k(x - a/l)."""
+        n = self.n
+        f_ring = RingPresentation([(f"f{k}", 2 * k) for k in range(1, n + 1)], self.ring.degree_cap)
+        at_zero = RingMorphism.substitution(self.ring, {"a": self.ring.zero()})
+        images = {name: f_ring.zero() for name in self.params}
+        images.update({f"e{k}": f_ring.gen(f"f{k}") for k in range(1, n + 1)})
+        rename = RingMorphism(self.e_ring, f_ring, images)
+        back = RingMorphism(f_ring, self.ring, dict(zip(f_ring.names, self._shifted_sigma[1:])))
+        return f_ring, at_zero, rename, back
+
+    @cached_property
+    def _level_tables(self) -> list:
+        """[sigma_k(e^r) for k = 0..n, sigma_k(e^{-r}) for k = 0..n] over
+        the f-ring, whose generators f_1..f_n are sigma_k(r) of n roots r,
+        by Newton's identities: the power sums p_j of the r from the f's
+        (p_0 = n), the power sums P_m = sum_j (+-m)^j p_j / j! of the
+        e^{+-r}, and k * sigma_k = sum_{m=1..k} (-1)^(m-1) sigma_{k-m} P_m."""
+        f_ring, n = self._fractional_maps[0], self.n
+        f = [f_ring.one()] + [f_ring.gen(f"f{k}") for k in range(1, n + 1)]
+        p = [f_ring.constant(n)]
+        for j in range(1, f_ring.degree_cap // 2 + 1):
+            pj = f[j] * ((-1) ** (j - 1) * j) if j <= n else f_ring.zero()
+            for i in range(1, min(j - 1, n) + 1):
+                term = f[i] * p[j - i]
+                pj = pj + term if i % 2 else pj - term
+            p.append(pj)
+        tables = []
+        for sign in (1, -1):
+            power = [None]  # P_m from m = 1
+            for m in range(1, n + 1):
+                terms = (pj * Fraction((sign * m) ** j, factorial(j)) for j, pj in enumerate(p))
+                power.append(sum(terms, f_ring.zero()))
+            table = [f_ring.one()]
+            for k in range(1, n + 1):
+                acc = f_ring.zero()
+                for m in range(1, k + 1):
+                    term = table[k - m] * power[m]
+                    acc = acc + term if m % 2 else acc - term
+                table.append(acc * Fraction(1, k))
+            tables.append(table)
+        return tables
 
     @cached_property
     def _transpositions(self) -> list[RingMorphism]:
@@ -154,7 +202,7 @@ def elementary_symmetric(k: int, model: RootModel) -> GradedPolynomial:
 
 def shifted_total_chern(model: RootModel) -> GradedPolynomial:
     """Full product prod_i (1 + x_i - a/l) = sum_k sigma_k(x - a/l), truncated."""
-    return sum(_esp(model.shifted_roots(), model.n, model.ring), model.ring.zero())
+    return sum(model._shifted_sigma, model.ring.zero())
 
 
 def root_transpositions(model: RootModel) -> list[RingMorphism]:
@@ -179,15 +227,11 @@ def find_asymmetry(p: GradedPolynomial, model: RootModel):
 
 
 def _sigma_power_product(model: RootModel, multiplicities: tuple) -> GradedPolynomial:
-    """prod_k sigma_k^{m_k} with caching (multiplicities indexed from 1)."""
-    cached = model._sigma_power_cache.get(multiplicities)
-    if cached is not None:
-        return cached
+    """prod_k sigma_k^{m_k} (multiplicities indexed from 1)."""
     out = model.ring.one()
     for k, m in enumerate(multiplicities, start=1):
         if m:
             out = out * elementary_symmetric(k, model) ** m
-    model._sigma_power_cache[multiplicities] = out
     return out
 
 
@@ -330,10 +374,9 @@ def splitting_check(model: RootModel) -> SplittingReport:
 
         sum_{k=0..n} (-1)^k sigma_k(x - a/l) (x_j - a/l)^{n-k} == 0
     """
-    shifted = model.shifted_roots()
-    sigma = _esp(shifted, model.n, model.ring)
+    sigma = model._shifted_sigma
     residuals = []
-    for r in shifted:
+    for r in model._shifted:
         total = model.ring.zero()
         for k in range(model.n + 1):
             total = total + sigma[k] * r ** (model.n - k) * ((-1) ** k)

@@ -355,7 +355,7 @@ def _random_series(ring, top, rng):
 def test_normalization_by_the_cached_inverse_matches_division(kind, n, rng):
     """Over a root ring and an f-ring, at every q-order 1/2..4."""
     model = RootModel(3, 3, degree_cap=8)
-    f_ring = qt._fractional_maps(model)[0]
+    f_ring = model._fractional_maps[0]
     for ring in (model.ring, f_ring):
         for top in range(1, 9):
             q = Fraction(top, 2)
@@ -387,23 +387,16 @@ def test_normalization_refuses_what_division_refuses(kind, n, q_order, error, me
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_the_back_map_keeps_its_images_across_kinds_and_orders(n, monkeypatch):
+def test_the_back_map_keeps_its_images_across_kinds_and_orders(n):
     """One model's back map f_k -> sigma_k(x - a/l), applied in turn to the
     lambda route's f-ring series of both kinds at every q-order 1/2..4,
     gives for each coefficient what a freshly built map gives."""
-    fractional_maps = qt._fractional_maps
-
-    def stay_in_the_fractional_ring(model):
-        f_ring, rename, _ = fractional_maps(model)
-        return f_ring, rename, RingMorphism.identity(f_ring)
-
-    monkeypatch.setattr(qt, "_fractional_maps", stay_in_the_fractional_ring)
     for l in (d for d in range(1, n + 1) if n % d == 0):
         model = RootModel(n, l, degree_cap=8)
-        back = fractional_maps(model)[2]
+        back = model._fractional_maps[3]
         for kind in WittenKind:
             for top in range(1, 9):
-                f_series = qt.gch_witten(model, kind, Fraction(top, 2), "lambda_tensor")
+                f_series = qt._lambda_series(model, kind, top)
                 coeffs = list(f_series.coefficients.values())
                 fresh = [
                     RingMorphism(back.source, back.target, back.images)._apply_generic(c)
@@ -422,6 +415,22 @@ def test_descend_examples():
     model2 = RootModel(2, 2, degree_cap=8)
     for kind in WittenKind:
         qt.descend_gch(qt.gch_witten(model2, kind, 2), model2)
+
+
+def test_descend_builds_no_ring_map_once_the_model_has_its_maps(monkeypatch):
+    model = RootModel(3, 3, degree_cap=8)
+    series_ = qt.normalize_gch(qt.gch_witten(model, WittenKind.THETA2, 2), WittenKind.THETA2, 3, 2)
+    first = qt.descend_gch(series_, model)
+    built = []
+    init = RingMorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingMorphism, "__init__", counting_init)
+    assert qt.descend_gch(series_, model) == first
+    assert built == []
 
 
 def test_descend_rejects_surviving_twist():
@@ -497,8 +506,8 @@ def test_newton_level_tables_match_the_reduced_root_tables(n):
     n = 4) and the default working cap."""
     for cap in sorted({working_cap(n, 8), working_cap(n)}):
         model = RootModel(n, n, degree_cap=cap)
-        f_ring, rename, back = qt._fractional_maps(model)
-        tables = qt._level_tables(f_ring)
+        _, _, rename, back = model._fractional_maps
+        tables = model._level_tables
         for sign, table in zip((1, -1), tables):
             roots = _esp([qt.formal_exp(x * sign) for x in model.roots()], n, model.ring)
             shifted = _esp([qt.formal_exp(r * sign) for r in model.shifted_roots()], n, model.ring)
@@ -508,7 +517,7 @@ def test_newton_level_tables_match_the_reduced_root_tables(n):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series(n, monkeypatch):
+def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series(n):
     """The lambda route's series before its map back to the roots, over
     f_1..f_n, normalized, is an independent value for descending the
     normalized theta route's series, at criterion 9's caps."""
@@ -523,15 +532,8 @@ def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series
         qt.descend_gch(qt.normalize_gch(qt.gch_witten(model, kind, q), kind, n, q), model)
         for model, kind, q in cases
     ]
-    fractional_maps = qt._fractional_maps
-
-    def stay_in_the_fractional_ring(model):
-        f_ring, rename, _ = fractional_maps(model)
-        return f_ring, rename, RingMorphism.identity(f_ring)
-
-    monkeypatch.setattr(qt, "_fractional_maps", stay_in_the_fractional_ring)
     for (model, kind, q), want in zip(cases, descended):
-        f_series = qt.gch_witten(model, kind, q, "lambda_tensor")
+        f_series = qt._lambda_series(model, kind, 2 * q)
         assert f_series.ring == want.ring
         assert qt.normalize_gch(f_series, kind, n, q) == want, (model.l, kind, q)
 

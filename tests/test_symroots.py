@@ -70,16 +70,43 @@ def test_root_tables_are_built_once_per_model():
     roots[0] = m.ring.zero()
     roots.append(m.ring.one())
     assert m.shifted_roots() == [x - m.ring.gen("a") / 2 for x in m.roots()]
-    # the oracle builds no Witten table; the lambda route builds them once
+    # the oracle builds no full shifted table and no Witten table; the
+    # lambda route builds them once
     for k in range(5):
         sr.fractional_chern_brute(m, k)
-    assert m._witten_tables == {}
+    for table in ("_shifted_sigma", "_fractional_maps", "_level_tables"):
+        assert table not in vars(m)
     qt.gch_witten(m, qt.WittenKind.THETA2, 2, "lambda_tensor")
-    maps, levels = m._witten_tables["maps"], m._witten_tables["levels"]
+    maps, levels = m._fractional_maps, m._level_tables
     qt.gch_witten(m, qt.WittenKind.THETA3, 3, "lambda_tensor")
-    assert qt._fractional_maps(m) is maps and m._witten_tables["levels"] is levels
+    assert m._fractional_maps is maps and m._level_tables is levels
     assert len(levels) == 2 and all(len(table) == 5 for table in levels)
-    assert qt._fractional_maps(other) is not maps
+    assert other._fractional_maps is not maps
+
+
+def test_one_shifted_sigma_table_per_model(monkeypatch):
+    """The back map f_k -> sigma_k(x - a/l), the total shifted Chern class
+    and the splitting check all read the model's one shifted table, built
+    by one expansion."""
+    m = sr.RootModel(4, 2)
+    expansions = []
+    esp = sr._esp
+
+    def counting_esp(values, *args):
+        expansions.append(values)
+        return esp(values, *args)
+
+    monkeypatch.setattr(sr, "_esp", counting_esp)
+    total = sr.shifted_total_chern(m)
+    sigma = m._shifted_sigma
+    assert total == sum(sigma, m.ring.zero())
+    assert sr.splitting_check(m).ok
+    assert sr.shifted_total_chern(m) == total and m._shifted_sigma is sigma
+    assert sigma[0] == m.ring.one() and len(sigma) == 5
+    back = m._fractional_maps[3]
+    for k in range(1, 5):
+        assert back.images[f"f{k}"] is sigma[k]
+    assert expansions == [m._shifted]
 
 
 @pytest.mark.parametrize("n,extra", [(2, ()), (3, ()), (6, ("b",)), (9, ())])
@@ -99,7 +126,7 @@ def test_parameter_dropping_maps_walk_and_match_the_generic_path(n, extra, rng):
     total = sr.shifted_total_chern(m)
     cases = [
         (RingMorphism.substitution(m.ring, {"a": 0}), total),
-        (qt._fractional_maps(m)[1], sr.express_in_elementary(total, m)),
+        (m._fractional_maps[2], sr.express_in_elementary(total, m)),
     ]
     for f, p in cases:
         assert f._plan is not None and f._plan.blocks is None
@@ -107,17 +134,11 @@ def test_parameter_dropping_maps_walk_and_match_the_generic_path(n, extra, rng):
             assert f(q) == f._apply_generic(q)
 
 
-def test_lone_sigma_cache_entries_share_the_sigma_table():
+def test_lone_sigma_products_share_the_sigma_table():
     m = sr.RootModel(4, 2)
-    sr.express_in_elementary(sr.shifted_total_chern(m), m)
-    lone = {
-        mult.index(1) + 1: power
-        for mult, power in m._sigma_power_cache.items()
-        if sorted(mult)[-2:] == [0, 1]
-    }
-    assert sorted(lone) == [1, 2, 3, 4]
-    for k, power in lone.items():
-        assert power is m._sigma[k]
+    for k in range(1, 5):
+        unit = tuple(int(j == k) for j in range(1, 5))
+        assert sr._sigma_power_product(m, unit) is m._sigma[k]
 
 
 def test_untwisted_limit():

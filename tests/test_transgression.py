@@ -154,6 +154,15 @@ def test_derivation_table_refuses_a_value_on_an_odd_generator():
         tg.DerivationTable(loop, loop, {"z1": "c1"})
 
 
+def test_naturality_of_tables_without_values():
+    """With no values nu is zero, so the square commutes and no monomial
+    is sampled."""
+    src, tgt = space_ring("BUn", n=2), space_ring("BLUn", n=2)
+    table = tg.DerivationTable(src, tgt, {})
+    report = tg.naturality_check(RingMorphism.identity(src), RingMorphism.identity(tgt), table, table)
+    assert report.ok and report.generator_results == {} and report.samples_checked == 0
+
+
 def test_naturality_shape_mismatch():
     tab = tg.builtin_table("BUn", n=2)
     wrong = RingMorphism.identity(space_ring("BSpinc"))
