@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _usage(prog: str, *lines: str) -> str:
+    """Usage text stated line by line, each line after the first indented
+    under ``usage: prog``: argparse wraps a long usage line differently
+    from one Python version to the next."""
+    return f"{prog} " + ("\n" + " " * len(f"usage: {prog} ")).join(lines)
+
+
 def _degree_cap() -> int | None:
     raw = os.environ.get("FRACCHERN_DEGREE_CAP")
     if raw is None:
@@ -196,7 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", required=True, help="descriptor JSON path, or - for stdin")
     p.set_defaults(fn=_cmd_obstruction)
 
-    p = sub.add_parser("count", help="group parametrizing the level's structures")
+    levels = "{" + ",".join(towers.LEVELS) + "}"
+    p = sub.add_parser(
+        "count",
+        help="group parametrizing the level's structures",
+        usage=_usage("fracchern count", f"[-h] --level {levels} --descriptor", "DESCRIPTOR"),
+    )
     p.add_argument("--level", choices=towers.LEVELS, required=True)
     p.add_argument("--descriptor", required=True)
     p.set_defaults(fn=_cmd_count)
@@ -219,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-order", dest="q_order", type=int, default=4)
     p.set_defaults(fn=_cmd_verify)
 
+    # set after add_subparsers, which would take it as the subcommands' prog
+    parser.usage = _usage("fracchern", "[-h]", "{" + ",".join(sub.choices) + "}", "...")
     return parser
 
 

@@ -466,33 +466,11 @@ class GradedPolynomial:
         return f"<{self.render()}>"
 
 
-def remap_keys(p: GradedPolynomial, target: RingPresentation, moves) -> GradedPolynomial:
-    """Apply a generator-to-generator map to p: the ``RingMorphism`` of
-    ``moves``, applied once.
-
-    ``moves`` has one entry per generator of p's ring (more or fewer are
-    refused): None sends it to zero, ``(j, s)`` sends it to s times target
-    generator j, which must have the same degree; s may be rational.
-    Monomials above the target cap, or with two odd generators on one
-    target generator, vanish.
-    """
-    if len(moves) > len(p.ring.generators):
-        raise PreconditionError(f"{len(moves)} moves for {len(p.ring.generators)} generators")
-    images = {}
-    for g, move in zip(p.ring.generators, moves):
-        if move is None:
-            images[g.name] = target.zero()
-            continue
-        j, s = move
-        if not 0 <= j < len(target.generators):
-            raise PreconditionError(f"image of {g.name}: no target generator {j}")
-        images[g.name] = target.gen(target.names[j]) * as_fraction(s)
-    return RingMorphism(p.ring, target, images)(p)
-
-
 class _KeyPlan:
     """The key rewrite of a map sending each generator to zero or to an
-    even target generator with scalar 1, worked out once from its moves.
+    even target generator with coefficient 1, worked out once from its
+    moves: per source generator, None for zero or the target generator's
+    index.
 
     The degree field and every kept field move by offset masks: each key is
     cut by one mask per field offset and the pieces, each shifted by its
@@ -500,26 +478,24 @@ class _KeyPlan:
     which never carries: the sum is at most the key's degree, below 2**15.
     If no field goes to zero, no two land on one target field and the
     target's cap is not below the source's, the key map is injective and
-    that is all (``blocks`` is set): the numerators and the denominator
+    that is all (``injective`` is true): the numerators and the denominator
     carry over.  Otherwise one pass drops the keys with a field sent to
     zero or above the target's cap and sums the keys that collide.
     """
 
-    __slots__ = ("target", "dropped", "masks", "blocks")
+    __slots__ = ("target", "dropped", "masks", "injective")
 
     def __init__(self, source: RingPresentation, target: RingPresentation, moves):
         self.target = target
         src_shift, dst_shift = source.degree_shift, target.degree_shift
         dropped = 0  # fields sent to zero
         offsets = {dst_shift - src_shift: FIELD_MASK << src_shift}  # offset: mask
-        landed = set()
-        for i, move in enumerate(moves):
+        for i, j in enumerate(moves):
             shift = src_shift - FIELD_BITS * (i + 1)
-            if move is None:
+            if j is None:
                 dropped |= FIELD_MASK << shift
                 continue
-            to = dst_shift - FIELD_BITS * (move[0] + 1)
-            landed.add(to)
+            to = dst_shift - FIELD_BITS * (j + 1)
             offsets[to - shift] = offsets.get(to - shift, 0) | FIELD_MASK << shift
         self.dropped = dropped
         # the mask of offset 0, then (up mask, shift, down mask, shift) per
@@ -529,8 +505,8 @@ class _KeyPlan:
         up = [(mask, d) for d, mask in offsets.items() if d > 0]
         down = [(mask, -d) for d, mask in offsets.items() if d < 0]
         self.masks = still, [a + b for a, b in zip_longest(up, down, fillvalue=(0, 0))]
-        injective = not dropped and len(landed) == len(moves)
-        self.blocks = self.masks if injective and target.degree_cap >= source.degree_cap else None
+        distinct = not dropped and len(set(moves)) == len(moves)
+        self.injective = distinct and target.degree_cap >= source.degree_cap
 
     def apply(self, p: GradedPolynomial) -> GradedPolynomial:
         still, pairs = self.masks
@@ -538,7 +514,7 @@ class _KeyPlan:
         new = [key & still for key in keys]
         for up, u, down, d in pairs:
             new = [m + ((key & up) << u) + ((key & down) >> d) for m, key in zip(new, keys)]
-        if self.blocks is not None:
+        if self.injective:
             return GradedPolynomial(self.target, dict(zip(new, p._terms.values())), p._den)
         dropped, limit = self.dropped, self.target.key_limit
         out = {}
@@ -616,14 +592,14 @@ def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomia
     Every generator actually appearing in p must exist in the target with
     the same degree; generators of either ring not involved are ignored.
     """
-    moves, faults = [], {}
+    images, faults = {}, {}
     for i, g in enumerate(p.ring.generators):
         j = target.index.get(g.name)
         if j is None:
             faults[i] = f"generator {g.name} does not exist in the target presentation"
         elif target.degrees[j] != g.degree:
             faults[i] = f"generator {g.name} changes degree"
-        moves.append(None if i in faults else (j, 1))
+        images[g.name] = target.zero() if i in faults else target.gen(g.name)
     if faults:
         # the first fault met in render order
         for exps, _ in p.terms():
@@ -632,7 +608,7 @@ def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomia
                     raise PreconditionError(faults[i])
     if p.degree() > target.degree_cap:
         raise PreconditionError("monomial exceeds degree cap")
-    return remap_keys(p, target, moves)
+    return RingMorphism(p.ring, target, images)(p)
 
 
 def element_of_degree(target: RingPresentation, value, degree: int, what: str) -> GradedPolynomial:
@@ -653,23 +629,23 @@ def element_of_degree(target: RingPresentation, value, degree: int, what: str) -
 
 
 def _generator_moves(images):
-    """``remap_keys`` moves for images that are each zero or a scalar times
-    one generator, else None.  Such an image has one key whose exponent
-    bits are a single 1 at the bottom of a field."""
+    """The ``_KeyPlan`` moves of images that are each zero (None) or one
+    even target generator with coefficient 1 (its index), else None.  Such
+    an image has one key, numerator 1 and denominator 1, and its exponent
+    bits are a single 1 at the bottom of an even generator's field."""
     moves = []
     for img in images:
         if not img._terms:
             moves.append(None)
             continue
-        if len(img._terms) != 1:
+        if len(img._terms) != 1 or img._den != 1:
             return None
         ((key, num),) = img._terms.items()
         ring = img.ring
         bits = key & ((1 << ring.degree_shift) - 1)
-        if bits & (bits - 1) or bits.bit_length() % FIELD_BITS != 1:
+        if num != 1 or bits & (bits - 1) or bits & ring.odd_fields or bits.bit_length() % FIELD_BITS != 1:
             return None
-        field = bits.bit_length() // FIELD_BITS
-        moves.append((len(ring.generators) - 1 - field, num if img._den == 1 else Fraction(num, img._den)))
+        moves.append(len(ring.generators) - 1 - bits.bit_length() // FIELD_BITS)
     return tuple(moves)
 
 
@@ -694,13 +670,10 @@ class RingMorphism:
 
     @cached_property
     def _plan(self):
-        """The ``_KeyPlan`` of a map sending each generator to zero or to an
-        even generator with scalar 1, else None; built on first use."""
-        moves, target = self._moves, self.target
-        plain = moves is not None and all(
-            m is None or m[1] == 1 and not target.degrees[m[0]] % 2 for m in moves
-        )
-        return _KeyPlan(self.source, target, moves) if plain else None
+        """The ``_KeyPlan`` of the map's moves, or None when it has none (an
+        image that is not zero or one even generator with coefficient 1);
+        built on first use."""
+        return None if self._moves is None else _KeyPlan(self.source, self.target, self._moves)
 
     @cached_property
     def _memo(self) -> dict:
@@ -736,10 +709,10 @@ class RingMorphism:
 
     def map_all(self, polys) -> list:
         """Each of ``polys`` mapped.  A map sending each generator to zero
-        or to an even generator with scalar 1 rewrites keys; any other map
-        (scaled, odd or rational generator maps too) takes the generic
-        route, which builds each monomial image once for the life of the
-        map, whatever calls and lists it is mapped in."""
+        or to an even generator with coefficient 1 rewrites keys (its
+        ``_KeyPlan``); every other map takes the generic route, which
+        builds each monomial image once for the life of the map, whatever
+        calls and lists it is mapped in."""
         if any(p.ring != self.source for p in polys):
             raise PresentationMismatch("polynomial is not over the morphism source")
         if self._plan is not None:

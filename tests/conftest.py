@@ -30,3 +30,23 @@ def random_polynomial(ring: RingPresentation, rng, terms=6, max_coef=9):
         coef = rng.randint(-max_coef, max_coef)
         out = out + mono * coef
     return out
+
+
+def plain_moves_by_terms(images):
+    """The key plan's moves read through ``terms()``, the reference for
+    ``gcring._generator_moves``: per image, None for zero or the index of
+    its one even generator with coefficient 1; None if any image is
+    another element."""
+    moves = []
+    for img in images:
+        terms = img.terms()
+        if not terms:
+            moves.append(None)
+            continue
+        if len(terms) != 1 or terms[0][1] != 1 or sum(terms[0][0]) != 1:
+            return None
+        j = terms[0][0].index(1)
+        if img.ring.degrees[j] % 2:
+            return None
+        moves.append(j)
+    return tuple(moves)

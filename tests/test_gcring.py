@@ -15,14 +15,13 @@ from fracchern.gcring import (
     RingPresentation,
     _generator_moves,
     eliminate_leading,
-    remap_keys,
     transplant,
 )
 from fracchern.spaces import SPACE_NAMES, space_ring
 from fracchern.symroots import RootModel
 from fracchern.transgression import DerivationTable
 
-from conftest import random_polynomial
+from conftest import plain_moves_by_terms, random_polynomial
 
 
 @pytest.fixture
@@ -137,25 +136,12 @@ def test_transplant_matches_names_and_names_the_first_fault():
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "moves,message",
-    [
-        ([(0, 1), (1, 1)], "image of x must be homogeneous of degree 2"),
-        ([(-1, 1), (0, 1)], "image of x: no target generator -1"),
-        ([(5, 1), (0, 1)], "image of x: no target generator 5"),
-        ([(1, 1)], "no image given for generator y"),
-        ([(1, 1), (0, 1), (9, 3)], "3 moves for 2 generators"),
-    ],
-    ids=["other_degree", "negative_index", "index_past_the_end", "too_few", "surplus"],
-)
-def test_remap_keys_refuses_malformed_moves(moves, message):
+def test_rename_onto_generators_in_another_order():
     source = RingPresentation([("x", 2), ("y", 4)], 8)
     target = RingPresentation([("u", 4), ("v", 2)], 8)
-    p = source.poly("x^2 + y")
-    assert remap_keys(p, target, [(1, 1), (0, 1)]) == target.poly("v^2 + u")
-    with pytest.raises(PreconditionError) as info:
-        remap_keys(p, target, moves)
-    assert str(info.value) == message
+    f = RingMorphism.rename(source, target, {"x": "v", "y": "u"})
+    assert f._moves == (1, 0)
+    assert f(source.poly("x^2 + y")) == target.poly("v^2 + u")
 
 
 def test_apply_morphism_expands_square(even_ring):
@@ -508,9 +494,9 @@ def test_product_by_one_returns_the_other_factor(loop_ring, rng):
 
 @pytest.mark.parametrize("key_path", [True, False])
 def test_single_and_batched_maps_refuse_a_foreign_polynomial_alike(even_ring, loop_ring, key_path):
-    images = {"c1": "2*c1", "c2": "c2"} if key_path else {"c1": "c1", "c2": "c2 - c1^2"}
+    images = {"c1": "a", "c2": "c2"} if key_path else {"c1": "c1", "c2": "c2 - c1^2"}
     f = RingMorphism.substitution(even_ring, images)
-    assert (f._moves is not None) == key_path
+    assert (f._plan is not None) == key_path
     stranger = loop_ring.gen("c1")
     messages = []
     for apply in (lambda: f(stranger), lambda: f.map_all([even_ring.one(), stranger])):
@@ -520,46 +506,43 @@ def test_single_and_batched_maps_refuse_a_foreign_polynomial_alike(even_ring, lo
     assert messages == ["polynomial is not over the morphism source"] * 2
 
 
-def _generator_moves_by_terms(images):
-    """The moves read through ``terms()``: the reference for the key route."""
-    moves = []
-    for img in images:
-        terms = img.terms()
-        if not terms:
-            moves.append(None)
-        elif len(terms) == 1 and sum(terms[0][0]) == 1:
-            exps, s = terms[0]
-            moves.append((exps.index(1), s))
-        else:
-            return None
-    return tuple(moves)
+EVEN = [("a", 2), ("b", 2), ("c", 4)]
+MIXED = [("u", 1), ("a", 2), ("v", 1), ("b", 2), ("c", 4)]
 
 
 @pytest.mark.parametrize(
-    "images,keyed",
+    "generators,images,keyed",
     [
-        ({}, True),
-        ({"u": "v", "v": "u", "a": "b", "b": "a"}, True),
-        ({"a": "-a", "b": "3/4*b", "v": "-2*u"}, True),
-        ({"u": "0", "a": "0", "b": "-1/3*a"}, True),
-        ({"a": "a - 1/2*a", "u": "5*v", "b": "0*b"}, True),
-        ({"b": "u*v"}, False),
-        ({"a": "a + b"}, False),
-        ({"c": "2*a^2 - c", "u": "v"}, False),
+        (EVEN, {}, True),
+        (EVEN, {"a": "b", "b": "a"}, True),
+        (MIXED, {"u": "0", "v": "0", "a": "0", "b": "a"}, True),
+        (EVEN, {"a": "2/2*a", "b": "0*b"}, True),
+        (EVEN, {"b": "2*b"}, False),
+        (EVEN, {"a": "-a"}, False),
+        (EVEN, {"b": "3/4*b"}, False),
+        (EVEN, {"a": "a - 1/2*a"}, False),
+        (MIXED, {"u": "0", "v": "0"}, True),
+        (MIXED, {"u": "v", "v": "u"}, False),
+        (MIXED, {"u": "0", "v": "0", "b": "u*v"}, False),
+        (EVEN, {"c": "a*b"}, False),
+        (EVEN, {"a": "a + b"}, False),
+        (EVEN, {"c": "a^2"}, False),
     ],
-    ids=["identity", "renames", "scaled", "zero", "rational", "odd_product", "two_terms", "square"],
+    ids=[
+        "identity", "renames", "zero", "two_halves", "scaled", "negated", "rational",
+        "half_difference", "odd_dropped", "odd_target", "odd_product", "product", "two_terms",
+        "square",
+    ],
 )
-def test_generator_moves_match_the_terms_route(images, keyed):
-    ring = RingPresentation([("u", 1), ("a", 2), ("v", 1), ("b", 2), ("c", 4)], 8)
-    images = list(RingMorphism.substitution(ring, images).images.values())
-    expected = _generator_moves_by_terms(images)
+def test_generator_moves_match_the_terms_route(generators, images, keyed):
+    """Moves exist exactly when every image is zero or one even generator
+    with coefficient 1; the key plan is built for exactly those maps."""
+    f = RingMorphism.substitution(RingPresentation(generators, 8), images)
+    images = list(f.images.values())
+    expected = plain_moves_by_terms(images)
     assert _generator_moves(images) == expected
     assert (expected is not None) == keyed
-    if keyed:
-        # an integral scalar stays an int
-        assert [type(m[1]) for m in _generator_moves(images) if m] == [
-            int if m[1].denominator == 1 else Fraction for m in expected if m
-        ]
+    assert (f._plan is not None) == keyed
 
 
 def test_gen_is_the_unit_exponent_element():

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from fracchern import cli
 from fracchern.errors import PreconditionError, PresentationMismatch
-from fracchern.gcring import RingMorphism, RingPresentation, remap_keys, transplant
+from fracchern.gcring import RingMorphism, RingPresentation, _KeyPlan, transplant
 from fracchern.qtheta import HalfQSeries, formal_exp, qseries_div_unit
 from fracchern.towers import LEVELS
 from fracchern.transgression import builtin_table, free_suspend, naturality_check
 from fracchern.verify import FIXTURE_NAMES
+
+from conftest import plain_moves_by_terms
 
 # fixed examples, so that a failure repeats and the file stays fast
 checked = settings(derandomize=True, deadline=None, max_examples=50)
@@ -206,18 +208,41 @@ def generator_maps(draw):
 @settings(checked, max_examples=300)
 @given(generator_maps())
 def test_key_remap_matches_generic_path(case):
+    """Odd reorderings, rational scalars, merges and a lower target cap:
+    a plan exactly for the maps without a scalar or an odd generator, and
+    either route gives the generic route's image."""
     f, p = case
-    assert f._moves is not None
+    assert (f._plan is not None) == (plain_moves_by_terms(f.images.values()) is not None)
     assert f(p) == f._apply_generic(p)
 
 
-@settings(checked, max_examples=300)
-@given(generator_maps())
-def test_remap_keys_matches_generic_path(case):
-    """Odd reorderings, rational scalars, merges and a lower target cap,
-    given as moves."""
-    f, p = case
-    assert remap_keys(p, f.target, f._moves) == f._apply_generic(p)
+@st.composite
+def shuffled_transplants(draw):
+    """A ring on 1-5 generators of degree 1-4, odd or even, an element of
+    it, and the same generators in shuffled order at a cap no lower."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    cap = draw(st.integers(max(degrees), 10))
+    source = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], cap)
+    target = RingPresentation(draw(st.permutations(source.generators)), cap + draw(st.integers(0, 2)))
+    return source, target, draw(polynomials(source))
+
+
+@checked
+@given(shuffled_transplants())
+def test_transplant_round_trip(case):
+    """There and back is the identity; the way there takes the key plan
+    exactly when no generator is odd."""
+    source, target, p = case
+    planned, key_apply = [], _KeyPlan.apply
+
+    def apply(plan, q):
+        planned.append(plan)
+        return key_apply(plan, q)
+
+    with mock.patch.object(_KeyPlan, "apply", apply):
+        there = transplant(p, target)
+    assert transplant(there, source) == p
+    assert bool(planned) == (not any(d % 2 for d in source.degrees))
 
 
 @settings(checked, max_examples=150)
@@ -279,8 +304,8 @@ def test_mask_case_matches_generic_path(case):
     """Such a map takes the mask case exactly when it is injective and the
     target's cap is not below the source's."""
     f, p = case
-    injective = len({j for j, _ in f._moves}) == len(f._moves)
-    assert (f._plan.blocks is not None) == (injective and f.target.degree_cap >= f.source.degree_cap)
+    distinct = len(set(f._moves)) == len(f._moves)
+    assert f._plan.injective == (distinct and f.target.degree_cap >= f.source.degree_cap)
     image = f(p)
     assert image == f._apply_generic(p)
     assert_normal_form(image)
@@ -442,7 +467,7 @@ def test_arithmetic_keeps_normal_form(case, scalar):
 @given(generator_maps())
 def test_ring_maps_keep_normal_form(case):
     f, p = case
-    assert_normal_form(remap_keys(p, f.target, f._moves))
+    assert_normal_form(f(p))
     assert_normal_form(f._apply_generic(p))
 
 

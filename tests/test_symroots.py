@@ -10,7 +10,7 @@ from fracchern import symroots as sr
 from fracchern.errors import EngineError, PreconditionError, SymmetryError
 from fracchern.gcring import RingMorphism, RingPresentation
 
-from conftest import random_polynomial
+from conftest import plain_moves_by_terms, random_polynomial
 
 
 def divisors(n):
@@ -114,7 +114,19 @@ def test_root_permutations_take_the_mask_case(n, extra):
     """A silent fall back to the per-field loop would show here."""
     m = sr.RootModel(n, 1, extra_even=extra)
     for f in [*sr.root_transpositions(m), m._cycle]:
-        assert f._plan.blocks is not None
+        assert f._plan.injective
+
+
+@pytest.mark.parametrize("n,l", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (6, 3), (6, 6)])
+def test_model_maps_take_the_key_plan_exactly_when_plain(n, l):
+    """The root transpositions and n-cycle, a -> 0, e_k -> f_k, the back
+    map and e_k -> sigma_k(x): a plan exactly when each image is zero or
+    one even generator with coefficient 1, read through ``terms()``."""
+    m = sr.RootModel(n, l, extra_even=("b",))
+    _, at_zero, rename, back = m._fractional_maps
+    for f in [*m._transpositions, m._cycle, at_zero, rename, back, m.elementary_to_roots()]:
+        assert (f._plan is not None) == (plain_moves_by_terms(f.images.values()) is not None)
+    assert at_zero._plan is not None and back._plan is None
 
 
 @pytest.mark.parametrize("extra", [(), ("b",)])
@@ -129,7 +141,7 @@ def test_parameter_dropping_maps_walk_and_match_the_generic_path(n, extra, rng):
         (m._fractional_maps[2], sr.express_in_elementary(total, m)),
     ]
     for f, p in cases:
-        assert f._plan is not None and f._plan.blocks is None
+        assert f._plan is not None and not f._plan.injective
         for q in [p, *(random_polynomial(f.source, rng) for _ in range(8))]:
             assert f(q) == f._apply_generic(q)
 
