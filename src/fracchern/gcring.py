@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm
 
@@ -522,68 +521,6 @@ class _KeyPlan:
             if not key & dropped and m < limit:
                 out[m] = out.get(m, 0) + n
         return _normal_form(self.target, p._den, out)
-
-
-def eliminate_leading(p: GradedPolynomial, target: RingPresentation, step) -> GradedPolynomial:
-    """Reduce p to zero one leading term at a time, recording each step in
-    an element of ``target``.
-
-    At each step the remainder's leading (largest) key m, with coefficient
-    c, is read.  ``step(exponents of m)`` returns target exponents t and an
-    element q of p's ring that is monic (leading coefficient 1), integral,
-    and whose leading monomial divides m.  The remainder loses
-    c * (m / lead q) * q, which cancels m and adds only smaller keys, and
-    the result gains c at t.  The remainder is one numerator dict over p's
-    denominator with a max-heap of its keys, so a step costs the size of
-    q.  p's ring must have no odd generators (the quotient carries no
-    sign).
-    """
-    ring = p.ring
-    if ring.odd_fields:
-        raise PreconditionError("leading-term elimination needs a ring without odd generators")
-    # the top bit of each exponent field, clear in every key: m | high
-    # minus lead keeps it in each field where m's exponent is not smaller
-    high = 0
-    for _ in ring.generators:
-        high = (high << FIELD_BITS) | (1 << (FIELD_BITS - 1))
-    work = dict(p._terms)
-    heap = [-m for m in work]
-    heapify(heap)
-    out = {}
-    while heap:
-        m = -heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue  # cancelled, or a second entry for a key re-added
-        exps, q = step(ring.unpack(m))
-        if q.ring is not ring and q.ring != ring:
-            raise PresentationMismatch("the divisor is not over the reduced element's ring")
-        if q._den != 1:
-            raise PreconditionError("the divisor must be integral")
-        lead = max(q._terms, default=0)
-        if q._terms.get(lead) != 1:
-            raise PreconditionError("the divisor must be monic")
-        if ((m | high) - lead) & high != high:
-            raise PreconditionError("the divisor's leading monomial does not divide the leading monomial")
-        shift = m - lead
-        for key, n in q._terms.items():
-            if key == lead:
-                continue
-            key += shift
-            if key in work:
-                rest = work[key] - c * n
-                if rest:
-                    work[key] = rest
-                else:
-                    del work[key]
-            else:
-                work[key] = -c * n
-                heappush(heap, -key)
-        key = target.pack(exps)
-        if key >= target.key_limit:
-            raise PreconditionError("monomial exceeds degree cap")
-        out[key] = out.get(key, 0) + c
-    return _normal_form(target, p._den, out)
 
 
 def transplant(p: GradedPolynomial, target: RingPresentation) -> GradedPolynomial:

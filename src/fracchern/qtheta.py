@@ -338,15 +338,26 @@ def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
     f_1..f_n, before its map back to the roots."""
     f_ring = model._fractional_maps[0]
     sign = kind.sign
-    series = HalfQSeries._from_halves(f_ring, {0: f_ring.one()}, top)
-    for k in range(2, top + 1, 2):
-        series = series * _euler_factor(f_ring, k, top) ** model.n
+    euler = {j: f_ring.constant(c) for j, c in _euler_product(model.n, top)}
+    series = HalfQSeries._from_halves(f_ring, euler, top)
     for level in range(1, top + 1, 2):
         last = min(model.n, top // level)
         for table in model._level_tables:
             coeffs = {k * level: table[k] * (sign ** k) for k in range(last + 1)}
             series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
     return series
+
+
+@lru_cache(maxsize=64)
+def _euler_product(n: int, top: int) -> tuple:
+    """((2e, c), ...): the coefficients of prod_k (1 - q^k)^n to q^(top/2).
+    They are constants, so they are found once per (n, top) in the ring
+    without generators."""
+    scalar = RingPresentation([], 0)
+    series = HalfQSeries.unit(scalar, Fraction(top, 2))
+    for k in range(2, top + 1, 2):
+        series = series * _euler_factor(scalar, k, top) ** n
+    return tuple((j, h.constant_term()) for j, h in series._halves.items())
 
 
 @lru_cache(maxsize=64)

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, factorial, lcm, prod
 
 from ._kernel import mul_terms
 from .errors import EngineError, PreconditionError, SymmetryError
-from .gcring import FIELD_BITS, FIELD_MASK, GradedPolynomial, RingMorphism, RingPresentation
-from .gcring import _normal_form, eliminate_leading
+from .gcring import FIELD_BITS, FIELD_MASK, GradedPolynomial, RingMorphism, RingPresentation, _normal_form
 from .spaces import check_n_l, working_cap
 
 
@@ -259,12 +259,23 @@ def _dominant_power(model: RootModel, multiplicities: tuple) -> GradedPolynomial
     return cached
 
 
+def _elementary_key(model: RootModel, m: int) -> int:
+    """The e-ring key of the parameter monomial times prod_k e_k^(l_k - l_(k+1))
+    for a dominant root-ring key m with root exponents l_1 >= ... >= l_n.
+
+    x_k and e_k share a slot, and so do the parameters, so subtracting each
+    root field's lower neighbour, moved up one field, is the whole map: the
+    exponents are non-increasing, so nothing borrows, and the degree field
+    stays, since sum 2*l_k = sum 2k*(l_k - l_(k+1))."""
+    return m - ((m & model._dominance_masks[1]) << FIELD_BITS)
+
+
 def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
     """Rewrite a root-symmetric polynomial in e_1..e_n and the parameters.
 
     Classical leading-monomial elimination, run in place on the packed
-    keys by ``gcring.eliminate_leading``: for symmetric input the lex
-    leading root exponents form a partition lambda, and subtracting
+    keys: for symmetric input the lex leading root exponents form a
+    partition lambda, and subtracting
     coeff * (parameter monomial) * prod_k sigma_k^(lambda_k - lambda_{k+1})
     strictly lowers the leading monomial.  A symmetric polynomial is fixed
     by its dominant terms (root exponents non-increasing), one per root
@@ -283,13 +294,12 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
             transposition=violation,
         )
     n = model.n
-    n_params = len(model.params)
-    dominant = _dominant_terms(model, p._terms)
+    work = _dominant_terms(model, p._terms)
     # the orbit of a dominant term has n! / prod (multiplicity of each
     # root exponent)! terms
     roots, sizes = model._dominance_masks[0], model._orbit_sizes
     terms = 0
-    for m in dominant:
+    for m in work:
         r = m & roots
         if r not in sizes:
             exps = [(r >> FIELD_BITS * f) & FIELD_MASK for f in range(n)]
@@ -298,16 +308,36 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
     if terms != len(p._terms):
         raise EngineError("nonzero remainder in symmetric reduction (internal error)")
 
-    # The parameters precede the roots, so the leading key has the top
-    # degree, then that degree's top parameter monomial, then the
-    # lex-leading root exponents of that symmetric part, which are those of
-    # the sigma product's leading monomial.
-    def step(exps):
-        param, lam = exps[:n_params], exps[n_params:]
-        mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
-        return param + mult, _dominant_power(model, mult)
-
-    return eliminate_leading(_normal_form(model.ring, p._den, dominant), model.e_ring, step)
+    # The remainder is one numerator dict over p's denominator with a
+    # max-heap of its keys.  The parameters precede the roots, so the
+    # leading key m is a parameter monomial times x^lambda, and the dominant
+    # sigma product is monic and integral at x^lambda: subtracting c times
+    # its shift by m - x^lambda cancels m and adds only smaller keys.
+    e_ring, n_params = model.e_ring, len(model.params)
+    heap = [-m for m in work]
+    heapify(heap)
+    out = {}
+    while heap:
+        m = -heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue  # cancelled, or a second entry for a key re-added
+        e = _elementary_key(model, m)
+        divisor = _dominant_power(model, e_ring.unpack(e)[n_params:])._terms
+        shift = m - max(divisor)
+        for key, num in divisor.items():
+            key += shift
+            if key in work:
+                rest = work[key] - c * num
+                if rest:
+                    work[key] = rest
+                else:
+                    del work[key]
+            else:
+                work[key] = -c * num
+                heappush(heap, -key)
+        out[e] = c
+    return _normal_form(e_ring, p._den, out)
 
 
 def shifted_chern_sum(

@@ -11,9 +11,12 @@ def rng():
 
 
 def random_polynomial(ring: RingPresentation, rng, terms=6, max_coef=9):
-    """Random element in normal form (may be zero)."""
-    out = ring.zero()
+    """Random element in normal form (may be zero); a constant over a ring
+    without generators."""
     names = [g.name for g in ring.generators]
+    if not names:
+        return ring.constant(rng.randint(-max_coef, max_coef))
+    out = ring.zero()
     for _ in range(terms):
         mono = ring.one()
         budget = ring.degree_cap

@@ -14,7 +14,6 @@ from fracchern.gcring import (
     RingMorphism,
     RingPresentation,
     _generator_moves,
-    eliminate_leading,
     transplant,
 )
 from fracchern.spaces import SPACE_NAMES, space_ring
@@ -219,50 +218,6 @@ def test_morphism_validation(even_ring, loop_ring):
 def test_library_refusals(even_ring, loop_ring, build, error, match):
     with pytest.raises(error, match=match):
         build(even_ring, loop_ring)
-
-
-def _divide_by(p, q):
-    """p / q by leading-term elimination, when the leading monomial of q is
-    a power of the first generator: each step records m / lead q."""
-    lead = q.leading_term()[0][0]
-    return eliminate_leading(p, p.ring, lambda exps: ((exps[0] - lead, *exps[1:]), q))
-
-
-def test_eliminate_leading_divides_exactly(even_ring):
-    q = even_ring.poly("a + c1")
-    for quotient in (even_ring.poly("3/2*c2 - a"), even_ring.poly("a^2 - 1/3*c1*c2 + 7"), even_ring.one()):
-        assert _divide_by(quotient * q * q, q) == quotient * q
-    assert _divide_by(even_ring.zero(), q) == even_ring.zero()
-    assert _divide_by(even_ring.poly("a^3 + a*c1^2 - a*c2"), even_ring.poly("a^2 + c1^2 - c2")) == (
-        even_ring.poly("a")
-    )
-
-
-@pytest.mark.parametrize(
-    "p,q,error,match",
-    [
-        ("a^2", "2*a + c1", PreconditionError, "^the divisor must be monic$"),
-        ("a^2", "a + 1/2*c1", PreconditionError, "^the divisor must be integral$"),
-        ("a^2", "0", PreconditionError, "^the divisor must be monic$"),
-        ("a*c1 + 2*c1^2", "a + c1", PreconditionError,
-         "^the divisor's leading monomial does not divide the leading monomial$"),
-        ("c2*a", "c1^2 + c2", PreconditionError,
-         "^the divisor's leading monomial does not divide the leading monomial$"),
-    ],
-    ids=["not_monic", "not_integral", "zero", "second_step_not_divisible", "degree_fits_fields_do_not"],
-)
-def test_eliminate_leading_refuses_a_divisor(even_ring, p, q, error, match):
-    divisor = even_ring.poly(q)
-    with pytest.raises(error, match=match):
-        eliminate_leading(even_ring.poly(p), even_ring, lambda exps: (exps, divisor))
-
-
-def test_eliminate_leading_refuses_odd_rings_and_foreign_divisors(even_ring, loop_ring):
-    with pytest.raises(PreconditionError, match="^leading-term elimination needs a ring without odd generators$"):
-        eliminate_leading(loop_ring.poly("c1"), loop_ring, lambda exps: (exps, loop_ring.one()))
-    other = RingPresentation([("a", 2), ("c1", 2)], 12)
-    with pytest.raises(PresentationMismatch):
-        eliminate_leading(even_ring.poly("a"), even_ring, lambda exps: (exps, other.gen("a")))
 
 
 @pytest.mark.parametrize(

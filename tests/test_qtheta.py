@@ -538,6 +538,21 @@ def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series
         assert qt.normalize_gch(f_series, kind, n, q) == want, (model.l, kind, q)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cached_euler_product_is_the_uncached_product(n):
+    """The lambda route's cached constants are the coefficients of
+    prod_k (1 - q^k)^n built factor by factor over a ring with a generator."""
+    ring = RingPresentation([("f1", 2)], 4)
+    for top in range(9):
+        want = HalfQSeries.unit(ring, Fraction(top, 2))
+        for k in range(2, top + 1, 2):
+            want = want * qt._euler_factor(ring, k, top) ** n
+        assert all(p == ring.constant(p.constant_term()) for p in want._halves.values())
+        got = qt._euler_product(n, top)
+        assert dict(got) == {j: p.constant_term() for j, p in want._halves.items()}, top
+        assert qt._euler_product(n, top) is got
+
+
 def _theta3_at(q_order):
     ring = RingPresentation([("x", 2)], 4)
     return qt.theta_series(WittenKind.THETA3, ring.gen("x"), q_order)

@@ -323,6 +323,29 @@ def test_packed_dominance_test_matches_the_unpacked_root_exponents(data):
     assert bool(sr._dominant_terms(model, {key: 1})) == dominant
 
 
+_ELEMENTARY_KEY_MODELS = [
+    sr.RootModel(n, 1, degree_cap=cap, extra_even=extra)
+    for n in range(1, 9)
+    for extra in ((), ("b",))
+    for cap in (None, RingPresentation.MAX_DEGREE_CAP)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_elementary_key_packs_the_multiplicities(data):
+    """For a dominant key with root exponents lambda, the mask-and-shift
+    e-key is the e-ring key of the parameters and lambda_k - lambda_{k+1}."""
+    model = data.draw(st.sampled_from(_ELEMENTARY_KEY_MODELS))
+    top = model.ring.degree_cap // 2
+    exponent = st.one_of(st.integers(0, 2), st.integers(0, top))
+    params = data.draw(st.lists(exponent, min_size=len(model.params), max_size=len(model.params)))
+    lam = sorted(data.draw(st.lists(exponent, min_size=model.n, max_size=model.n)), reverse=True)
+    mult = [lam[k] - (lam[k + 1] if k + 1 < model.n else 0) for k in range(model.n)]
+    key = model.ring.pack(params + lam)
+    assert sr._elementary_key(model, key) == model.e_ring.pack(params + mult)
+
+
 def _express_by_arithmetic(p, model):
     """The elimination as whole-polynomial arithmetic, one subtraction of a
     full product per step: the reference for the in-place route."""

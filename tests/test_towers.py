@@ -598,8 +598,8 @@ def test_only_plain_registry_maps_take_the_key_plan(n, l, rng):
         assert (f._plan is not None) == (plain_moves_by_terms(f.images.values()) is not None), name
         if f._plan is not None:
             planned.add(name)
-        # phi3's source at n = 2 has no generators: its one element is a constant
-        for p in [random_polynomial(f.source, rng) for _ in range(4)] if f.source.names else [f.source.one()]:
+        for _ in range(4):
+            p = random_polynomial(f.source, rng)
             assert f(p) == f._apply_generic(p), name
     if n == l > 1:
         assert {"Bi2l", "Brho_s"} <= planned
