@@ -166,13 +166,14 @@ def _esp(values, k_max, ring, k_min=0):
 
     The recurrence runs on int numerators: the values are brought to one
     common denominator D, each entry is a plain {key: numerator} dict of
-    e_j(D * values), each product is one kernel call merged into its entry
-    in place, and e_j = e_j(D * values) / D**j is normalized once at the
-    end.  Only the entries from k_min up are final, and only they are
-    returned (the lower ones are None): after the i-th value the recurrence
-    updates entry j only for j <= i (the others are still zero) and for
-    j >= k_min minus the number of values still to come (lower ones can no
-    longer reach k_min)."""
+    e_j(D * values), each product is one kernel call that adds into its
+    entry in place (numerators that cancel stay as zeros), and
+    e_j = e_j(D * values) / D**j is normalized once at the end, which
+    drops the zeros.  Only the entries from k_min up are final, and only
+    they are returned (the lower ones are None): after the i-th value the
+    recurrence updates entry j only for j <= i (the others are still zero)
+    and for j >= k_min minus the number of values still to come (lower ones
+    can no longer reach k_min)."""
     den = lcm(*(v._den for v in values))
     scaled = [{m: n * (den // v._den) for m, n in v._terms.items()} for v in values]
     odd_fields, limit = ring.odd_fields, ring.key_limit
@@ -181,16 +182,7 @@ def _esp(values, k_max, ring, k_min=0):
     for i, v in enumerate(scaled, start=1):
         left -= 1
         for j in range(min(k_max, i), max(k_min - left, 1) - 1, -1):
-            entry = table[j]
-            for m, n in mul_terms(table[j - 1], v, odd_fields, limit).items():
-                if m in entry:
-                    s = entry[m] + n
-                    if s:
-                        entry[m] = s
-                    else:
-                        del entry[m]
-                else:
-                    entry[m] = n
+            mul_terms(table[j - 1], v, odd_fields, limit, table[j])
     return [None] * k_min + [_normal_form(ring, den**j, table[j]) for j in range(k_min, k_max + 1)]
 
 

@@ -44,6 +44,7 @@ def test_criterion(results, number, description):
         (1, verify.closed_vs_brute, (12,)),
         (1, verify.closed_vs_brute, (13,)),
         (1, verify.closed_vs_brute, (14,)),
+        (1, verify.closed_vs_brute, (15,)),
         (3, verify.splitting_relation, (8,)),
         (3, verify.splitting_relation, (10,)),
         (4, verify.tower_composition, (12,)),
@@ -64,6 +65,7 @@ def test_criterion(results, number, description):
         "criterion_1_n_le_12",
         "criterion_1_n_le_13",
         "criterion_1_n_le_14",
+        "criterion_1_n_le_15",
         "criterion_3_n_le_8",
         "criterion_3_n_le_10",
         "criterion_4_n_le_12",

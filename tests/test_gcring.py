@@ -14,6 +14,7 @@ from fracchern.gcring import (
     RingMorphism,
     RingPresentation,
     _generator_moves,
+    _normal_form,
     transplant,
 )
 from fracchern.spaces import SPACE_NAMES, space_ring
@@ -395,6 +396,30 @@ def test_kernel_matches_naive_product_at_the_key_limit(case):
     for a, b in ((p, q), (q, p), (p, ring.zero()), (ring.zero(), q)):
         terms = _kernel.mul_terms(a._terms, b._terms, ring.odd_fields, ring.key_limit)
         assert GradedPolynomial(ring, terms) == naive_product(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kernel_operands(), st.data())
+def test_kernel_adds_into_an_accumulator(case, data):
+    """With ``acc`` the kernel adds the product into that dict in place and
+    returns it; numerators that cancel may stay there as zeros, which the
+    normal form drops.  The start dict holds some of the product's keys
+    negated, so they cancel, and some of the operands' keys.  Without
+    ``acc`` the kernel returns a new dict with no zero numerator."""
+    ring, (p, q) = case
+    coefficients = st.integers(-9, 9)
+    for a, b in ((p, q), (q, p), (p, ring.zero()), (ring.zero(), q)):
+        fresh = _kernel.mul_terms(a._terms, b._terms, ring.odd_fields, ring.key_limit)
+        assert 0 not in fresh.values()
+        cancel = data.draw(st.sets(st.sampled_from(sorted(fresh)))) if fresh else set()
+        start = {m: -fresh[m] for m in cancel}
+        for m in sorted(p._terms.keys() | q._terms.keys()):
+            start.setdefault(m, data.draw(coefficients))
+        expected = _normal_form(ring, 1, dict(start)) + naive_product(a, b)
+        acc = dict(start)
+        out = _kernel.mul_terms(a._terms, b._terms, ring.odd_fields, ring.key_limit, acc)
+        assert out is acc
+        assert _normal_form(ring, 1, out) == expected
 
 
 def test_product_over_two_denominators_matches_naive_product(loop_ring):

@@ -404,6 +404,37 @@ def test_banded_esp_entry_matches_the_full_table(data):
         assert sr._esp(values, top, model.ring, k)[k:] == full[k:]
 
 
+def test_esp_drops_the_zeros_a_cancelling_entry_leaves(monkeypatch):
+    """Values such as x1, -x1 cancel an entry mid-recurrence, and the kernel
+    leaves the cancelled numerators in it as zeros; every returned entry,
+    full and banded, still equals the reference and holds no zero."""
+    m = sr.RootModel(3, 3)
+    x1, x2, x3 = m.roots()
+    a = m.ring.gen("a")
+    cases = [
+        [x1, -x1, x2],
+        [x1 - a / 2, a / 2 - x1, x2, x3],
+        [x2, x1, -x1, -x2, x3],
+    ]
+    kernel = sr.mul_terms
+    zeros_left = []
+
+    def watching_kernel(*args):
+        out = kernel(*args)
+        zeros_left.append(0 in out.values())
+        return out
+
+    monkeypatch.setattr(sr, "mul_terms", watching_kernel)
+    for values in cases:
+        top = len(values)
+        full = _esp_full(values, top, m.ring)
+        for k in range(top + 1):
+            for entry, ref in zip(sr._esp(values, top, m.ring, k)[k:], full[k:]):
+                assert entry == ref
+                assert 0 not in entry._terms.values()
+    assert any(zeros_left)
+
+
 def test_two_generator_prepass_pinned_cases():
     m3 = sr.RootModel(3, 3)
     x1, x2, x3 = m3.roots()
