@@ -213,9 +213,10 @@ class RingPresentation:
         return cls(gens, cap)
 
 
-def _coefficient_text(magnitude: Fraction) -> str:
+def _coefficient_text(num: int, den: int) -> str:
+    """num/den in lowest terms, printed as num alone when den is 1."""
     try:
-        return str(magnitude)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # longer than sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         raise PreconditionError(f"a coefficient has more than {limit} digits to print") from None
@@ -435,27 +436,31 @@ class GradedPolynomial:
         return hash((self.ring, self._den, frozenset(self._terms.items())))
 
     def render(self) -> str:
-        items = self.terms()
-        if not items:
+        """The terms in ``terms()`` order, each coefficient reduced by one
+        gcd straight from its numerator."""
+        if not self._terms:
             return "0"
+        names, den = self.ring.names, self._den
         chunks = []
-        for i, (exps, coef) in enumerate(items):
+        for i, m in enumerate(sorted(self._terms)):
+            n = self._terms[m]
+            g = gcd(n, den)
+            num, d = abs(n) // g, den // g
             factors = [
                 f"{name}^{e}" if e > 1 else name
-                for name, e in zip(self.ring.names, exps)
+                for name, e in zip(names, self.ring.unpack(m))
                 if e
             ]
-            magnitude = abs(coef)
             if factors:
                 body = "*".join(factors)
-                if magnitude != 1:
-                    body = f"{_coefficient_text(magnitude)}*{body}"
+                if num != 1 or d != 1:
+                    body = f"{_coefficient_text(num, d)}*{body}"
             else:
-                body = _coefficient_text(magnitude)
+                body = _coefficient_text(num, d)
             if i == 0:
-                chunks.append(body if coef > 0 else f"-{body}")
+                chunks.append(body if n > 0 else f"-{body}")
             else:
-                chunks.append(f" + {body}" if coef > 0 else f" - {body}")
+                chunks.append(f" + {body}" if n > 0 else f" - {body}")
         return "".join(chunks)
 
     def __str__(self):

@@ -6,8 +6,10 @@ The two character constructions are deliberately independent:
   theta_product   multiplies per shifted root r the factor
                   prod_{j>=1} (1 - q^j)(1 + s*q^{j-1/2}e^r)(1 + s*q^{j-1/2}e^{-r})
                   with s = -1 for the alternating kind and +1 otherwise,
-                  expanded for the first root and carried to the others by
-                  root transpositions;
+                  built as its Jacobi triple-product sum
+                  sum_m s^m q^{m^2/2} e^{m*r} for the first root and carried
+                  to the others by root transpositions; the product form,
+                  multiplied out, stays as the reference for that sum;
   lambda_tensor   expands the exterior-power series level by level, times
                   the scalar Euler factor, in the ring of the fractional
                   classes f_k = sigma_k(x - a/l): its level tables
@@ -16,8 +18,9 @@ The two character constructions are deliberately independent:
                   every coefficient back to the roots.
 
 Their agreement (exact, at every truncation) is the module's central
-oracle.  At shift 0 the products reduce to the classical sums
-sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
+oracle: it checks the triple-product identity over n roots against the
+lambda route, which builds no theta factor.  At shift 0 the product form
+reduces to the classical sums sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from ._kernel import mul_terms
 from .errors import EngineError, PreconditionError, VerificationError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _linear_combination
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _linear_combination, _normal_form
 from .symroots import RootModel, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
@@ -218,23 +222,43 @@ class HalfQSeries:
 
 
 def qseries_mul(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
-    """Cauchy product, truncated at the shared q_order."""
+    """Cauchy product, truncated at the shared q_order.
+
+    Each coefficient is built once: a lone pair (pf, pg) is ``pf * pg``,
+    and several pairs go into one int numerator dict over the lcm of
+    their denominators, f's factor on the left so the Koszul signs hold,
+    normalized once."""
     f._check_compatible(g.ring, g._top)
+    ring = f.ring
     top = f._top
-    out: dict = {}
+    feeds: dict = {}
     for kf, pf in f._halves.items():
         for kg, pg in g._halves.items():
-            k = kf + kg
-            if k > top:
-                continue
-            prod = pf * pg
-            if prod.is_zero:
-                continue
-            if k in out:
-                out[k] = out[k] + prod
+            if kf + kg <= top:
+                feeds.setdefault(kf + kg, []).append((pf, pg))
+    out = {}
+    for k, pairs in feeds.items():
+        if len(pairs) == 1:
+            pf, pg = pairs[0]
+            out[k] = pf * pg
+            continue
+        den = lcm(*(pf._den * pg._den for pf, pg in pairs))
+        nums: dict = {}
+        for pf, pg in pairs:
+            scale = den // (pf._den * pg._den)
+            for const, p in ((pf, pg), (pg, pf)):
+                if len(const._terms) == 1 and 0 in const._terms:
+                    # a lone constant scales the other operand: no sign,
+                    # no truncation
+                    c = scale * const._terms[0]
+                    for m, n in p._terms.items():
+                        nums[m] = nums.get(m, 0) + c * n
+                    break
             else:
-                out[k] = prod
-    return HalfQSeries._from_halves(f.ring, out, top)
+                left = pf._terms if scale == 1 else {m: n * scale for m, n in pf._terms.items()}
+                mul_terms(left, pg._terms, ring.odd_fields, ring.key_limit, nums)
+        out[k] = _normal_form(ring, den, nums)
+    return HalfQSeries._from_halves(ring, out, top)
 
 
 def qseries_div_unit(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
@@ -283,7 +307,30 @@ def _euler_factor(ring: RingPresentation, k: int, top: int) -> HalfQSeries:
 
 
 def theta_series(kind: WittenKind, shift: GradedPolynomial, q_order) -> HalfQSeries:
-    """prod_{j>=1} (1 - q^j)(1 + sign q^{j-1/2} e^shift)(1 + sign q^{j-1/2} e^{-shift})."""
+    """prod_{j>=1} (1 - q^j)(1 + sign q^{j-1/2} e^shift)(1 + sign q^{j-1/2} e^{-shift}),
+    built as its Jacobi triple-product sum sum_{m in Z} sign^m q^{m^2/2} e^{m*shift}:
+    1 at q^0 and sign^j (E^j + E^-j) at q^{j^2/2}, with E = e^shift.  Both
+    are truncations of one formal series, so they agree at every order;
+    ``_theta_product_form`` keeps the product as the reference."""
+    top = _half_steps(q_order)
+    ring = shift.ring
+    sign = kind.sign
+    e_plus = formal_exp(shift)
+    e_minus = formal_exp(-shift)
+    halves = {0: ring.one()}
+    power_plus = power_minus = ring.one()
+    j = 1
+    while j * j <= top:
+        power_plus = power_plus * e_plus
+        power_minus = power_minus * e_minus
+        halves[j * j] = (power_plus + power_minus) * sign**j
+        j += 1
+    return HalfQSeries._from_halves(ring, halves, top)
+
+
+def _theta_product_form(kind: WittenKind, shift: GradedPolynomial, q_order) -> HalfQSeries:
+    """``theta_series`` as the product of its factors, multiplied out: the
+    reference for the triple-product sum."""
     top = _half_steps(q_order)
     ring = shift.ring
     sign = kind.sign

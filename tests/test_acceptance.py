@@ -105,6 +105,11 @@ def _lambda_tensor_off_by_double(monkeypatch):
     monkeypatch.setattr(qtheta, "gch_witten", gch_witten)
 
 
+def _theta_product_form_off_by_double(monkeypatch):
+    real = qtheta._theta_product_form
+    monkeypatch.setattr(qtheta, "_theta_product_form", lambda *args: real(*args) * 2)
+
+
 @pytest.mark.parametrize(
     "culprit,break_it,detail",
     [
@@ -118,8 +123,9 @@ def _lambda_tensor_off_by_double(monkeypatch):
             _lambda_tensor_off_by_double,
             "theta_product and lambda_tensor expansions disagree at n=1, l=1, theta2",
         ),
+        (9, _theta_product_form_off_by_double, "triple product failed for theta3"),
     ],
-    ids=["criterion_6_raises", "criterion_9_disagrees"],
+    ids=["criterion_6_raises", "criterion_9_disagrees", "criterion_9_triple_product"],
 )
 def test_failed_cross_check_fails_only_its_criterion(monkeypatch, capsys, culprit, break_it, detail):
     break_it(monkeypatch)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from fracchern import cli
 from fracchern.errors import PreconditionError, PresentationMismatch
-from fracchern.gcring import RingMorphism, RingPresentation, _KeyPlan, transplant
-from fracchern.qtheta import HalfQSeries, formal_exp, qseries_div_unit
+from fracchern.gcring import Generator, RingMorphism, RingPresentation, _KeyPlan, transplant
+from fracchern.qtheta import HalfQSeries, formal_exp, qseries_div_unit, qseries_mul
 from fracchern.towers import LEVELS
 from fracchern.transgression import builtin_table, free_suspend, naturality_check
 from fracchern.verify import FIXTURE_NAMES
@@ -63,6 +63,34 @@ def ring_with(draw, count):
 def test_parse_render_roundtrip(case):
     ring, [p] = case
     assert ring.poly(p.render()) == p
+
+
+def fraction_render(p):
+    """The reference for ``render``: the text built from ``terms()``, with
+    ``Fraction`` coefficients."""
+    chunks = []
+    for i, (exps, coef) in enumerate(p.terms()):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(p.ring.names, exps) if e]
+        magnitude = abs(coef)
+        if factors:
+            body = "*".join(factors)
+            if magnitude != 1:
+                body = f"{magnitude}*{body}"
+        else:
+            body = str(magnitude)
+        if i == 0:
+            chunks.append(body if coef > 0 else f"-{body}")
+        else:
+            chunks.append(f" + {body}" if coef > 0 else f" - {body}")
+    return "".join(chunks) or "0"
+
+
+@checked
+@given(ring_with(2), coefficients.filter(bool))
+def test_render_matches_the_fraction_rendering(case, scalar):
+    ring, [p, q] = case
+    for r in (p, -p, p * scalar, p * q, p + scalar, ring.constant(scalar), ring.zero(), ring.one()):
+        assert r.render() == fraction_render(r)
 
 
 @checked
@@ -363,6 +391,69 @@ def test_series_products_and_unit_division(series, scalar):
     assert f * g == g * f
     unit = g + HalfQSeries.unit(g.ring, g.q_order) * (scalar - g.coefficient(0).constant_term())
     assert qseries_div_unit(f * unit, unit) == f
+
+
+def naive_qseries_mul(f, g):
+    """The reference for ``qseries_mul``: each pair's product made on its
+    own and added into its coefficient."""
+    f._check_compatible(g.ring, g._top)
+    top = f._top
+    out: dict = {}
+    for kf, pf in f._halves.items():
+        for kg, pg in g._halves.items():
+            k = kf + kg
+            if k > top:
+                continue
+            prod = pf * pg
+            if prod.is_zero:
+                continue
+            if k in out:
+                out[k] = out[k] + prod
+            else:
+                out[k] = prod
+    return HalfQSeries._from_halves(f.ring, out, top)
+
+
+def series_coefficients(ring):
+    """Polynomials, polynomials times an odd generator, or lone constants
+    with exactly 1 among them."""
+    odd = [ring.gen(g.name) for g in ring.generators if g.is_odd]
+    constants = st.sampled_from([1, -1, Fraction(1, 3)]) | coefficients.filter(bool)
+    odd_multiples = st.tuples(polynomials(ring), st.sampled_from(odd)).map(lambda pair: pair[0] * pair[1])
+    return polynomials(ring) | odd_multiples | constants.map(ring.constant)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series over one ring with at least two odd generators, so that
+    Koszul signs show, at one q-order from 1/2 to 4, with polynomial and
+    lone-constant coefficients."""
+    ring = draw(rings())
+    if sum(d % 2 for d in ring.degrees) < 2:
+        ring = RingPresentation(ring.generators + (Generator("h", 1),), ring.degree_cap)
+    top = draw(st.integers(1, 8))
+    halves = st.dictionaries(st.integers(0, top), series_coefficients(ring), max_size=6)
+    return [
+        HalfQSeries(ring, {Fraction(k, 2): p for k, p in draw(halves).items()}, Fraction(top, 2))
+        for _ in range(2)
+    ]
+
+
+@settings(checked, max_examples=200)
+@given(series_pairs())
+def test_fused_series_product_matches_the_pairwise_product(pair):
+    f, g = pair
+    for a, b in ((f, g), (g, f), (f, f)):
+        product = qseries_mul(a, b)
+        assert product == naive_qseries_mul(a, b)
+        for p in product._halves.values():
+            assert_normal_form(p)
+    other_order = HalfQSeries.unit(f.ring, f.q_order + Fraction(1, 2))
+    other_ring = HalfQSeries.unit(RingPresentation(f.ring.generators, f.ring.degree_cap + 1), f.q_order)
+    for stranger in (other_order, other_ring):
+        for mul in (qseries_mul, naive_qseries_mul):
+            with pytest.raises(PreconditionError, match="^series must share ring and q_order$"):
+                mul(f, stranger)
 
 
 @checked

@@ -200,6 +200,36 @@ def test_triple_product_to_order_8(scalar_ring):
         assert got == expected
 
 
+THETA_ORDERS = (HALF, 1, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_triple_product_sum_is_the_product_form(n):
+    """The triple-product sum ``theta_series`` builds equals the product of
+    the factors multiplied out, at every l | n, cap and order, both kinds,
+    for the shifted root, zero and a shift that is not a root."""
+    for l in (d for d in range(1, n + 1) if n % d == 0):
+        for cap in (c for c in (4, 8, 12) if c >= 2 * n):
+            model = RootModel(n, l, degree_cap=cap)
+            ring = model.ring
+            shifts = (model.shifted_roots()[0], ring.zero(), ring.gen("x1") * 3 - ring.gen("a"))
+            for kind in WittenKind:
+                for q in THETA_ORDERS:
+                    for shift in shifts:
+                        expected = qt._theta_product_form(kind, shift, q)
+                        assert qt.theta_series(kind, shift, q) == expected, (l, cap, kind, q, shift)
+
+
+def test_triple_product_sum_is_the_product_form_with_an_odd_generator():
+    ring = RingPresentation([("x", 2), ("y", 1), ("z", 4)], 12)
+    for kind in WittenKind:
+        for q in THETA_ORDERS:
+            for text in ("x + y", "x^2 - z + y", "y"):
+                shift = ring.poly(text)
+                expected = qt._theta_product_form(kind, shift, q)
+                assert qt.theta_series(kind, shift, q) == expected, (kind, q, text)
+
+
 def test_theta_first_coefficient_is_cosh():
     ring = RingPresentation([("x", 2)], 8)
     t3 = qt.theta_series(WittenKind.THETA3, ring.gen("x"), 1)
@@ -609,3 +639,5 @@ def test_theta_rejects_constant_shift():
     ring = RingPresentation([("x", 2)], 4)
     with pytest.raises(PreconditionError):
         qt.theta_series(WittenKind.THETA3, ring.one(), 2)
+    with pytest.raises(PreconditionError):
+        qt._theta_product_form(WittenKind.THETA3, ring.one(), 2)
