@@ -16,7 +16,10 @@ multiplies the monomials, and the constant term's key is 0.
 The coefficients are int numerators over one positive int denominator:
 an element is ``(den, {key: numerator})`` with no zero numerator, the gcd
 of den and every numerator 1, and den 1 for zero.  Every element that
-arithmetic builds passes through ``_normal_form``.  The public surface
+arithmetic builds passes through ``_normal_form``.  Every product, generic
+ring-map image and sum of products is one ``_sum_of_products``, which
+states once how a number or a lone constant scales the other factor; the
+kernel's one other caller is ``symroots._esp``.  The public surface
 deals in exponent tuples over the declared generator order and in
 ``Fraction`` coefficients, built when read.
 """
@@ -240,16 +243,42 @@ def _normal_form(ring: RingPresentation, den: int, nums: dict) -> "GradedPolynom
     return GradedPolynomial(ring, nums, den)
 
 
-def _linear_combination(ring: RingPresentation, den: int, pairs) -> "GradedPolynomial":
-    """The element sum of n/den * p over the (int n, element p of ring)
-    pairs: one numerator dict over den times the lcm of the p's
-    denominators, normalized once."""
-    common = lcm(*(p._den for _, p in pairs))
+def _sum_of_products(ring: RingPresentation, pairs, den: int = 1) -> "GradedPolynomial":
+    """The element sum of a*b/den over the pairs (a, b): b an element of
+    ring and a an int or an element of ring, on the left so the Koszul
+    signs hold.
+
+    An int, or a lone constant term on either side, scales the other
+    factor: no sign, no truncation.  Every other product is one kernel call adding
+    into the one numerator dict over den times the lcm of the pair
+    denominators, normalized once.  A lone product by exactly 1 (and den 1)
+    is the other factor itself, shared: elements are immutable."""
+    parts = []  # (int scale, pair denominator, element, element or None)
+    for a, b in pairs:
+        if isinstance(a, int):
+            parts.append((a, b._den, b, None))
+        elif len(a._terms) == 1 and 0 in a._terms:
+            parts.append((a._terms[0], a._den * b._den, b, None))
+        elif len(b._terms) == 1 and 0 in b._terms:
+            parts.append((b._terms[0], a._den * b._den, a, None))
+        else:
+            parts.append((1, a._den * b._den, a, b))
+    if len(parts) == 1 and den == 1:
+        num, d, p, q = parts[0]
+        if q is None and num == 1 and d == p._den:
+            return p
+    common = lcm(*(d for _, d, _, _ in parts))
     nums = {}
-    for n, p in pairs:
-        scale = n * (common // p._den)
-        for m, c in p._terms.items():
-            nums[m] = nums.get(m, 0) + scale * c
+    for num, d, p, q in parts:
+        scale = num * (common // d)
+        if q is not None:
+            left = p._terms if scale == 1 else {m: n * scale for m, n in p._terms.items()}
+            mul_terms(left, q._terms, ring.odd_fields, ring.key_limit, nums)
+        elif nums:
+            for m, n in p._terms.items():
+                nums[m] = nums.get(m, 0) + scale * n
+        else:
+            nums = {m: scale * n for m, n in p._terms.items()}
     return _normal_form(ring, den * common, nums)
 
 
@@ -375,17 +404,7 @@ class GradedPolynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        den = self._den * q._den
-        # a lone constant term scales the other operand: no sign, no
-        # truncation, and a factor 1 shares it (elements are immutable)
-        for const, p in ((q, self), (self, q)):
-            if len(const._terms) == 1 and 0 in const._terms:
-                num = const._terms[0]
-                if num == const._den == 1:
-                    return p
-                return _normal_form(self.ring, den, {m: n * num for m, n in p._terms.items()})
-        out = mul_terms(self._terms, q._terms, self.ring.odd_fields, self.ring.key_limit)
-        return _normal_form(self.ring, den, out)
+        return _sum_of_products(self.ring, [(self, q)])
 
     __rmul__ = __mul__
 
@@ -674,8 +693,8 @@ class RingMorphism:
         every call and every list shares them; they are fixed by the map.
         Monomial m's image is image(m / g) * image(g) for g the last
         generator of m in declared order, so the factors keep m's own
-        (Koszul) order.  Each p is one ``_linear_combination`` of its
-        monomials' images.
+        (Koszul) order.  Each p is one ``_sum_of_products`` of its
+        coefficients and its monomials' images.
         """
         source = self.source
         shift = source.degree_shift
@@ -699,7 +718,7 @@ class RingMorphism:
             return img
 
         return [
-            _linear_combination(self.target, p._den, [(n, image(m)) for m, n in p._terms.items()])
+            _sum_of_products(self.target, [(n, image(m)) for m, n in p._terms.items()], p._den)
             for p in polys
         ]
 

@@ -21,6 +21,10 @@ Their agreement (exact, at every truncation) is the module's central
 oracle: it checks the triple-product identity over n roots against the
 lambda route, which builds no theta factor.  At shift 0 the product form
 reduces to the classical sums sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
+
+Every sum of products here (a series coefficient, a normalized
+coefficient, a term of ``formal_exp``) is one ``gcring._sum_of_products``:
+this module never reads the coefficient layout.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from ._kernel import mul_terms
 from .errors import EngineError, PreconditionError, VerificationError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _linear_combination, _normal_form
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
 from .symroots import RootModel, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
@@ -222,43 +224,18 @@ class HalfQSeries:
 
 
 def qseries_mul(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
-    """Cauchy product, truncated at the shared q_order.
-
-    Each coefficient is built once: a lone pair (pf, pg) is ``pf * pg``,
-    and several pairs go into one int numerator dict over the lcm of
-    their denominators, f's factor on the left so the Koszul signs hold,
-    normalized once."""
+    """Cauchy product, truncated at the shared q_order: each coefficient is
+    one ``_sum_of_products`` of the pairs (pf, pg) feeding it, f's factor on
+    the left so the Koszul signs hold."""
     f._check_compatible(g.ring, g._top)
-    ring = f.ring
     top = f._top
     feeds: dict = {}
     for kf, pf in f._halves.items():
         for kg, pg in g._halves.items():
             if kf + kg <= top:
                 feeds.setdefault(kf + kg, []).append((pf, pg))
-    out = {}
-    for k, pairs in feeds.items():
-        if len(pairs) == 1:
-            pf, pg = pairs[0]
-            out[k] = pf * pg
-            continue
-        den = lcm(*(pf._den * pg._den for pf, pg in pairs))
-        nums: dict = {}
-        for pf, pg in pairs:
-            scale = den // (pf._den * pg._den)
-            for const, p in ((pf, pg), (pg, pf)):
-                if len(const._terms) == 1 and 0 in const._terms:
-                    # a lone constant scales the other operand: no sign,
-                    # no truncation
-                    c = scale * const._terms[0]
-                    for m, n in p._terms.items():
-                        nums[m] = nums.get(m, 0) + c * n
-                    break
-            else:
-                left = pf._terms if scale == 1 else {m: n * scale for m, n in pf._terms.items()}
-                mul_terms(left, pg._terms, ring.odd_fields, ring.key_limit, nums)
-        out[k] = _normal_form(ring, den, nums)
-    return HalfQSeries._from_halves(ring, out, top)
+    out = {k: _sum_of_products(f.ring, pairs) for k, pairs in feeds.items()}
+    return HalfQSeries._from_halves(f.ring, out, top)
 
 
 def qseries_div_unit(f: HalfQSeries, g: HalfQSeries) -> HalfQSeries:
@@ -294,11 +271,16 @@ def formal_exp(x: GradedPolynomial) -> GradedPolynomial:
     k = 0
     while True:
         k += 1
-        term = term * x * Fraction(1, k)
+        term = _sum_of_products(x.ring, [(term, x)], k)
         if term.is_zero:
             break
         out = out + term
     return out
+
+
+def _constant_series(ring: RingPresentation, coefficients, top: int) -> HalfQSeries:
+    """The series over ring of cached ((2e, c), ...) constant coefficients."""
+    return HalfQSeries._from_halves(ring, {j: ring.constant(c) for j, c in coefficients}, top)
 
 
 def _euler_factor(ring: RingPresentation, k: int, top: int) -> HalfQSeries:
@@ -385,12 +367,11 @@ def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
     f_1..f_n, before its map back to the roots."""
     f_ring = model._fractional_maps[0]
     sign = kind.sign
-    euler = {j: f_ring.constant(c) for j, c in _euler_product(model.n, top)}
-    series = HalfQSeries._from_halves(f_ring, euler, top)
+    series = _constant_series(f_ring, _euler_product(model.n, top), top)
     for level in range(1, top + 1, 2):
         last = min(model.n, top // level)
         for table in model._level_tables:
-            coeffs = {k * level: table[k] * (sign ** k) for k in range(last + 1)}
+            coeffs = {k * level: -table[k] if sign**k < 0 else table[k] for k in range(last + 1)}
             series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
     return series
 
@@ -408,44 +389,33 @@ def _euler_product(n: int, top: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _theta0_inverse(kind: WittenKind, n: int, top: int):
-    """(den, ((2e, numerator), ...)): the coefficients of 1/theta0^n to
-    q^(top/2) over one denominator, where theta0 is ``theta_series`` at
-    shift 0.  They are constants, so they are found once per (kind, n, top)
-    in the ring without generators."""
+def _theta0_inverse(kind: WittenKind, n: int, top: int) -> tuple:
+    """((2e, c), ...): the coefficients of 1/theta0^n to q^(top/2), where
+    theta0 is ``theta_series`` at shift 0.  They are constants, so they are
+    found once per (kind, n, top) in the ring without generators."""
     scalar = RingPresentation([], 0)
     q_order = Fraction(top, 2)
     theta0 = theta_series(kind, scalar.zero(), q_order)
-    inverse = qseries_div_unit(HalfQSeries.unit(scalar, q_order), theta0 ** n)._halves
-    den = lcm(*(h._den for h in inverse.values()))
-    return den, tuple((j, h._terms[0] * (den // h._den)) for j, h in inverse.items())
+    inverse = qseries_div_unit(HalfQSeries.unit(scalar, q_order), theta0 ** n)
+    return tuple((j, h.constant_term()) for j, h in inverse._halves.items())
 
 
 def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> HalfQSeries:
-    """Divide by the n-th power of the shift-0 theta series.
-
-    The series is multiplied by the cached constant coefficients h_j of
-    1/theta0^n (``_theta0_inverse``): the coefficient at q^(k/2) is the
-    one linear combination sum_j h_j s_(k-j).  The degree-2p coefficients
-    of the result are the q-expansions whose modularity is governed by the
-    degree-4 obstruction class; they are emitted as formal series, not
-    verified analytically.
+    """Divide by the n-th power of the shift-0 theta series: multiply by the
+    series of the cached constant coefficients of 1/theta0^n
+    (``_theta0_inverse``).  The degree-2p coefficients of the result are
+    the q-expansions whose modularity is governed by the degree-4
+    obstruction class; they are emitted as formal series, not verified
+    analytically.
     """
     top = _half_steps(q_order)
     # a kind or an n of another type is built uncached, so that it is
     # refused as the division refuses it, not as an unhashable key
     cached = isinstance(kind, WittenKind) and isinstance(n, int)
     build = _theta0_inverse if cached else _theta0_inverse.__wrapped__
-    den, inverse = build(kind, n, top)
+    inverse = build(kind, n, top)
     series._check_compatible(series.ring, top)
-    halves = series._halves
-    out = {
-        k: _linear_combination(
-            series.ring, den, [(h, halves[k - j]) for j, h in inverse if k - j in halves]
-        )
-        for k in range(top + 1)
-    }
-    return HalfQSeries._from_halves(series.ring, out, top)
+    return qseries_mul(series, _constant_series(series.ring, inverse, top))
 
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:

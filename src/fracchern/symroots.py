@@ -22,7 +22,7 @@ from math import comb, factorial, lcm, prod
 
 from ._kernel import mul_terms
 from .errors import EngineError, PreconditionError, SymmetryError
-from .gcring import FIELD_BITS, FIELD_MASK, GradedPolynomial, RingMorphism, RingPresentation, _normal_form
+from .gcring import FIELD_BITS, FIELD_MASK, GradedPolynomial, RingMorphism, RingPresentation, _normal_form, _sum_of_products
 from .spaces import check_n_l, working_cap
 
 
@@ -399,8 +399,6 @@ def splitting_check(model: RootModel) -> SplittingReport:
     sigma = model._shifted_sigma
     residuals = []
     for r in model._shifted:
-        total = model.ring.zero()
-        for k in range(model.n + 1):
-            total = total + sigma[k] * r ** (model.n - k) * ((-1) ** k)
-        residuals.append(total)
+        pairs = [(-s if k % 2 else s, r ** (model.n - k)) for k, s in enumerate(sigma)]
+        residuals.append(_sum_of_products(model.ring, pairs))
     return SplittingReport(all(res.is_zero for res in residuals), residuals)

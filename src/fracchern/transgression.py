@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import spaces
 from .errors import PreconditionError
-from .gcring import GradedPolynomial, RingMorphism, RingPresentation, element_of_degree
+from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products, element_of_degree
 
 
 @dataclass
@@ -53,7 +52,7 @@ def free_suspend(table: DerivationTable, p: GradedPolynomial) -> GradedPolynomia
         raise PreconditionError("polynomial is not over the table's source ring")
     source = table.source
     target = table.target
-    out = target.zero()
+    pairs = []  # (value, cofactor), summed once
     for exps, coef in p.terms():
         used = [(i, e) for i, e in enumerate(exps) if e]
         for i, _ in used:
@@ -80,8 +79,8 @@ def free_suspend(table: DerivationTable, p: GradedPolynomial) -> GradedPolynomia
                     )
                 cof_exps[idx] = remaining
             cofactor = target.from_exponents({tuple(cof_exps): coef * e})
-            out = out + table.values[source.names[i]] * cofactor
-    return out
+            pairs.append((table.values[source.names[i]], cofactor))
+    return _sum_of_products(target, pairs)
 
 
 # source space -> (loop space, nu on generators as a function of n and l);

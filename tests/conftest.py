@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -53,3 +55,17 @@ def plain_moves_by_terms(images):
             return None
         moves.append(j)
     return tuple(moves)
+
+
+def assert_normal_form(p):
+    """Int numerators over one positive denominator, coprime to them all,
+    no zero numerator and den 1 for zero; the Fraction view round-trips,
+    and an equal value built another way hashes equal."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+    if p.is_zero:
+        assert p._den == 1
+    assert p.ring.from_exponents(dict(p.terms())) == p
+    same = (p * Fraction(1, 3)) * 3
+    assert same == p and hash(same) == hash(p)

@@ -15,13 +15,14 @@ from fracchern.gcring import (
     RingPresentation,
     _generator_moves,
     _normal_form,
+    _sum_of_products,
     transplant,
 )
 from fracchern.spaces import SPACE_NAMES, space_ring
 from fracchern.symroots import RootModel
 from fracchern.transgression import DerivationTable
 
-from conftest import plain_moves_by_terms, random_polynomial
+from conftest import assert_normal_form, plain_moves_by_terms, random_polynomial
 
 
 @pytest.fixture
@@ -420,6 +421,49 @@ def test_kernel_adds_into_an_accumulator(case, data):
         out = _kernel.mul_terms(a._terms, b._terms, ring.odd_fields, ring.key_limit, acc)
         assert out is acc
         assert _normal_form(ring, 1, out) == expected
+
+
+@st.composite
+def product_sums(draw):
+    """A ring with two odd generators and a small cap, a list of pairs
+    (a, b) and a den.  Each a is an int (0 and negative ones too), a lone
+    constant 1, -1 or 1/3, or an element; each b is a lone constant or an
+    element.  Element coefficients have denominators 1, 3 and 4.  The list
+    may be empty, may repeat its pairs in the other order, so that odd
+    factors meet both ways round, and may repeat them negated, so that it
+    cancels to zero."""
+    degrees = [1, 1] + draw(st.lists(st.integers(1, 4), max_size=2))
+    cap = draw(st.integers(max(degrees), 6))
+    ring = RingPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], cap)
+    exponents = st.tuples(*[st.integers(0, 1 if d % 2 else 3) for d in degrees])
+    coefficients = st.sampled_from([1, -1, 2, -5, Fraction(1, 3), Fraction(-2, 3), Fraction(3, 4), Fraction(-1, 4)])
+    elements = st.dictionaries(exponents, coefficients, min_size=1, max_size=4).map(
+        lambda terms: ring.from_exponents({e: c for e, c in terms.items() if ring.monomial_degree(e) <= cap})
+    )
+    constants = st.sampled_from([1, -1, Fraction(1, 3)]).map(ring.constant)
+    pairs = draw(st.lists(st.tuples(st.integers(-3, 3) | constants | elements, constants | elements), max_size=4))
+    if draw(st.booleans()):
+        pairs += [(b, a) for a, b in pairs if not isinstance(a, int)]
+    if draw(st.booleans()):
+        pairs += [(-a, b) for a, b in pairs]
+    return ring, pairs, draw(st.sampled_from([1, 2, 3, 12]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(product_sums())
+def test_sum_of_products_matches_the_naive_sum(case):
+    """``_sum_of_products`` against the naive products of its pairs, an int
+    factor taken as a constant, summed and divided by den through exponent
+    tuples; the result, and the empty sum, in normal form."""
+    ring, pairs, den = case
+    expected = {}
+    for a, b in pairs:
+        for exps, c in naive_product(ring.constant(a) if isinstance(a, int) else a, b).terms():
+            expected[exps] = expected.get(exps, 0) + c / den
+    got = _sum_of_products(ring, pairs, den)
+    assert got == ring.from_exponents(expected)
+    assert_normal_form(got)
+    assert _sum_of_products(ring, [], den) == ring.zero()
 
 
 def test_product_over_two_denominators_matches_naive_product(loop_ring):

@@ -8,7 +8,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from math import gcd
 from unittest import mock
 
 import pytest
@@ -23,7 +22,7 @@ from fracchern.towers import LEVELS
 from fracchern.transgression import builtin_table, free_suspend, naturality_check
 from fracchern.verify import FIXTURE_NAMES
 
-from conftest import plain_moves_by_terms
+from conftest import assert_normal_form, plain_moves_by_terms
 
 # fixed examples, so that a failure repeats and the file stays fast
 checked = settings(derandomize=True, deadline=None, max_examples=50)
@@ -525,20 +524,6 @@ def test_naturality_holds_for_a_loop_map_built_to_commute(alpha, beta, gamma):
     assert naturality_check(f, RingMorphism(blun, blun, lift), nu, nu).ok
     lift["z2"] = lift["z2"] + blun.gen("z1") * lc1
     assert not naturality_check(f, RingMorphism(blun, blun, lift), nu, nu).ok
-
-
-def assert_normal_form(p):
-    """Int numerators over one positive denominator, coprime to them all,
-    no zero numerator and den 1 for zero; the Fraction view round-trips,
-    and an equal value built another way hashes equal."""
-    assert type(p._den) is int and p._den > 0
-    assert all(type(n) is int and n for n in p._terms.values())
-    assert gcd(p._den, *p._terms.values()) == 1
-    if p.is_zero:
-        assert p._den == 1
-    assert p.ring.from_exponents(dict(p.terms())) == p
-    same = (p * Fraction(1, 3)) * 3
-    assert same == p and hash(same) == hash(p)
 
 
 @checked

@@ -57,6 +57,18 @@ def test_free_suspend_refuses_a_namesake_of_another_degree():
     assert tg.free_suspend(tab, src.poly("c1 + 2*c2")) == tgt.poly("z1 + 2*z2")
 
 
+def test_free_suspend_raises_the_first_fault_in_render_order():
+    """c1^2 comes first in render order and its cofactor c1 has no namesake
+    in the target; the later c3 has no value.  The namesake error wins."""
+    src = RingPresentation([("c1", 2), ("c2", 4), ("c3", 6)], 12)
+    tgt = RingPresentation([("z1", 1), ("z2", 3), ("c2", 4)], 12)
+    tab = tg.DerivationTable(src, tgt, {"c1": "z1", "c2": "z2"})
+    with pytest.raises(PreconditionError, match="^no transgression value for generator c3$"):
+        tg.free_suspend(tab, src.gen("c3"))
+    with pytest.raises(PreconditionError, match="^generator c1 has no namesake in the target ring$"):
+        tg.free_suspend(tab, src.poly("c3 + c1^2"))
+
+
 def test_table_validation():
     src = RingPresentation([("c1", 2)], 8)
     tgt = RingPresentation([("z1", 1), ("c1", 2)], 8)
