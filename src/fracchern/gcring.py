@@ -112,6 +112,7 @@ class RingPresentation:
         self.odd_fields = 0
         for g in gens:
             self.odd_fields = (self.odd_fields << FIELD_BITS) | g.is_odd
+        self._one = GradedPolynomial(self, {0: 1})
 
     # -- identity -----------------------------------------------------------
 
@@ -153,11 +154,14 @@ class RingPresentation:
         return GradedPolynomial(self, {})
 
     def one(self) -> "GradedPolynomial":
-        return self.constant(1)
+        """The unit, one element per presentation, shared: elements are
+        immutable."""
+        return self._one
 
     def constant(self, value) -> "GradedPolynomial":
+        # a Fraction is in lowest terms over a positive denominator already
         c = as_fraction(value)
-        return _normal_form(self, c.denominator, {0: c.numerator})
+        return GradedPolynomial(self, {0: c.numerator}, c.denominator) if c else self.zero()
 
     def generator_key(self, name: str) -> int:
         """The key of the monomial ``name``; adding keys multiplies monomials."""

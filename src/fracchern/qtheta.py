@@ -14,8 +14,10 @@ The two character constructions are deliberately independent:
                   the scalar Euler factor, in the ring of the fractional
                   classes f_k = sigma_k(x - a/l): its level tables
                   sigma_k(e^{+-r}) come from the f's by Newton's identities,
-                  and one batched ring map f_k -> sigma_k(x - a/l) carries
-                  every coefficient back to the roots.
+                  each level is one factor, the model's table of
+                  Lambda_t(E) * Lambda_t(E*) at t = s*q^{j-1/2}, and one
+                  batched ring map f_k -> sigma_k(x - a/l) carries every
+                  coefficient back to the roots.
 
 Their agreement (exact, at every truncation) is the module's central
 oracle: it checks the triple-product identity over n roots against the
@@ -305,7 +307,8 @@ def theta_series(kind: WittenKind, shift: GradedPolynomial, q_order) -> HalfQSer
     while j * j <= top:
         power_plus = power_plus * e_plus
         power_minus = power_minus * e_minus
-        halves[j * j] = (power_plus + power_minus) * sign**j
+        total = power_plus + power_minus
+        halves[j * j] = -total if sign**j < 0 else total
         j += 1
     return HalfQSeries._from_halves(ring, halves, top)
 
@@ -336,11 +339,12 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     expands root 1's factor once and obtains each later root's factor from
     the one before by the root transposition x_i <-> x_{i+1}, which sends
     x_i - a/l to x_{i+1} - a/l.  "lambda_tensor" expands the exterior-power
-    levels in the ring of f_k = sigma_k(x - a/l), with level tables built by
-    Newton's identities, and maps the series back to the roots with one
-    batched ring map.  It calls neither ``formal_exp`` nor a transposition,
-    so it stays the independent reference; "both" runs the two and insists
-    they agree.
+    levels in the ring of f_k = sigma_k(x - a/l), one factor per level from
+    the model's table of Lambda_t(E) * Lambda_t(E*) (built from the level
+    tables of Newton's identities), and maps the series back to the roots
+    with one batched ring map.  It calls neither ``formal_exp`` nor a
+    transposition, so it stays the independent reference; "both" runs the
+    two and insists they agree.
     """
     top = _q_top(q_order)
     if method == "both":
@@ -364,15 +368,18 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
 
 def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
     """The lambda route's series to q^(top/2) over the fractional classes
-    f_1..f_n, before its map back to the roots."""
+    f_1..f_n, before its map back to the roots: the cached Euler constants
+    times, per odd level (2e of q^{j-1/2}), the one factor
+    sum_k sign^k T_k q^(k*level/2) for k <= 2n, with T_k the model's
+    ``_level_product``, the coefficients of Lambda_t(E) * Lambda_t(E*)."""
     f_ring = model._fractional_maps[0]
     sign = kind.sign
+    product = model._level_product
     series = _constant_series(f_ring, _euler_product(model.n, top), top)
     for level in range(1, top + 1, 2):
-        last = min(model.n, top // level)
-        for table in model._level_tables:
-            coeffs = {k * level: -table[k] if sign**k < 0 else table[k] for k in range(last + 1)}
-            series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
+        last = min(2 * model.n, top // level)
+        coeffs = {k * level: -product[k] if sign**k < 0 else product[k] for k in range(last + 1)}
+        series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
     return series
 
 

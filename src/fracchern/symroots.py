@@ -33,7 +33,9 @@ class RootModel:
     x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  Each
     table is built on first use and kept: sigma_k(x), the transpositions and
     the n-cycle, the shifted roots x_i - a/l and their sigma_k, the maps of
-    the fractional classes f_k = sigma_k(x - a/l) and the Newton tables.
+    the fractional classes f_k = sigma_k(x - a/l), the Newton tables
+    sigma_k(e^{+-r}) and the lambda route's one factor per level, their
+    product Lambda_t(E) * Lambda_t(E*).
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -123,6 +125,21 @@ class RootModel:
                 table.append(acc * Fraction(1, k))
             tables.append(table)
         return tables
+
+    @cached_property
+    def _level_product(self) -> list:
+        """[T_0..T_2n]: the coefficients of the one factor per level,
+        Lambda_t(E) * Lambda_t(E*) = prod_i (1 + t e^{r_i})(1 + t e^{-r_i}),
+        over the f-ring: T_k = sum_i sigma_i(e^r) sigma_(k-i)(e^{-r}) from
+        the level tables.  The product is t^(2n) times itself at 1/t, so
+        T_(2n-k) = T_k, and only T_0..T_n are built."""
+        plus, minus = self._level_tables
+        f_ring, n = self._fractional_maps[0], self.n
+        half = [
+            _sum_of_products(f_ring, [(plus[i], minus[k - i]) for i in range(k + 1)])
+            for k in range(n + 1)
+        ]
+        return half + half[n - 1 :: -1]
 
     @cached_property
     def _transpositions(self) -> list[RingMorphism]:

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -566,6 +567,83 @@ def test_lambda_series_over_the_fractional_classes_is_the_descended_theta_series
         f_series = qt._lambda_series(model, kind, 2 * q)
         assert f_series.ring == want.ring
         assert qt.normalize_gch(f_series, kind, n, q) == want, (model.l, kind, q)
+
+
+def _two_table_lambda_series(model, kind, top):
+    """The reference for the lambda route's one factor per level: the same
+    Euler constants, then two series products per odd level, one per level
+    table sigma_k(e^{+-r}), each to k <= n."""
+    f_ring = model._fractional_maps[0]
+    sign = kind.sign
+    series = qt._constant_series(f_ring, qt._euler_product(model.n, top), top)
+    for level in range(1, top + 1, 2):
+        last = min(model.n, top // level)
+        for table in model._level_tables:
+            coeffs = {k * level: -table[k] if sign**k < 0 else table[k] for k in range(last + 1)}
+            series = series * HalfQSeries._from_halves(f_ring, coeffs, top)
+    return series
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_factor_per_level_is_the_two_table_product(n):
+    """Every entry T_k of the model's level product is the full convolution
+    sum_i sigma_i(e^r) sigma_(k-i)(e^{-r}) for k <= 2n, the mirrored upper
+    half included, and the lambda route's series equals the two-table
+    reference for every l | n, both kinds and q-orders 1/2..4, at
+    criterion 9's cap and the default working cap."""
+    for cap in sorted({working_cap(n, 8), working_cap(n)}):
+        for l in (d for d in range(1, n + 1) if n % d == 0):
+            model = RootModel(n, l, degree_cap=cap)
+            f_ring = model._fractional_maps[0]
+            plus, minus = model._level_tables
+            product = model._level_product
+            assert len(product) == 2 * n + 1
+            for k in range(2 * n + 1):
+                pairs = range(max(0, k - n), min(k, n) + 1)
+                want = sum((plus[i] * minus[k - i] for i in pairs), f_ring.zero())
+                assert product[k] == want, (cap, l, k)
+            for kind in WittenKind:
+                for top in range(1, 9):
+                    got = qt._lambda_series(model, kind, top)
+                    assert got == _two_table_lambda_series(model, kind, top), (cap, l, kind, top)
+
+
+def test_the_lambda_route_reaches_no_theta_route_entry_point(monkeypatch):
+    """The lambda route's row of the route-independence ledger: with every
+    binding of ``formal_exp``, ``theta_series``, ``_theta_product_form``
+    and ``root_transpositions`` in the package raising, a model built under
+    the stubs gives the theta route's series, so no table built earlier can
+    hide a call."""
+    cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
+    expected = {
+        (n, l, kind): qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4)
+        for n, l, kind in cases
+    }
+    forbidden = {
+        id(f) for f in (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions)
+    }
+
+    def forbid(*args, **kwargs):
+        raise AssertionError("the lambda route reached a theta-route entry point")
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name == "fracchern" or name.startswith("fracchern."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in forbidden:
+                    monkeypatch.setattr(module, attr, forbid)
+                    stubbed.add(f"{name}.{attr}")
+    assert stubbed >= {
+        "fracchern.qtheta.formal_exp",
+        "fracchern.qtheta.theta_series",
+        "fracchern.qtheta._theta_product_form",
+        "fracchern.qtheta.root_transpositions",
+        "fracchern.symroots.root_transpositions",
+    }
+    for n, l, kind in cases:
+        model = RootModel(n, l, degree_cap=8)
+        got = qt.gch_witten(model, kind, 4, "lambda_tensor")
+        assert got == expected[n, l, kind], (n, l, kind)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -84,6 +84,34 @@ def test_root_tables_are_built_once_per_model():
     assert other._fractional_maps is not maps
 
 
+def test_the_level_product_is_built_once_per_model_by_the_lambda_route(monkeypatch):
+    """The oracle builds no level product; the lambda route builds it with
+    one sum of products per T_0..T_n, once per model, and every kind and
+    q-order after the first reads that same table."""
+    calls = []
+    real = sr._sum_of_products
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sr, "_sum_of_products", counted)
+    m = sr.RootModel(4, 2, degree_cap=8)
+    for k in range(5):
+        sr.fractional_chern_brute(m, k)
+    assert "_level_product" not in vars(m) and not calls
+    qt.gch_witten(m, qt.WittenKind.THETA2, 2, "lambda_tensor")
+    product = m._level_product
+    assert len(product) == 9 and len(calls) == 5
+    for kind in qt.WittenKind:
+        for q in (Fraction(1, 2), 1, 3, 4):
+            qt.gch_witten(m, kind, q, "lambda_tensor")
+    assert m._level_product is product and len(calls) == 5
+    other = sr.RootModel(4, 2, degree_cap=8)
+    qt.gch_witten(other, qt.WittenKind.THETA3, 1, "lambda_tensor")
+    assert other._level_product is not product and len(calls) == 10
+
+
 def test_one_shifted_sigma_table_per_model(monkeypatch):
     """The back map f_k -> sigma_k(x - a/l), the total shifted Chern class
     and the splitting check all read the model's one shifted table, built
