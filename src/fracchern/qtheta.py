@@ -35,9 +35,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EngineError, PreconditionError, VerificationError
+from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
-from .symroots import RootModel, express_in_elementary, root_transpositions
+from .symroots import RootModel, _fractional_read, express_in_elementary, root_transpositions
 from .towers import BundleDescriptor
 
 class WittenKind(Enum):
@@ -427,26 +427,25 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     """Rewrite every coefficient c as a polynomial P in the fractional
-    classes f_k = sigma_k(x - a/l): P is read off c at a = 0, where f_k is
-    sigma_k(x), and must map back to c under f_k -> sigma_k(x - a/l).  Fails
-    if c is not a symmetric function of the shifted roots alone."""
+    classes f_k = sigma_k(x - a/l), in ascending q-order: P is read from
+    the model's table of monomial symmetric functions in the f's
+    (``symroots._fractional_read``) and must map back to c under
+    f_k -> sigma_k(x - a/l).  The first coefficient that does not is
+    refused as its reduction at a = 0, renamed e_k -> f_k, refuses it (not
+    symmetric in the roots), else as a surviving twist class; no later
+    coefficient is examined."""
     f_ring, at_zero, rename, back = model._fractional_maps
     out = {}
-    refusal = None
     for k, coeff in sorted(series._halves.items()):
-        try:
-            out[k] = rename(express_in_elementary(at_zero(coeff), model))
-        except EngineError as exc:
-            refusal = exc  # raised after the coefficients before k are checked
-            break
-    for k, image in zip(out, back.map_all(list(out.values()))):
-        if image != series._halves[k]:
+        # a coefficient over another ring has no read: the map a -> 0 refuses it
+        p = _fractional_read(coeff, model) if coeff.ring == model.ring else None
+        if p is None or back(p) != coeff:
+            rename(express_in_elementary(at_zero(coeff), model))
             raise PreconditionError(
                 "coefficient does not descend: twist class survives at "
                 f"q^{_format_half_steps(k)}"
             )
-    if refusal is not None:
-        raise refusal
+        out[k] = p
     return HalfQSeries._from_halves(f_ring, out, series._top)
 
 

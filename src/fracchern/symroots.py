@@ -35,7 +35,10 @@ class RootModel:
     the n-cycle, the shifted roots x_i - a/l and their sigma_k, the maps of
     the fractional classes f_k = sigma_k(x - a/l), the Newton tables
     sigma_k(e^{+-r}) and the lambda route's one factor per level, their
-    product Lambda_t(E) * Lambda_t(E*).
+    product Lambda_t(E) * Lambda_t(E*).  The descent's table holds the
+    monomial symmetric function m_lambda(x) written in f_1..f_n, one entry
+    per dominant parameter-free key x^lambda it has met
+    (``_monomial_in_fractional``).
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -55,6 +58,8 @@ class RootModel:
         # product, and the orbit size of each root part
         self._dominant_power_cache: dict[tuple, GradedPolynomial] = {}
         self._orbit_sizes: dict[int, int] = {}
+        # the descent's table: m_lambda(x) in the f's, by the key of x^lambda
+        self._monomial_table: dict[int, GradedPolynomial] = {}
 
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
@@ -282,17 +287,11 @@ def _elementary_key(model: RootModel, m: int) -> int:
 def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
     """Rewrite a root-symmetric polynomial in e_1..e_n and the parameters.
 
-    Classical leading-monomial elimination, run in place on the packed
-    keys: for symmetric input the lex leading root exponents form a
-    partition lambda, and subtracting
-    coeff * (parameter monomial) * prod_k sigma_k^(lambda_k - lambda_{k+1})
-    strictly lowers the leading monomial.  A symmetric polynomial is fixed
-    by its dominant terms (root exponents non-increasing), one per root
-    orbit, and the leading term is one of them, so the elimination runs on
-    the dominant terms of the input and of each sigma product alone.  Once
-    ``find_asymmetry`` has cleared the input, its term count must be the sum
-    of the orbit sizes of its dominant terms.  Substituting e_k -> sigma_k
-    in the result reproduces the input exactly.
+    A symmetric polynomial is fixed by its dominant terms (root exponents
+    non-increasing), one per root orbit, so once ``find_asymmetry`` has
+    cleared the input, its term count must be the sum of the orbit sizes of
+    its dominant terms; ``_eliminate`` then rewrites those terms.
+    Substituting e_k -> sigma_k in the result reproduces the input exactly.
     """
     if p.ring != model.ring:
         raise PreconditionError("polynomial is not over the model's root ring")
@@ -316,12 +315,25 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
         terms += sizes[r]
     if terms != len(p._terms):
         raise EngineError("nonzero remainder in symmetric reduction (internal error)")
+    return _eliminate(model, work, p._den)
 
-    # The remainder is one numerator dict over p's denominator with a
-    # max-heap of its keys.  The parameters precede the roots, so the
-    # leading key m is a parameter monomial times x^lambda, and the dominant
-    # sigma product is monic and integral at x^lambda: subtracting c times
-    # its shift by m - x^lambda cancels m and adds only smaller keys.
+
+def _eliminate(model: RootModel, work: dict, den: int) -> GradedPolynomial:
+    """The e-ring polynomial of the symmetric polynomial whose dominant
+    terms are ``work`` (int numerators over den), by classical
+    leading-monomial elimination run in place on the packed keys; ``work``
+    is consumed.  The lex leading root exponents form a partition lambda,
+    and subtracting
+    coeff * (parameter monomial) * prod_k sigma_k^(lambda_k - lambda_{k+1})
+    strictly lowers the leading monomial; the leading term is dominant, so
+    the elimination reads the dominant terms of each sigma product alone.
+    The one elimination loop: ``express_in_elementary`` runs it after its
+    checks, and the descent's table on single terms x^lambda."""
+    # The remainder is one numerator dict over den with a max-heap of its
+    # keys.  The parameters precede the roots, so the leading key m is a
+    # parameter monomial times x^lambda, and the dominant sigma product is
+    # monic and integral at x^lambda: subtracting c times its shift by
+    # m - x^lambda cancels m and adds only smaller keys.
     e_ring, n_params = model.e_ring, len(model.params)
     heap = [-m for m in work]
     heapify(heap)
@@ -346,7 +358,36 @@ def express_in_elementary(p: GradedPolynomial, model: RootModel) -> GradedPolyno
                 work[key] = -c * num
                 heappush(heap, -key)
         out[e] = c
-    return _normal_form(e_ring, p._den, out)
+    return _normal_form(e_ring, den, out)
+
+
+def _monomial_in_fractional(model: RootModel, m: int) -> GradedPolynomial:
+    """M_lambda: the monomial symmetric function m_lambda(x) written in
+    f_1..f_n, for the dominant parameter-free key m of x^lambda.  It is the
+    elimination of the single term x^lambda, renamed e_k -> f_k, built once
+    per model and key (``RootModel._monomial_table``)."""
+    table = model._monomial_table
+    entry = table.get(m)
+    if entry is None:
+        entry = table[m] = model._fractional_maps[2](_eliminate(model, {m: 1}, 1))
+    return entry
+
+
+def _fractional_read(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
+    """The polynomial P in f_1..f_n with P(f_k -> sigma_k(x - a/l)) == p,
+    when p is such an image: sum c_lambda * M_lambda over p's dominant
+    parameter-free keys x^lambda (no a, no extra parameter), c_lambda the
+    coefficient there, as one ``_sum_of_products`` over p's denominator.
+
+    At a = 0 the image of P is P(sigma(x)), the parameter-free part of p,
+    so its dominant terms give P in the monomial symmetric basis, and
+    M_lambda changes that basis to the f's.  A p that is no such image
+    gives some P whose image is not p: the caller checks the image."""
+    roots = model._dominance_masks[0]
+    params = ((1 << model.ring.degree_shift) - 1) ^ roots
+    free = {m: c for m, c in p._terms.items() if not m & params}
+    pairs = [(c, _monomial_in_fractional(model, m)) for m, c in _dominant_terms(model, free).items()]
+    return _sum_of_products(model._fractional_maps[0], pairs, p._den)
 
 
 def shifted_chern_sum(

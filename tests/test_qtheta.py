@@ -1,12 +1,14 @@
 import re
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from conftest import random_polynomial
 from fracchern import qtheta as qt
-from fracchern.errors import PreconditionError, SymmetryError, VerificationError
+from fracchern import symroots
+from fracchern.errors import EngineError, PreconditionError, SymmetryError, VerificationError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
 from fracchern.spaces import working_cap
@@ -528,6 +530,200 @@ def test_descend_inverts_the_fractional_substitution(n, l, extra, rng):
                     qt.descend_gch(HalfQSeries(ring, bad, 1), model)
 
 
+def _stub_bindings(monkeypatch, functions, message) -> set:
+    """Bind every name under which a loaded fracchern module holds one of
+    ``functions`` to a stub raising AssertionError(message); return the
+    stubbed names as module.attribute."""
+    forbidden = {id(f) for f in functions}
+
+    def forbid(*args, **kwargs):
+        raise AssertionError(message)
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name == "fracchern" or name.startswith("fracchern."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in forbidden:
+                    monkeypatch.setattr(module, attr, forbid)
+                    stubbed.add(f"{name}.{attr}")
+    return stubbed
+
+
+def _reference_descend(series, model):
+    """Descent by reduction: each coefficient reduced at a = 0 and renamed
+    e_k -> f_k up to the first refusal, then every coefficient reduced
+    before it mapped back to the roots and compared; the reference for
+    ``descend_gch``'s table read."""
+    f_ring, at_zero, rename, back = model._fractional_maps
+    out = {}
+    refusal = None
+    for k, coeff in sorted(series._halves.items()):
+        try:
+            out[k] = rename(express_in_elementary(at_zero(coeff), model))
+        except EngineError as exc:
+            refusal = exc  # raised after the coefficients before k are checked
+            break
+    for k, image in zip(out, back.map_all(list(out.values()))):
+        if image != series._halves[k]:
+            raise PreconditionError(
+                "coefficient does not descend: twist class survives at "
+                f"q^{qt._format_half_steps(k)}"
+            )
+    if refusal is not None:
+        raise refusal
+    return HalfQSeries._from_halves(f_ring, out, series._top)
+
+
+def _descent_outcome(descend, series, model):
+    """descend's series, or the type, message and transposition of its
+    refusal."""
+    try:
+        return descend(series, model)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "transposition", None)
+
+
+def _divisors(n):
+    return [l for l in range(1, n + 1) if n % l == 0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descend_is_the_reference_descent(n):
+    """The table read gives the reduction's series for every l | n, both
+    kinds, q-orders 1..4, raw and normalized, at criterion 9's cap, with
+    and without an extra parameter b."""
+    for l in _divisors(n):
+        for extra in ((), ("b",)):
+            model = RootModel(n, l, degree_cap=working_cap(n, 8), extra_even=extra)
+            for kind in WittenKind:
+                for q in range(1, 5):
+                    raw = qt.gch_witten(model, kind, q)
+                    for series_ in (raw, qt.normalize_gch(raw, kind, n, q)):
+                        want = _reference_descend(series_, model)
+                        assert qt.descend_gch(series_, model) == want, (l, extra, kind, q)
+
+
+def _refused_series():
+    """(model, series) for each refusal of the pinned descent tests, and
+    for each coefficient of a descending series with b added to it."""
+    model = RootModel(2, 2, degree_cap=8)
+    ring = model.ring
+    twisted, asymmetric = ring.gen("a"), ring.poly("x1 - 1/2*a")
+    cases = [
+        (model, {0: twisted}),
+        (model, {0: asymmetric}),
+        (model, {0: ring.poly("x1 + a*x2")}),
+        (model, {0: twisted, HALF: asymmetric}),
+        (model, {0: asymmetric, HALF: twisted}),
+    ]
+    out = [(m, HalfQSeries(m.ring, coeffs, 1)) for m, coeffs in cases]
+    with_b = RootModel(4, 2, degree_cap=8, extra_even=("b",))
+    good = qt.gch_witten(with_b, WittenKind.THETA2, 2)
+    for e in good.exponents():
+        coeffs = good.coefficients
+        coeffs[e] = coeffs[e] + with_b.ring.gen("b")
+        out.append((with_b, HalfQSeries(with_b.ring, coeffs, 2)))
+    return out
+
+
+def test_descend_refuses_as_the_reference_refuses():
+    """Every refusal keeps its type, message, transposition and the
+    coefficient it names."""
+    for model, series_ in _refused_series():
+        want = _descent_outcome(_reference_descend, series_, model)
+        assert isinstance(want, tuple), series_
+        assert _descent_outcome(qt.descend_gch, series_, model) == want
+
+
+def _witten_catalogue():
+    """The 48 ops of the witten_series benchmark: n <= 4, l | n, both
+    kinds, q-orders 2..4, degree cap 8."""
+    return [
+        (n, l, kind, q) for n in range(1, 5) for l in _divisors(n) for kind in WittenKind for q in (2, 3, 4)
+    ]
+
+
+def test_the_table_read_answers_every_coefficient_that_descends(monkeypatch):
+    """With every binding of ``express_in_elementary`` and
+    ``find_asymmetry`` raising, models built under the stubs descend the
+    normalized characters of the witten_series catalogue to the
+    reference's series: the read, not the refusal path, answers them."""
+    cases = {}
+    for n, l, kind, q in _witten_catalogue():
+        model = RootModel(n, l, degree_cap=8)
+        series_ = qt.normalize_gch(qt.gch_witten(model, kind, q, "both"), kind, n, q)
+        cases[n, l, kind, q] = series_, _reference_descend(series_, model)
+    stubbed = _stub_bindings(
+        monkeypatch,
+        (express_in_elementary, symroots.find_asymmetry),
+        "the descent reduced a coefficient that descends",
+    )
+    assert stubbed >= {
+        "fracchern.qtheta.express_in_elementary",
+        "fracchern.symroots.express_in_elementary",
+        "fracchern.symroots.find_asymmetry",
+    }
+    models = {}
+    for (n, l, kind, q), (series_, want) in cases.items():
+        model = models.setdefault((n, l), RootModel(n, l, degree_cap=8))
+        assert qt.descend_gch(series_, model) == want, (n, l, kind, q)
+
+
+def _dominant_free_keys(model, polys) -> set:
+    """The keys of x^lambda over the polys' terms with no parameter and
+    non-increasing root exponents."""
+    n_params = len(model.params)
+    keys = set()
+    for p in polys:
+        for m in p._terms:
+            exps = model.ring.unpack(m)
+            roots = list(exps[n_params:])
+            if not any(exps[:n_params]) and roots == sorted(roots, reverse=True):
+                keys.add(m)
+    return keys
+
+
+def test_the_descent_reduces_each_monomial_once_per_model(monkeypatch):
+    """The descent's table holds one entry per dominant parameter-free key
+    met, each the elimination of that single term, run once per model
+    across kinds, q-orders and refused inputs, and each entry is m_lambda
+    in the f's: it maps back to the orbit sum of x^lambda at a = 0."""
+    model = RootModel(4, 2, degree_cap=8, extra_even=("b",))
+    series_ = []
+    for kind in WittenKind:
+        for q in range(1, 5):
+            raw = qt.gch_witten(model, kind, q)
+            series_ += [raw, qt.normalize_gch(raw, kind, 4, q)]
+    refused = [s for m, s in _refused_series() if m.ring == model.ring]
+    eliminated = []
+    eliminate = symroots._eliminate
+
+    def counting(model_, work, den):
+        eliminated.append(dict(work))
+        return eliminate(model_, work, den)
+
+    monkeypatch.setattr(symroots, "_eliminate", counting)
+    for _ in range(2):
+        for s in series_:
+            qt.descend_gch(s, model)
+    met = _dominant_free_keys(model, [c for s in series_ for c in s._halves.values()])
+    assert all(list(work.values()) == [1] for work in eliminated)
+    assert sorted(m for work in eliminated for m in work) == sorted(met)
+    # a refused input is reduced whole, and reaches the table only through
+    # its own dominant parameter-free keys
+    for s in refused:
+        with pytest.raises(PreconditionError, match="does not descend"):
+            qt.descend_gch(s, model)
+    met |= _dominant_free_keys(model, [c for s in refused for c in s._halves.values()])
+    assert set(model._monomial_table) == met
+    _, at_zero, _, back = model._fractional_maps
+    n_params = len(model.params)
+    for m, entry in model._monomial_table.items():
+        exps = model.ring.unpack(m)
+        orbit = {exps[:n_params] + perm: 1 for perm in permutations(exps[n_params:])}
+        assert at_zero(back(entry)) == model.ring.from_exponents(orbit), m
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_newton_level_tables_match_the_reduced_root_tables(n):
     """The lambda route's level tables, built from the f's by Newton's
@@ -619,20 +815,11 @@ def test_the_lambda_route_reaches_no_theta_route_entry_point(monkeypatch):
         (n, l, kind): qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4)
         for n, l, kind in cases
     }
-    forbidden = {
-        id(f) for f in (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions)
-    }
-
-    def forbid(*args, **kwargs):
-        raise AssertionError("the lambda route reached a theta-route entry point")
-
-    stubbed = set()
-    for name, module in list(sys.modules.items()):
-        if name == "fracchern" or name.startswith("fracchern."):
-            for attr, value in list(vars(module).items()):
-                if id(value) in forbidden:
-                    monkeypatch.setattr(module, attr, forbid)
-                    stubbed.add(f"{name}.{attr}")
+    stubbed = _stub_bindings(
+        monkeypatch,
+        (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions),
+        "the lambda route reached a theta-route entry point",
+    )
     assert stubbed >= {
         "fracchern.qtheta.formal_exp",
         "fracchern.qtheta.theta_series",
