@@ -3,13 +3,16 @@ products and Witten gerbe module characters.
 
 The two character constructions are deliberately independent:
 
-  theta_product   multiplies per shifted root r the factor
+  theta_product   multiplies per root r the factor
                   prod_{j>=1} (1 - q^j)(1 + s*q^{j-1/2}e^r)(1 + s*q^{j-1/2}e^{-r})
                   with s = -1 for the alternating kind and +1 otherwise,
                   built as its Jacobi triple-product sum
-                  sum_m s^m q^{m^2/2} e^{m*r} for the first root and carried
-                  to the others by root transpositions; the product form,
-                  multiplied out, stays as the reference for that sum;
+                  1 + sum_{j>=1} 2 s^j q^{j^2/2} cosh(j*r) for the first
+                  unshifted root and carried to the others by root
+                  transpositions; the product Theta_0 over the unshifted
+                  roots is then mapped once by the root shift
+                  x_i -> x_i - a/l.  The product form, multiplied out,
+                  stays as the reference for that sum;
   lambda_tensor   expands the exterior-power series level by level, times
                   the scalar Euler factor, in the ring of the fractional
                   classes f_k = sigma_k(x - a/l): its level tables
@@ -21,12 +24,16 @@ The two character constructions are deliberately independent:
 
 Their agreement (exact, at every truncation) is the module's central
 oracle: it checks the triple-product identity over n roots against the
-lambda route, which builds no theta factor.  At shift 0 the product form
-reduces to the classical sums sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
+lambda route, which builds no theta factor.  The method "both" checks it at
+a = 0, where the lambda series is mapped by f_k -> sigma_k(x) and compared
+with Theta_0; the back map is that map followed by the injective root
+shift, so this is the same check.  At shift 0 the product form reduces to
+the classical sums sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 
 Every sum of products here (a series coefficient, a normalized
-coefficient, a term of ``formal_exp``) is one ``gcring._sum_of_products``:
-this module never reads the coefficient layout.
+coefficient, a cosh, a term of ``formal_exp``) is one
+``gcring._sum_of_products``: this module never reads the coefficient
+layout.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
@@ -293,22 +301,28 @@ def _euler_factor(ring: RingPresentation, k: int, top: int) -> HalfQSeries:
 def theta_series(kind: WittenKind, shift: GradedPolynomial, q_order) -> HalfQSeries:
     """prod_{j>=1} (1 - q^j)(1 + sign q^{j-1/2} e^shift)(1 + sign q^{j-1/2} e^{-shift}),
     built as its Jacobi triple-product sum sum_{m in Z} sign^m q^{m^2/2} e^{m*shift}:
-    1 at q^0 and sign^j (E^j + E^-j) at q^{j^2/2}, with E = e^shift.  Both
-    are truncations of one formal series, so they agree at every order;
+    1 at q^0 and 2 sign^j cosh(j*shift) at q^{j^2/2}.  Each cosh is one
+    ``_sum_of_products`` of the even powers shift^(2i), scaled by
+    j^(2i)/(2i)!, up to the last power below the cap.  Both are truncations
+    of one formal series, so they agree at every order;
     ``_theta_product_form`` keeps the product as the reference."""
     top = _half_steps(q_order)
+    if shift.constant_term():
+        raise PreconditionError("formal_exp needs a zero constant term")
     ring = shift.ring
-    sign = kind.sign
-    e_plus = formal_exp(shift)
-    e_minus = formal_exp(-shift)
+    square = shift * shift
+    powers = [ring.one()]  # shift^(2i), up to the last nonzero one
+    power = square
+    while not power.is_zero:
+        powers.append(power)
+        power = power * square
+    den = factorial(2 * len(powers) - 2)
     halves = {0: ring.one()}
-    power_plus = power_minus = ring.one()
     j = 1
     while j * j <= top:
-        power_plus = power_plus * e_plus
-        power_minus = power_minus * e_minus
-        total = power_plus + power_minus
-        halves[j * j] = -total if sign**j < 0 else total
+        scale = 2 * kind.sign**j
+        pairs = [(scale * j ** (2 * i) * (den // factorial(2 * i)), p) for i, p in enumerate(powers)]
+        halves[j * j] = _sum_of_products(ring, pairs, den)
         j += 1
     return HalfQSeries._from_halves(ring, halves, top)
 
@@ -335,35 +349,36 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     """Graded character of the Witten module over the root model, with the
     roots shifted by -a/l.
 
-    method "theta_product" multiplies one theta factor per root: it
-    expands root 1's factor once and obtains each later root's factor from
-    the one before by the root transposition x_i <-> x_{i+1}, which sends
-    x_i - a/l to x_{i+1} - a/l.  "lambda_tensor" expands the exterior-power
-    levels in the ring of f_k = sigma_k(x - a/l), one factor per level from
-    the model's table of Lambda_t(E) * Lambda_t(E*) (built from the level
-    tables of Newton's identities), and maps the series back to the roots
-    with one batched ring map.  It calls neither ``formal_exp`` nor a
-    transposition, so it stays the independent reference; "both" runs the
-    two and insists they agree.
+    method "theta_product" builds Theta_0, the product of one theta factor
+    per unshifted root x_i: it expands root 1's factor once and obtains
+    each later root's factor from the one before by the root transposition
+    x_i <-> x_{i+1}; then it maps Theta_0 by the root shift
+    x_i -> x_i - a/l with one batched ring map.  "lambda_tensor" expands
+    the exterior-power levels in the ring of f_k = sigma_k(x - a/l), one
+    factor per level from the model's table of Lambda_t(E) * Lambda_t(E*)
+    (built from the level tables of Newton's identities), and maps the
+    series back to the roots with one batched ring map f_k ->
+    sigma_k(x - a/l).  It calls neither ``theta_series`` nor a
+    transposition nor the shift, so it stays the independent reference.
+    "both" insists that Theta_0 equals the lambda route's series mapped by
+    f_k -> sigma_k(x), at a = 0, and returns Theta_0 shifted: the back map
+    is that map followed by the shift (``RootModel._shift_maps`` checks it
+    on the generators), and the shift is injective, so this is the
+    comparison of the two routes over the shifted roots.
     """
     top = _q_top(q_order)
-    if method == "both":
-        via_theta = gch_witten(model, kind, q_order, "theta_product")
-        via_lambda = gch_witten(model, kind, q_order, "lambda_tensor")
-        if via_theta != via_lambda:
-            raise VerificationError(
-                "theta_product and lambda_tensor expansions disagree"
-            )
-        return via_theta
-    if method == "theta_product":
-        factor = series = theta_series(kind, model.shifted_roots()[0], q_order)
-        for swap in root_transpositions(model):
-            factor = factor._map_coefficients(swap)
-            series = series * factor
-        return series
-    if method != "lambda_tensor":
+    if method == "lambda_tensor":
+        return _lambda_series(model, kind, top)._map_coefficients(model._fractional_maps[3])
+    if method not in ("theta_product", "both"):
         raise PreconditionError(f"unknown method {method!r}")
-    return _lambda_series(model, kind, top)._map_coefficients(model._fractional_maps[3])
+    lower, shift = model._shift_maps
+    factor = series = theta_series(kind, model.root(1), q_order)
+    for swap in root_transpositions(model):
+        factor = factor._map_coefficients(swap)
+        series = series * factor
+    if method == "both" and series != _lambda_series(model, kind, top)._map_coefficients(lower):
+        raise VerificationError("theta_product and lambda_tensor expansions disagree")
+    return series._map_coefficients(shift)
 
 
 def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:

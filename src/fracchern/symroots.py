@@ -33,7 +33,8 @@ class RootModel:
     x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  Each
     table is built on first use and kept: sigma_k(x), the transpositions and
     the n-cycle, the shifted roots x_i - a/l and their sigma_k, the maps of
-    the fractional classes f_k = sigma_k(x - a/l), the Newton tables
+    the fractional classes f_k = sigma_k(x - a/l), the root shift
+    x_i -> x_i - a/l and f_k -> sigma_k(x), the Newton tables
     sigma_k(e^{+-r}) and the lambda route's one factor per level, their
     product Lambda_t(E) * Lambda_t(E*).  The descent's table holds the
     monomial symmetric function m_lambda(x) written in f_1..f_n, one entry
@@ -98,6 +99,23 @@ class RootModel:
         rename = RingMorphism(self.e_ring, f_ring, images)
         back = RingMorphism(f_ring, self.ring, dict(zip(f_ring.names, self._shifted_sigma[1:])))
         return f_ring, at_zero, rename, back
+
+    @cached_property
+    def _shift_maps(self):
+        """(lower, shift): f_k -> sigma_k(x) from the f-ring, and the root
+        shift x_i -> x_i - a/l of the root ring, fixing the parameters.  The
+        back map f_k -> sigma_k(x - a/l) is lower, then shift; that is
+        checked here on the generators, shift(sigma_k(x)) == sigma_k(x - a/l)
+        for every k, once per model."""
+        f_ring = self._fractional_maps[0]
+        lower = RingMorphism(f_ring, self.ring, dict(zip(f_ring.names, self._sigma[1:])))
+        roots = {f"x{i}": r for i, r in enumerate(self._shifted, start=1)}
+        shift = RingMorphism.substitution(self.ring, roots)
+        if shift.map_all(self._sigma[1:]) != self._shifted_sigma[1:]:
+            raise EngineError(
+                "the root shift does not send sigma_k(x) to sigma_k(x - a/l) (internal error)"
+            )
+        return lower, shift
 
     @cached_property
     def _level_tables(self) -> list:

@@ -83,15 +83,43 @@ def test_qseries_refuses_a_negative_power_and_a_foreign_coefficient(scalar_ring)
 
 
 def test_both_methods_refuse_a_disagreement(monkeypatch):
-    original = qt.gch_witten
+    original = qt._lambda_series
 
-    def faulty(model, kind, q_order, method="theta_product"):
-        series = original(model, kind, q_order, method)
-        return series * 2 if method == "lambda_tensor" else series
+    def faulty(model, kind, top):
+        return original(model, kind, top) * 2
 
-    monkeypatch.setattr(qt, "gch_witten", faulty)
+    monkeypatch.setattr(qt, "_lambda_series", faulty)
     with pytest.raises(VerificationError, match="^theta_product and lambda_tensor expansions disagree$"):
-        original(RootModel(2, 2, degree_cap=8), WittenKind.THETA3, 1, "both")
+        qt.gch_witten(RootModel(2, 2, degree_cap=8), WittenKind.THETA3, 1, "both")
+
+
+def test_both_methods_refuse_a_disagreement_on_the_theta_side(monkeypatch):
+    original = qt.theta_series
+
+    def faulty(kind, shift, q_order):
+        return original(kind, shift, q_order) * 2
+
+    monkeypatch.setattr(qt, "theta_series", faulty)
+    with pytest.raises(VerificationError, match="^theta_product and lambda_tensor expansions disagree$"):
+        qt.gch_witten(RootModel(2, 2, degree_cap=8), WittenKind.THETA3, 1, "both")
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_both_methods_compare_every_coefficient(monkeypatch, k):
+    """A lambda series wrong at the one coefficient of q^(k/2) alone is
+    refused."""
+    original = qt._lambda_series
+
+    def faulty(model, kind, top):
+        series = original(model, kind, top)
+        assert k in series._halves
+        halves = dict(series._halves)
+        halves[k] = halves[k] * 2
+        return HalfQSeries._from_halves(series.ring, halves, top)
+
+    monkeypatch.setattr(qt, "_lambda_series", faulty)
+    with pytest.raises(VerificationError, match="^theta_product and lambda_tensor expansions disagree$"):
+        qt.gch_witten(RootModel(3, 3, degree_cap=8), WittenKind.THETA3, 2, "both")
 
 
 def test_qseries_exponent_boundary():
@@ -830,6 +858,121 @@ def test_the_lambda_route_reaches_no_theta_route_entry_point(monkeypatch):
     for n, l, kind in cases:
         model = RootModel(n, l, degree_cap=8)
         got = qt.gch_witten(model, kind, 4, "lambda_tensor")
+        assert got == expected[n, l, kind], (n, l, kind)
+
+
+def _shifted_theta_route(model, kind, q_order):
+    """The theta route over the shifted roots: ``theta_series`` at
+    x_1 - a/l, carried to the other roots by the transpositions; the
+    reference for the route at a = 0 followed by the root shift."""
+    factor = series = qt.theta_series(kind, model.shifted_roots()[0], q_order)
+    for swap in model._transpositions:
+        factor = factor._map_coefficients(swap)
+        series = series * factor
+    return series
+
+
+HALF_ORDERS = [Fraction(k, 2) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_theta_route_is_the_shifted_reference(n):
+    """theta_product and both give the shifted route's series for every
+    l | n, both kinds, q-orders 1/2..4, criterion 9's cap and the default
+    cap, with and without an extra parameter b."""
+    for l in _divisors(n):
+        for cap in sorted({working_cap(n, 8), working_cap(n)}):
+            for extra in ((), ("b",)):
+                model = RootModel(n, l, degree_cap=cap, extra_even=extra)
+                for kind in WittenKind:
+                    for q in HALF_ORDERS:
+                        want = _shifted_theta_route(model, kind, q)
+                        where = (l, cap, extra, kind, q)
+                        assert qt.gch_witten(model, kind, q, "theta_product") == want, where
+                        assert qt.gch_witten(model, kind, q, "both") == want, where
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_root_shift_carries_sigma_to_the_fractional_classes(n):
+    """The model's maps are f_k -> sigma_k(x) and x_i -> x_i - a/l fixing
+    the parameters, and their composite is the back map on the
+    generators, for every l | n, with and without b."""
+    for l in _divisors(n):
+        for extra in ((), ("b",)):
+            model = RootModel(n, l, extra_even=extra)
+            lower, shift = model._shift_maps
+            f_ring, back = model._fractional_maps[0], model._fractional_maps[3]
+            gens = [f_ring.gen(name) for name in f_ring.names]
+            assert lower.map_all(gens) == model._sigma[1:], (l, extra)
+            assert shift.map_all(model.roots()) == model.shifted_roots(), (l, extra)
+            for name in model.params:
+                assert shift(model.ring.gen(name)) == model.ring.gen(name), (l, extra)
+            assert shift.map_all(lower.map_all(gens)) == back.map_all(gens), (l, extra)
+
+
+def test_a_root_shift_that_misses_the_fractional_classes_is_an_engine_error():
+    model = RootModel(3, 3, degree_cap=8)
+    sigma = model._shifted_sigma
+    model._shifted_sigma = sigma[:2] + [sigma[2] * 2] + sigma[3:]
+    with pytest.raises(EngineError, match="^the root shift does not send") as info:
+        qt.gch_witten(model, WittenKind.THETA2, 1, "both")
+    assert "\n" not in str(info.value)
+
+
+def _forbidden_map(message):
+    """A stand-in for a ring map that raises AssertionError(message) when
+    it is used in any way."""
+
+    class Forbidden:
+        def __getattr__(self, name):
+            raise AssertionError(message)
+
+    return Forbidden()
+
+
+def test_the_lambda_side_of_both_reaches_no_theta_route_entry_point(monkeypatch):
+    """The row of the route-independence ledger for ``both``: with every
+    binding of ``formal_exp``, ``theta_series``, ``_theta_product_form``
+    and ``root_transpositions`` raising, and the model's root shift
+    replaced by a map that raises, the lambda series mapped by
+    f_k -> sigma_k(x) is the product of the theta series over the
+    unshifted roots, on models built under the stubs."""
+    cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
+    expected = {}
+    for n, l, kind in cases:
+        model = RootModel(n, l, degree_cap=8)
+        theta0 = HalfQSeries.unit(model.ring, 4)
+        for r in model.roots():
+            theta0 = theta0 * qt.theta_series(kind, r, 4)
+        expected[n, l, kind] = theta0
+    message = "the lambda side of both reached a theta-route entry point"
+    stubbed = _stub_bindings(
+        monkeypatch,
+        (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions),
+        message,
+    )
+    assert "fracchern.symroots.root_transpositions" in stubbed
+    for n, l, kind in cases:
+        model = RootModel(n, l, degree_cap=8)
+        lower = model._shift_maps[0]
+        model._shift_maps = (lower, _forbidden_map(message))
+        got = qt._lambda_series(model, kind, 8)._map_coefficients(lower)
+        assert got == expected[n, l, kind], (n, l, kind)
+
+
+def test_the_theta_route_reaches_no_lambda_series(monkeypatch):
+    """The theta route's row of the route-independence ledger: with every
+    binding of ``_lambda_series`` raising, a model built under the stub
+    gives the theta route's series."""
+    cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
+    expected = {
+        (n, l, kind): qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4)
+        for n, l, kind in cases
+    }
+    stubbed = _stub_bindings(monkeypatch, (qt._lambda_series,), "the theta route reached _lambda_series")
+    assert stubbed == {"fracchern.qtheta._lambda_series"}
+    for n, l, kind in cases:
+        got = qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4, "theta_product")
         assert got == expected[n, l, kind], (n, l, kind)
 
 
