@@ -8,11 +8,15 @@ The two character constructions are deliberately independent:
                   with s = -1 for the alternating kind and +1 otherwise,
                   built as its Jacobi triple-product sum
                   1 + sum_{j>=1} 2 s^j q^{j^2/2} cosh(j*r) for the first
-                  unshifted root and carried to the others by root
-                  transpositions; the product Theta_0 over the unshifted
-                  roots is then mapped once by the root shift
-                  x_i -> x_i - a/l.  The product form, multiplied out,
-                  stays as the reference for that sum;
+                  unshifted root and split by the power of that root into
+                  scalar series F_m.  The product Theta_0 over the
+                  unshifted roots has theta_lambda = prod_i F_(lambda_i)
+                  at every permutation of x^lambda, so it is
+                  sum_lambda theta_lambda * m_lambda(x), and its root shift
+                  x_i -> x_i - a/l is sum_lambda theta_lambda * B_lambda
+                  with B_lambda = m_lambda(x - a/l) from a per-model table.
+                  The product form, multiplied out, stays as the reference
+                  for the triple-product sum;
   lambda_tensor   expands the exterior-power series level by level, times
                   the scalar Euler factor, in the ring of the fractional
                   classes f_k = sigma_k(x - a/l): its level tables
@@ -24,16 +28,19 @@ The two character constructions are deliberately independent:
 
 Their agreement (exact, at every truncation) is the module's central
 oracle: it checks the triple-product identity over n roots against the
-lambda route, which builds no theta factor.  The method "both" checks it at
-a = 0, where the lambda series is mapped by f_k -> sigma_k(x) and compared
-with Theta_0; the back map is that map followed by the injective root
-shift, so this is the same check.  At shift 0 the product form reduces to
-the classical sums sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
+lambda route, which builds no theta factor.  The method "both" checks it
+over the f's: sum_lambda theta_lambda * M_lambda, M_lambda = m_lambda(x)
+written in the f's and checked once per model to map to m_lambda(x) under
+f_k -> sigma_k(x), must be the lambda series.  That map is injective, and
+the back map is that map followed by the root shift, so this is the same
+check.  At shift 0 the product form reduces to the classical sums
+sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 
 Every sum of products here (a series coefficient, a normalized
-coefficient, a cosh, a term of ``formal_exp``) is one
+coefficient, a cosh, a term of ``formal_exp``, a partition sum) is one
 ``gcring._sum_of_products``: this module never reads the coefficient
-layout.
+layout.  The split of the one-root series and the products theta_lambda
+are ``symroots._partition_products``, which reads the keys.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from math import factorial
 
 from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
-from .symroots import RootModel, _fractional_read, express_in_elementary, root_transpositions
+from .symroots import RootModel, _fractional_read, _monomial_in_fractional, _partition_products, _shifted_orbit, express_in_elementary
 from .towers import BundleDescriptor
 
 class WittenKind(Enum):
@@ -349,36 +356,52 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     """Graded character of the Witten module over the root model, with the
     roots shifted by -a/l.
 
-    method "theta_product" builds Theta_0, the product of one theta factor
-    per unshifted root x_i: it expands root 1's factor once and obtains
-    each later root's factor from the one before by the root transposition
-    x_i <-> x_{i+1}; then it maps Theta_0 by the root shift
-    x_i -> x_i - a/l with one batched ring map.  "lambda_tensor" expands
-    the exterior-power levels in the ring of f_k = sigma_k(x - a/l), one
-    factor per level from the model's table of Lambda_t(E) * Lambda_t(E*)
-    (built from the level tables of Newton's identities), and maps the
-    series back to the roots with one batched ring map f_k ->
-    sigma_k(x - a/l).  It calls neither ``theta_series`` nor a
-    transposition nor the shift, so it stays the independent reference.
-    "both" insists that Theta_0 equals the lambda route's series mapped by
-    f_k -> sigma_k(x), at a = 0, and returns Theta_0 shifted: the back map
-    is that map followed by the shift (``RootModel._shift_maps`` checks it
-    on the generators), and the shift is injective, so this is the
-    comparison of the two routes over the shifted roots.
+    method "theta_product" splits the theta factor of the unshifted root
+    x_1 by the power of x_1: the product Theta_0 of one factor per
+    unshifted root is sum_lambda theta_lambda * m_lambda(x)
+    (``symroots._partition_products``), and its root shift
+    x_i -> x_i - a/l is sum_lambda theta_lambda * B_lambda, from the
+    model's table of B_lambda = m_lambda(x - a/l).  "lambda_tensor"
+    expands the exterior-power levels in the ring of f_k = sigma_k(x - a/l),
+    one factor per level from the model's table of
+    Lambda_t(E) * Lambda_t(E*) (built from the level tables of Newton's
+    identities), and maps the series back to the roots with one batched
+    ring map f_k -> sigma_k(x - a/l).  It calls neither ``theta_series``
+    nor a table of m_lambda, so it stays the independent reference.
+    "both" insists that sum_lambda theta_lambda * M_lambda, from the
+    model's table of M_lambda = m_lambda(x) in the f's, equals the lambda
+    route's series, and returns the theta route's series: each M_lambda is
+    checked to map to m_lambda(x) under the injective f_k -> sigma_k(x),
+    and the root shift after that map is the back map
+    (``RootModel._shift_maps``), so this is the comparison of the two
+    routes over the shifted roots.
     """
     top = _q_top(q_order)
     if method == "lambda_tensor":
         return _lambda_series(model, kind, top)._map_coefficients(model._fractional_maps[3])
     if method not in ("theta_product", "both"):
         raise PreconditionError(f"unknown method {method!r}")
-    lower, shift = model._shift_maps
-    factor = series = theta_series(kind, model.root(1), q_order)
-    for swap in root_transpositions(model):
-        factor = factor._map_coefficients(swap)
-        series = series * factor
-    if method == "both" and series != _lambda_series(model, kind, top)._map_coefficients(lower):
-        raise VerificationError("theta_product and lambda_tensor expansions disagree")
-    return series._map_coefficients(shift)
+    one_root = theta_series(kind, model.root(1), q_order)
+    den, thetas = _partition_products(model, one_root._halves, top)
+    if method == "both":
+        f_ring = model._fractional_maps[0]
+        fractional = _partition_sum(f_ring, thetas, den, top, lambda m: _monomial_in_fractional(model, m))
+        if fractional != _lambda_series(model, kind, top):
+            raise VerificationError("theta_product and lambda_tensor expansions disagree")
+    return _partition_sum(model.ring, thetas, den, top, lambda m: _shifted_orbit(model, m))
+
+
+def _partition_sum(ring: RingPresentation, thetas: dict, den: int, top: int, entry) -> HalfQSeries:
+    """The series sum_lambda theta_lambda * entry(lambda) over ring, for
+    {key of x^lambda: {2e: numerator over den}}: one ``_sum_of_products``
+    per q-power."""
+    feeds: dict = {}
+    for m, theta in thetas.items():
+        value = entry(m)
+        for k, num in theta.items():
+            feeds.setdefault(k, []).append((num, value))
+    out = {k: _sum_of_products(ring, pairs, den) for k, pairs in feeds.items()}
+    return HalfQSeries._from_halves(ring, out, top)
 
 
 def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
@@ -444,17 +467,18 @@ def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     """Rewrite every coefficient c as a polynomial P in the fractional
     classes f_k = sigma_k(x - a/l), in ascending q-order: P is read from
     the model's table of monomial symmetric functions in the f's
-    (``symroots._fractional_read``) and must map back to c under
-    f_k -> sigma_k(x - a/l).  The first coefficient that does not is
-    refused as its reduction at a = 0, renamed e_k -> f_k, refuses it (not
-    symmetric in the roots), else as a surviving twist class; no later
-    coefficient is examined."""
-    f_ring, at_zero, rename, back = model._fractional_maps
+    (``symroots._fractional_read``), and its image under
+    f_k -> sigma_k(x - a/l), read from the same coefficients and the
+    model's table of m_lambda(x - a/l), must be c.  The first coefficient
+    whose image is not is refused as its reduction at a = 0, renamed
+    e_k -> f_k, refuses it (not symmetric in the roots), else as a
+    surviving twist class; no later coefficient is examined."""
+    f_ring, at_zero, rename, _ = model._fractional_maps
     out = {}
     for k, coeff in sorted(series._halves.items()):
         # a coefficient over another ring has no read: the map a -> 0 refuses it
-        p = _fractional_read(coeff, model) if coeff.ring == model.ring else None
-        if p is None or back(p) != coeff:
+        p, image = _fractional_read(coeff, model) if coeff.ring == model.ring else (None, None)
+        if p is None or image != coeff:
             rename(express_in_elementary(at_zero(coeff), model))
             raise PreconditionError(
                 "coefficient does not descend: twist class survives at "

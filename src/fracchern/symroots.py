@@ -36,10 +36,11 @@ class RootModel:
     the fractional classes f_k = sigma_k(x - a/l), the root shift
     x_i -> x_i - a/l and f_k -> sigma_k(x), the Newton tables
     sigma_k(e^{+-r}) and the lambda route's one factor per level, their
-    product Lambda_t(E) * Lambda_t(E*).  The descent's table holds the
-    monomial symmetric function m_lambda(x) written in f_1..f_n, one entry
-    per dominant parameter-free key x^lambda it has met
-    (``_monomial_in_fractional``).
+    product Lambda_t(E) * Lambda_t(E*).  Two tables are keyed by the
+    dominant parameter-free key of x^lambda and grow as keys are met:
+    M_lambda, the monomial symmetric function m_lambda(x) written in
+    f_1..f_n (``_monomial_in_fractional``), and B_lambda = m_lambda(x - a/l)
+    over the roots, its image under the root shift (``_shifted_orbit``).
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -59,8 +60,9 @@ class RootModel:
         # product, and the orbit size of each root part
         self._dominant_power_cache: dict[tuple, GradedPolynomial] = {}
         self._orbit_sizes: dict[int, int] = {}
-        # the descent's table: m_lambda(x) in the f's, by the key of x^lambda
+        # m_lambda(x) in the f's and m_lambda(x - a/l), by the key of x^lambda
         self._monomial_table: dict[int, GradedPolynomial] = {}
+        self._shifted_orbit_table: dict[int, GradedPolynomial] = {}
 
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
@@ -379,33 +381,123 @@ def _eliminate(model: RootModel, work: dict, den: int) -> GradedPolynomial:
     return _normal_form(e_ring, den, out)
 
 
+def _orbit_sum(model: RootModel, m: int) -> GradedPolynomial:
+    """m_lambda(x): the sum of the distinct root permutations of the
+    dominant parameter-free key m of x^lambda, one term each."""
+    n, roots = model.n, model._dominance_masks[0]
+    counts: dict = {}
+    for f in range(n):
+        e = (m >> FIELD_BITS * f) & FIELD_MASK
+        counts[e] = counts.get(e, 0) + 1
+    keys = []
+
+    def place(f, key):
+        # fills the root fields from the lowest, each value as often as it
+        # occurs in lambda, so every arrangement is met once
+        if f == n:
+            keys.append(key)
+            return
+        for e, left in counts.items():
+            if left:
+                counts[e] = left - 1
+                place(f + 1, key | e << FIELD_BITS * f)
+                counts[e] = left
+
+    place(0, m & ~roots)
+    return _normal_form(model.ring, 1, dict.fromkeys(keys, 1))
+
+
 def _monomial_in_fractional(model: RootModel, m: int) -> GradedPolynomial:
     """M_lambda: the monomial symmetric function m_lambda(x) written in
     f_1..f_n, for the dominant parameter-free key m of x^lambda.  It is the
     elimination of the single term x^lambda, renamed e_k -> f_k, built once
-    per model and key (``RootModel._monomial_table``)."""
+    per model and key (``RootModel._monomial_table``) and checked when it
+    is built: f_k -> sigma_k(x) must send it to m_lambda(x)."""
     table = model._monomial_table
     entry = table.get(m)
     if entry is None:
-        entry = table[m] = model._fractional_maps[2](_eliminate(model, {m: 1}, 1))
+        entry = model._fractional_maps[2](_eliminate(model, {m: 1}, 1))
+        if model._shift_maps[0](entry) != _orbit_sum(model, m):
+            raise EngineError("a monomial symmetric function in the f's misses m_lambda(x) (internal error)")
+        table[m] = entry
     return entry
 
 
-def _fractional_read(p: GradedPolynomial, model: RootModel) -> GradedPolynomial:
-    """The polynomial P in f_1..f_n with P(f_k -> sigma_k(x - a/l)) == p,
-    when p is such an image: sum c_lambda * M_lambda over p's dominant
-    parameter-free keys x^lambda (no a, no extra parameter), c_lambda the
-    coefficient there, as one ``_sum_of_products`` over p's denominator.
+def _shifted_orbit(model: RootModel, m: int) -> GradedPolynomial:
+    """B_lambda = m_lambda(x - a/l): the root shift x_i -> x_i - a/l of
+    m_lambda(x), for the dominant parameter-free key m of x^lambda, built
+    once per model and key (``RootModel._shifted_orbit_table``).  It is the
+    back map's image of M_lambda: the shift after f_k -> sigma_k(x) is the
+    back map (``RootModel._shift_maps``), and M_lambda maps to m_lambda(x)."""
+    table = model._shifted_orbit_table
+    entry = table.get(m)
+    if entry is None:
+        entry = table[m] = model._shift_maps[1](_orbit_sum(model, m))
+    return entry
+
+
+def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
+    """(den, {key of x^lambda: {2e: numerator}}) for a series F in x1 alone,
+    given as {2e: coefficient}: with F_m the scalar series of x1^m in F, its
+    numerators over one denominator D, the series theta_lambda =
+    prod_i F_(lambda_i) to q^(top/2) over den = D^n, for every partition
+    lambda of at most n parts whose x^lambda is under the cap.
+
+    prod_i F(x_i) has theta_lambda at every permutation of x^lambda, so it
+    is sum_lambda theta_lambda * m_lambda(x).  The parts are chosen from
+    lambda_1 down, each product extending the one of the parts before it."""
+    den = lcm(*(p._den for p in halves.values()))
+    x1 = model.ring.generator_key("x1")
+    split: dict = {}  # m: {2e: numerator of F_m over den}
+    for k, p in halves.items():
+        for key, num in p._terms.items():
+            split.setdefault(key // x1, {})[k] = num * (den // p._den)
+    parts = sorted(split)
+    fields = [model.ring.generator_key(f"x{i}") for i in range(1, model.n + 1)]
+    limit = model.ring.key_limit
+    out = {}
+
+    def extend(i, key, theta, largest):
+        if i == model.n:
+            out[key] = theta
+            return
+        for m in parts:
+            if m > largest or key + m * fields[i] >= limit:
+                break
+            product: dict = {}
+            for j, a in theta.items():
+                for k, b in split[m].items():
+                    if j + k <= top:
+                        product[j + k] = product.get(j + k, 0) + a * b
+            extend(i + 1, key + m * fields[i], {k: c for k, c in product.items() if c}, m)
+
+    extend(0, 0, {0: 1}, max(parts, default=0))
+    return den**model.n, out
+
+
+def _fractional_read(p: GradedPolynomial, model: RootModel) -> tuple:
+    """(P, image): the polynomial P in f_1..f_n with P(f_k -> sigma_k(x - a/l))
+    == p, when p is such an image, and the image of P.  P is
+    sum c_lambda * M_lambda over p's dominant parameter-free keys x^lambda
+    (no a, no extra parameter), c_lambda the coefficient there, and its
+    image is sum c_lambda * B_lambda, each one ``_sum_of_products`` over
+    p's denominator from the same coefficients.
 
     At a = 0 the image of P is P(sigma(x)), the parameter-free part of p,
     so its dominant terms give P in the monomial symmetric basis, and
-    M_lambda changes that basis to the f's.  A p that is no such image
-    gives some P whose image is not p: the caller checks the image."""
+    M_lambda changes that basis to the f's.  The image is linear in P and
+    B_lambda is the image of M_lambda, so a p that is no such image gives
+    an image that is not p: the caller compares them."""
     roots = model._dominance_masks[0]
     params = ((1 << model.ring.degree_shift) - 1) ^ roots
     free = {m: c for m, c in p._terms.items() if not m & params}
-    pairs = [(c, _monomial_in_fractional(model, m)) for m, c in _dominant_terms(model, free).items()]
-    return _sum_of_products(model._fractional_maps[0], pairs, p._den)
+    read = _dominant_terms(model, free).items()
+    pairs = [(c, _monomial_in_fractional(model, m)) for m, c in read]
+    images = [(c, _shifted_orbit(model, m)) for m, c in read]
+    return (
+        _sum_of_products(model._fractional_maps[0], pairs, p._den),
+        _sum_of_products(model.ring, images, p._den),
+    )
 
 
 def shifted_chern_sum(

@@ -317,7 +317,7 @@ def test_lambda_route_shares_nothing_with_the_theta_route(monkeypatch):
         raise AssertionError("the lambda route reached a theta-route helper")
 
     monkeypatch.setattr(qt, "formal_exp", shared)
-    monkeypatch.setattr(qt, "root_transpositions", shared)
+    monkeypatch.setattr(symroots, "root_transpositions", shared)
     for kind in WittenKind:
         assert qt.gch_witten(model, kind, 2, method="lambda_tensor") == expected[kind]
 
@@ -832,29 +832,49 @@ def test_one_factor_per_level_is_the_two_table_product(n):
                     assert got == _two_table_lambda_series(model, kind, top), (cap, l, kind, top)
 
 
+# every entry point of the theta route, and the helpers of its partition
+# sums, which no step of the lambda route may reach
+THETA_ROUTE = (
+    qt.formal_exp,
+    qt.theta_series,
+    qt._theta_product_form,
+    symroots.root_transpositions,
+    symroots._partition_products,
+    symroots._shifted_orbit,
+    symroots._monomial_in_fractional,
+    symroots._eliminate,
+)
+
+THETA_ROUTE_BINDINGS = {
+    "fracchern.qtheta.formal_exp",
+    "fracchern.qtheta.theta_series",
+    "fracchern.qtheta._theta_product_form",
+    "fracchern.symroots.root_transpositions",
+    "fracchern.qtheta._partition_products",
+    "fracchern.symroots._partition_products",
+    "fracchern.qtheta._shifted_orbit",
+    "fracchern.symroots._shifted_orbit",
+    "fracchern.qtheta._monomial_in_fractional",
+    "fracchern.symroots._monomial_in_fractional",
+    "fracchern.symroots._eliminate",
+}
+
+
 def test_the_lambda_route_reaches_no_theta_route_entry_point(monkeypatch):
     """The lambda route's row of the route-independence ledger: with every
-    binding of ``formal_exp``, ``theta_series``, ``_theta_product_form``
-    and ``root_transpositions`` in the package raising, a model built under
-    the stubs gives the theta route's series, so no table built earlier can
-    hide a call."""
+    binding of ``formal_exp``, ``theta_series``, ``_theta_product_form``,
+    ``root_transpositions`` and the partition-sum helpers
+    (``_partition_products``, ``_shifted_orbit``,
+    ``_monomial_in_fractional``, ``_eliminate``) in the package raising, a
+    model built under the stubs gives the theta route's series, so no
+    table built earlier can hide a call."""
     cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
     expected = {
         (n, l, kind): qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4)
         for n, l, kind in cases
     }
-    stubbed = _stub_bindings(
-        monkeypatch,
-        (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions),
-        "the lambda route reached a theta-route entry point",
-    )
-    assert stubbed >= {
-        "fracchern.qtheta.formal_exp",
-        "fracchern.qtheta.theta_series",
-        "fracchern.qtheta._theta_product_form",
-        "fracchern.qtheta.root_transpositions",
-        "fracchern.symroots.root_transpositions",
-    }
+    stubbed = _stub_bindings(monkeypatch, THETA_ROUTE, "the lambda route reached a theta-route entry point")
+    assert stubbed >= THETA_ROUTE_BINDINGS
     for n, l, kind in cases:
         model = RootModel(n, l, degree_cap=8)
         got = qt.gch_witten(model, kind, 4, "lambda_tensor")
@@ -890,6 +910,136 @@ def test_the_theta_route_is_the_shifted_reference(n):
                         where = (l, cap, extra, kind, q)
                         assert qt.gch_witten(model, kind, q, "theta_product") == want, where
                         assert qt.gch_witten(model, kind, q, "both") == want, where
+
+
+def _transposition_theta0(model, kind, q_order):
+    """Theta_0 by the transposition route: ``theta_series`` at the unshifted
+    root x_1, carried to the other roots by the root transpositions; the
+    reference for the partition sums."""
+    factor = series = qt.theta_series(kind, model.root(1), q_order)
+    for swap in model._transpositions:
+        factor = factor._map_coefficients(swap)
+        series = series * factor
+    return series
+
+
+def _orbit(model, m):
+    """m_lambda(x) from the distinct permutations of the root exponents of
+    the key m of x^lambda."""
+    exps = model.ring.unpack(m)
+    k = len(model.params)
+    return model.ring.from_exponents({exps[:k] + perm: 1 for perm in set(permutations(exps[k:]))})
+
+
+def _grid_models(n):
+    """A model for every l | n, criterion 9's cap and the default cap, with
+    and without an extra parameter b."""
+    return [
+        RootModel(n, l, degree_cap=cap, extra_even=extra)
+        for l in _divisors(n)
+        for cap in sorted({working_cap(n, 8), working_cap(n)})
+        for extra in ((), ("b",))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_partition_sums_are_the_transposition_route(n):
+    """sum_lambda theta_lambda * m_lambda(x), from the one-root series split
+    by the power of x_1, is the transposition route's Theta_0, and
+    theta_product and both give its root shift, on the grid of
+    ``_grid_models``, both kinds and q-orders 1/2..4."""
+    for model in _grid_models(n):
+        shift = model._shift_maps[1]
+        for kind in WittenKind:
+            for q in HALF_ORDERS:
+                where = (model.l, model.ring.degree_cap, model.extra_even, kind, q)
+                theta0 = _transposition_theta0(model, kind, q)
+                one_root = qt.theta_series(kind, model.root(1), q)
+                den, thetas = symroots._partition_products(model, one_root._halves, 2 * q)
+                coeffs = {}
+                for m, theta in thetas.items():
+                    orbit = _orbit(model, m)
+                    for k, num in theta.items():
+                        e = Fraction(k, 2)
+                        coeffs[e] = coeffs.get(e, model.ring.zero()) + orbit * Fraction(num, den)
+                assert HalfQSeries(model.ring, coeffs, q) == theta0, where
+                want = theta0._map_coefficients(shift)
+                assert qt.gch_witten(model, kind, q, "theta_product") == want, where
+                assert qt.gch_witten(model, kind, q, "both") == want, where
+
+
+def _back_check_descend(series, model):
+    """Descent checked over the roots: each coefficient's read P mapped back
+    by f_k -> sigma_k(x - a/l) and compared with the coefficient, the first
+    that fails refused by the reduction at a = 0; the reference for
+    ``descend_gch``'s check by the table of m_lambda(x - a/l)."""
+    f_ring, at_zero, rename, back = model._fractional_maps
+    out = {}
+    for k, coeff in sorted(series._halves.items()):
+        p = symroots._fractional_read(coeff, model)[0] if coeff.ring == model.ring else None
+        if p is None or back(p) != coeff:
+            rename(express_in_elementary(at_zero(coeff), model))
+            raise PreconditionError(
+                "coefficient does not descend: twist class survives at "
+                f"q^{qt._format_half_steps(k)}"
+            )
+        out[k] = p
+    return HalfQSeries._from_halves(f_ring, out, series._top)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descend_is_the_back_check_reference(n):
+    """The check by the table of m_lambda(x - a/l) gives the root-ring back
+    check's series or refusal on the grid of ``_grid_models``, both kinds,
+    q-orders 1/2..4, raw and normalized, and on each raw series with a
+    twist, an asymmetric term or b added to a coefficient; and every
+    B_lambda met is the back map's image of M_lambda."""
+    for model in _grid_models(n):
+        ring = model.ring
+        additions = [ring.gen("a"), ring.gen("x1")] + [ring.gen(b) for b in model.extra_even]
+        for kind in WittenKind:
+            for q in HALF_ORDERS:
+                raw = qt.gch_witten(model, kind, q)
+                cases = [raw, qt.normalize_gch(raw, kind, n, q)]
+                for i, extra in enumerate(additions):
+                    coeffs = raw.coefficients
+                    e = sorted(coeffs)[i % len(coeffs)]
+                    coeffs[e] = coeffs[e] + extra
+                    cases.append(HalfQSeries(ring, coeffs, q))
+                for i, series_ in enumerate(cases):
+                    where = (model.l, ring.degree_cap, model.extra_even, kind, q, i)
+                    want = _descent_outcome(_back_check_descend, series_, model)
+                    assert isinstance(want, tuple) == (i >= 2), where
+                    assert _descent_outcome(qt.descend_gch, series_, model) == want, where
+        back = model._fractional_maps[3]
+        keys = set(model._shifted_orbit_table) | set(model._monomial_table)
+        for m in keys:
+            want = back(symroots._monomial_in_fractional(model, m))
+            assert symroots._shifted_orbit(model, m) == want, (model.l, model.extra_even, m)
+
+
+def test_descend_refuses_as_the_back_check_refuses():
+    for model, series_ in _refused_series():
+        want = _descent_outcome(_back_check_descend, series_, model)
+        assert isinstance(want, tuple), series_
+        assert _descent_outcome(qt.descend_gch, series_, model) == want
+
+
+def test_a_monomial_table_entry_that_misses_m_lambda_is_an_engine_error(monkeypatch):
+    """With the elimination doubling its answer, the first M_lambda built is
+    refused as an internal error, by both and by the descent, on one line."""
+    model = RootModel(3, 3, degree_cap=8)
+    series_ = qt.gch_witten(model, WittenKind.THETA2, 2)
+    eliminate = symroots._eliminate
+    monkeypatch.setattr(symroots, "_eliminate", lambda *args: eliminate(*args) * 2)
+    calls = (
+        lambda: qt.gch_witten(RootModel(3, 3, degree_cap=8), WittenKind.THETA2, 2, "both"),
+        lambda: qt.descend_gch(series_, model),
+    )
+    for call in calls:
+        with pytest.raises(EngineError, match=r"^a monomial symmetric function in the f's misses m_lambda\(x\)") as info:
+            call()
+        assert type(info.value) is EngineError and "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -932,11 +1082,10 @@ def _forbidden_map(message):
 
 def test_the_lambda_side_of_both_reaches_no_theta_route_entry_point(monkeypatch):
     """The row of the route-independence ledger for ``both``: with every
-    binding of ``formal_exp``, ``theta_series``, ``_theta_product_form``
-    and ``root_transpositions`` raising, and the model's root shift
-    replaced by a map that raises, the lambda series mapped by
-    f_k -> sigma_k(x) is the product of the theta series over the
-    unshifted roots, on models built under the stubs."""
+    binding of the theta route's entry points and partition-sum helpers
+    raising, and the model's root shift replaced by a map that raises, the
+    lambda series mapped by f_k -> sigma_k(x) is the product of the theta
+    series over the unshifted roots, on models built under the stubs."""
     cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
     expected = {}
     for n, l, kind in cases:
@@ -946,12 +1095,8 @@ def test_the_lambda_side_of_both_reaches_no_theta_route_entry_point(monkeypatch)
             theta0 = theta0 * qt.theta_series(kind, r, 4)
         expected[n, l, kind] = theta0
     message = "the lambda side of both reached a theta-route entry point"
-    stubbed = _stub_bindings(
-        monkeypatch,
-        (qt.formal_exp, qt.theta_series, qt._theta_product_form, qt.root_transpositions),
-        message,
-    )
-    assert "fracchern.symroots.root_transpositions" in stubbed
+    stubbed = _stub_bindings(monkeypatch, THETA_ROUTE, message)
+    assert stubbed >= THETA_ROUTE_BINDINGS
     for n, l, kind in cases:
         model = RootModel(n, l, degree_cap=8)
         lower = model._shift_maps[0]
