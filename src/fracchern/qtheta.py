@@ -36,11 +36,20 @@ the back map is that map followed by the root shift, so this is the same
 check.  At shift 0 the product form reduces to the classical sums
 sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 
+The theta route's series carries its partition form: the scalar series
+theta_lambda with the model they are summed over.  Normalizing it scales
+each theta_lambda by the constants of 1/theta0^n and sums again, and
+descending it for the same model is sum_lambda theta_lambda * M_lambda,
+with no read of its coefficients: its image under the back map is the
+series by construction.  Every other series is normalized by the series
+product and descended by the read and its check.
+
 Every sum of products here (a series coefficient, a normalized
 coefficient, a cosh, a term of ``formal_exp``, a partition sum) is one
 ``gcring._sum_of_products``: this module never reads the coefficient
-layout.  The split of the one-root series and the products theta_lambda
-are ``symroots._partition_products``, which reads the keys.
+layout.  The split of the one-root series, the products theta_lambda and
+their scaling are ``symroots._partition_products`` and
+``symroots._scaled_partition``, which read the keys and the numerators.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from math import factorial
 
 from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
-from .symroots import RootModel, _fractional_read, _monomial_in_fractional, _partition_products, _shifted_orbit, express_in_elementary
+from .symroots import RootModel, _fractional_read, _monomial_in_fractional, _partition_products, _scaled_partition, _shifted_orbit, express_in_elementary
 from .towers import BundleDescriptor
 
 class WittenKind(Enum):
@@ -110,9 +119,17 @@ class HalfQSeries:
     are checked where they come in (the constructor, ``unit`` and
     ``coefficient``); ``q_order``, ``coefficients`` and ``exponents()``
     give them back as ``Fraction``s.
+
+    ``_partition`` is None or (model, den, thetas), the witness that the
+    series is sum_lambda theta_lambda * B_lambda over the model's table of
+    B_lambda = m_lambda(x - a/l), thetas as {key of x^lambda: {2e:
+    numerator over den}}.  Only the theta route of ``gch_witten`` and the
+    normalization of a witnessed series set it; every constructor,
+    arithmetic and ring map leaves it None, and equality, ``render`` and
+    ``to_json`` ignore it.
     """
 
-    __slots__ = ("ring", "_top", "_halves")
+    __slots__ = ("ring", "_top", "_halves", "_partition")
 
     def __init__(self, ring: RingPresentation, coefficients: dict, q_order):
         self.ring = ring
@@ -129,6 +146,7 @@ class HalfQSeries:
             if k <= self._top and not poly.is_zero:
                 coeffs[k] = poly
         self._halves = coeffs
+        self._partition = None
 
     @classmethod
     def _from_halves(cls, ring: RingPresentation, halves: dict, top: int) -> "HalfQSeries":
@@ -138,6 +156,7 @@ class HalfQSeries:
         series.ring = ring
         series._top = top
         series._halves = {k: p for k, p in halves.items() if not p.is_zero}
+        series._partition = None
         return series
 
     @classmethod
@@ -374,7 +393,8 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     checked to map to m_lambda(x) under the injective f_k -> sigma_k(x),
     and the root shift after that map is the back map
     (``RootModel._shift_maps``), so this is the comparison of the two
-    routes over the shifted roots.
+    routes over the shifted roots.  The series of "theta_product" and
+    "both" carries its partition form (``HalfQSeries._partition``).
     """
     top = _q_top(q_order)
     if method == "lambda_tensor":
@@ -383,12 +403,9 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
         raise PreconditionError(f"unknown method {method!r}")
     one_root = theta_series(kind, model.root(1), q_order)
     den, thetas = _partition_products(model, one_root._halves, top)
-    if method == "both":
-        f_ring = model._fractional_maps[0]
-        fractional = _partition_sum(f_ring, thetas, den, top, lambda m: _monomial_in_fractional(model, m))
-        if fractional != _lambda_series(model, kind, top):
-            raise VerificationError("theta_product and lambda_tensor expansions disagree")
-    return _partition_sum(model.ring, thetas, den, top, lambda m: _shifted_orbit(model, m))
+    if method == "both" and _fractional_sum(model, den, thetas, top) != _lambda_series(model, kind, top):
+        raise VerificationError("theta_product and lambda_tensor expansions disagree")
+    return _witnessed(model, den, thetas, top)
 
 
 def _partition_sum(ring: RingPresentation, thetas: dict, den: int, top: int, entry) -> HalfQSeries:
@@ -402,6 +419,24 @@ def _partition_sum(ring: RingPresentation, thetas: dict, den: int, top: int, ent
             feeds.setdefault(k, []).append((num, value))
     out = {k: _sum_of_products(ring, pairs, den) for k, pairs in feeds.items()}
     return HalfQSeries._from_halves(ring, out, top)
+
+
+def _witnessed(model: RootModel, den: int, thetas: dict, top: int) -> HalfQSeries:
+    """sum_lambda theta_lambda * B_lambda over the roots, from the model's
+    table of B_lambda = m_lambda(x - a/l), carrying (model, den, thetas)
+    as the witness of that form: the one place a witness is set."""
+    series = _partition_sum(model.ring, thetas, den, top, lambda m: _shifted_orbit(model, m))
+    series._partition = (model, den, thetas)
+    return series
+
+
+def _fractional_sum(model: RootModel, den: int, thetas: dict, top: int) -> HalfQSeries:
+    """sum_lambda theta_lambda * M_lambda over the f's, from the model's
+    table of M_lambda = m_lambda(x) in f_1..f_n: the series ``both``
+    compares with the lambda route's, and the descent of a witnessed
+    series."""
+    f_ring = model._fractional_maps[0]
+    return _partition_sum(f_ring, thetas, den, top, lambda m: _monomial_in_fractional(model, m))
 
 
 def _lambda_series(model: RootModel, kind: WittenKind, top: int) -> HalfQSeries:
@@ -448,10 +483,12 @@ def _theta0_inverse(kind: WittenKind, n: int, top: int) -> tuple:
 def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> HalfQSeries:
     """Divide by the n-th power of the shift-0 theta series: multiply by the
     series of the cached constant coefficients of 1/theta0^n
-    (``_theta0_inverse``).  The degree-2p coefficients of the result are
-    the q-expansions whose modularity is governed by the degree-4
-    obstruction class; they are emitted as formal series, not verified
-    analytically.
+    (``_theta0_inverse``).  A series that carries its partition form is
+    normalized in it: each theta_lambda times those constants, truncated
+    at q_order, summed over the same B_lambda, and the result carries the
+    scaled form.  The degree-2p coefficients of the result are the
+    q-expansions whose modularity is governed by the degree-4 obstruction
+    class; they are emitted as formal series, not verified analytically.
     """
     top = _half_steps(q_order)
     # a kind or an n of another type is built uncached, so that it is
@@ -460,19 +497,32 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
     build = _theta0_inverse if cached else _theta0_inverse.__wrapped__
     inverse = build(kind, n, top)
     series._check_compatible(series.ring, top)
+    if series._partition is not None:
+        model, den, thetas = series._partition
+        return _witnessed(model, *_scaled_partition(den, thetas, inverse, top), top)
     return qseries_mul(series, _constant_series(series.ring, inverse, top))
 
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     """Rewrite every coefficient c as a polynomial P in the fractional
-    classes f_k = sigma_k(x - a/l), in ascending q-order: P is read from
-    the model's table of monomial symmetric functions in the f's
+    classes f_k = sigma_k(x - a/l), in ascending q-order.
+
+    A series that carries its partition form for this model object is
+    sum_lambda theta_lambda * B_lambda, so its P is
+    sum_lambda theta_lambda * M_lambda: each M_lambda was checked, when
+    built, to map to m_lambda(x) under f_k -> sigma_k(x), and the root
+    shift after that map is the back map (``RootModel._shift_maps``), so
+    the back map sends P to the series, and P is unique since the back map
+    is injective.  Every other series is read: P is read from the model's
+    table of monomial symmetric functions in the f's
     (``symroots._fractional_read``), and its image under
     f_k -> sigma_k(x - a/l), read from the same coefficients and the
     model's table of m_lambda(x - a/l), must be c.  The first coefficient
     whose image is not is refused as its reduction at a = 0, renamed
     e_k -> f_k, refuses it (not symmetric in the roots), else as a
     surviving twist class; no later coefficient is examined."""
+    if series._partition is not None and series._partition[0] is model:
+        return _fractional_sum(*series._partition, series._top)
     f_ring, at_zero, rename, _ = model._fractional_maps
     out = {}
     for k, coeff in sorted(series._halves.items()):

@@ -436,16 +436,30 @@ def _shifted_orbit(model: RootModel, m: int) -> GradedPolynomial:
     return entry
 
 
+def _scalar_product(a: dict, b: dict, top: int) -> dict:
+    """The product of two scalar q-series {2e: int numerator}, truncated at
+    2e = top, its zero numerators dropped: the one scalar series product."""
+    product: dict = {}
+    for j, x in a.items():
+        for k, y in b.items():
+            if j + k <= top:
+                product[j + k] = product.get(j + k, 0) + x * y
+    return {k: c for k, c in product.items() if c}
+
+
 def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
     """(den, {key of x^lambda: {2e: numerator}}) for a series F in x1 alone,
     given as {2e: coefficient}: with F_m the scalar series of x1^m in F, its
     numerators over one denominator D, the series theta_lambda =
     prod_i F_(lambda_i) to q^(top/2) over den = D^n, for every partition
-    lambda of at most n parts whose x^lambda is under the cap.
+    lambda of at most n parts whose x^lambda is under the cap and whose
+    theta_lambda does not vanish at the truncation.
 
     prod_i F(x_i) has theta_lambda at every permutation of x^lambda, so it
     is sum_lambda theta_lambda * m_lambda(x).  The parts are chosen from
-    lambda_1 down, each product extending the one of the parts before it."""
+    lambda_1 down, each product extending the one of the parts before it;
+    a product that vanishes is not extended, since every extension of it
+    vanishes too."""
     den = lcm(*(p._den for p in halves.values()))
     x1 = model.ring.generator_key("x1")
     split: dict = {}  # m: {2e: numerator of F_m over den}
@@ -464,15 +478,24 @@ def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
         for m in parts:
             if m > largest or key + m * fields[i] >= limit:
                 break
-            product: dict = {}
-            for j, a in theta.items():
-                for k, b in split[m].items():
-                    if j + k <= top:
-                        product[j + k] = product.get(j + k, 0) + a * b
-            extend(i + 1, key + m * fields[i], {k: c for k, c in product.items() if c}, m)
+            product = _scalar_product(theta, split[m], top)
+            if product:
+                extend(i + 1, key + m * fields[i], product, m)
 
     extend(0, 0, {0: 1}, max(parts, default=0))
     return den**model.n, out
+
+
+def _scaled_partition(den: int, thetas: dict, constants, top: int) -> tuple:
+    """(den', {key: {2e: numerator over den'}}): each theta_lambda, given as
+    numerators over den, times the scalar series of the rational
+    ((2e, c), ...) constants, truncated at 2e = top, over den' = den times
+    the constants' common denominator.  With a constant term 1, as the
+    constants of 1/theta0^n have, no nonzero theta_lambda becomes zero, so
+    the products of ``_partition_products`` stay free of vanishing ones."""
+    common = lcm(*(c.denominator for _, c in constants))
+    scale = {j: c.numerator * (common // c.denominator) for j, c in constants}
+    return den * common, {m: _scalar_product(theta, scale, top) for m, theta in thetas.items()}
 
 
 def _fractional_read(p: GradedPolynomial, model: RootModel) -> tuple:

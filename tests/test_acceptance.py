@@ -57,6 +57,7 @@ def test_criterion(results, number, description):
         (9, verify.q_series, (5, 6)),
         (9, verify.q_series, (6, 6)),
         (9, verify.q_series, (7, 6)),
+        (9, verify.q_series, (8, 6)),
     ],
     ids=[
         "criterion_1_n_le_9",
@@ -78,6 +79,7 @@ def test_criterion(results, number, description):
         "criterion_9_n_le_5_q_order_6",
         "criterion_9_n_le_6_q_order_6",
         "criterion_9_n_le_7_q_order_6",
+        "criterion_9_n_le_8_q_order_6",
     ],
 )
 def test_wider_sweep(number, sweep, args):
@@ -94,15 +96,9 @@ def _injected_cross_check_failure(*args):
     raise VerificationError("cross-check failed: injected")
 
 
-def _lambda_tensor_off_by_double(monkeypatch):
-    real = qtheta.gch_witten
-
-    def gch_witten(model, kind, q_order, method="theta_product"):
-        if method == "lambda_tensor":
-            return real(model, kind, q_order, method) * 2
-        return real(model, kind, q_order, method)
-
-    monkeypatch.setattr(qtheta, "gch_witten", gch_witten)
+def _lambda_series_off_by_double(monkeypatch):
+    real = qtheta._lambda_series
+    monkeypatch.setattr(qtheta, "_lambda_series", lambda *args: real(*args) * 2)
 
 
 def _theta_product_form_off_by_double(monkeypatch):
@@ -120,7 +116,7 @@ def _theta_product_form_off_by_double(monkeypatch):
         ),
         (
             9,
-            _lambda_tensor_off_by_double,
+            _lambda_series_off_by_double,
             "theta_product and lambda_tensor expansions disagree at n=1, l=1, theta2",
         ),
         (9, _theta_product_form_off_by_double, "triple product failed for theta3"),

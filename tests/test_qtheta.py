@@ -663,6 +663,12 @@ def test_descend_refuses_as_the_reference_refuses():
         assert _descent_outcome(qt.descend_gch, series_, model) == want
 
 
+def _plain(series):
+    """A copy of series through its public coefficients, so it carries no
+    partition form."""
+    return HalfQSeries(series.ring, series.coefficients, series.q_order)
+
+
 def _witten_catalogue():
     """The 48 ops of the witten_series benchmark: n <= 4, l | n, both
     kinds, q-orders 2..4, degree cap 8."""
@@ -673,13 +679,13 @@ def _witten_catalogue():
 
 def test_the_table_read_answers_every_coefficient_that_descends(monkeypatch):
     """With every binding of ``express_in_elementary`` and
-    ``find_asymmetry`` raising, models built under the stubs descend the
-    normalized characters of the witten_series catalogue to the
-    reference's series: the read, not the refusal path, answers them."""
+    ``find_asymmetry`` raising, models built under the stubs descend plain
+    copies of the normalized characters of the witten_series catalogue to
+    the reference's series: the read, not the refusal path, answers them."""
     cases = {}
     for n, l, kind, q in _witten_catalogue():
         model = RootModel(n, l, degree_cap=8)
-        series_ = qt.normalize_gch(qt.gch_witten(model, kind, q, "both"), kind, n, q)
+        series_ = _plain(qt.normalize_gch(qt.gch_witten(model, kind, q, "both"), kind, n, q))
         cases[n, l, kind, q] = series_, _reference_descend(series_, model)
     stubbed = _stub_bindings(
         monkeypatch,
@@ -1023,6 +1029,143 @@ def test_descend_refuses_as_the_back_check_refuses():
         want = _descent_outcome(_back_check_descend, series_, model)
         assert isinstance(want, tuple), series_
         assert _descent_outcome(qt.descend_gch, series_, model) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_witnessed_series_normalizes_and_descends_as_its_plain_copy(n):
+    """The theta route's series carries its partition form, and so does
+    its normalization; normalizing and descending it, raw and normalized,
+    gives what the plain copy gives by the generic convolution and the
+    read, on the grid of ``_grid_models``, both kinds and q-orders
+    1/2..4."""
+    for model in _grid_models(n):
+        for kind in WittenKind:
+            for q in HALF_ORDERS:
+                where = (model.l, model.ring.degree_cap, model.extra_even, kind, q)
+                for method in ("theta_product", "both"):
+                    witnessed = qt.gch_witten(model, kind, q, method)
+                    plain = _plain(witnessed)
+                    assert witnessed._partition is not None and plain._partition is None, where
+                    normalized = qt.normalize_gch(witnessed, kind, n, q)
+                    plain_normalized = qt.normalize_gch(plain, kind, n, q)
+                    assert normalized._partition is not None, where
+                    assert normalized == plain_normalized, where
+                    assert qt.descend_gch(witnessed, model) == qt.descend_gch(plain, model), where
+                    want = qt.descend_gch(plain_normalized, model)
+                    assert qt.descend_gch(normalized, model) == want, where
+
+
+def test_arithmetic_drops_the_partition_form():
+    """A series made from a witnessed one by arithmetic or a ring map
+    carries no partition form: it normalizes and descends, or is refused,
+    as the same series made from the plain copy."""
+    model = RootModel(3, 3, degree_cap=8)
+    x1 = model.ring.gen("x1")
+    ops = [
+        lambda s: s * 2,
+        lambda s: 2 * s,
+        lambda s: s * Fraction(1, 3),
+        lambda s: s * x1,
+        lambda s: s + s,
+        lambda s: s - s * 2,
+        lambda s: -s,
+        lambda s: s * s,
+        lambda s: s**2,
+        lambda s: s._map_coefficients(model._shift_maps[1]),
+    ]
+    for kind in WittenKind:
+        witnessed = qt.gch_witten(model, kind, 2)
+        plain = _plain(witnessed)
+        for i, op in enumerate(ops):
+            got, want = op(witnessed), op(plain)
+            assert got == want and got._partition is None, (kind, i)
+            assert _descent_outcome(qt.descend_gch, got, model) == _descent_outcome(qt.descend_gch, want, model), (kind, i)
+            assert qt.normalize_gch(got, kind, 3, 2) == qt.normalize_gch(want, kind, 3, 2), (kind, i)
+
+
+@pytest.mark.parametrize("den", [1, 6])
+def test_scaling_the_partition_products_is_rational_scaling(den):
+    """Each theta_lambda times a scalar series of rational constants, as
+    Fractions, to every truncation."""
+    thetas = {0: {0: 1, 1: -3, 4: 2}, 7: {2: 5, 3: 1}, 9: {0: -4}}
+    constants = ((0, Fraction(1)), (1, Fraction(-2, 3)), (3, Fraction(5, 4)), (4, 2))
+    for top in range(6):
+        got_den, got = symroots._scaled_partition(den, thetas, constants, top)
+        for m, theta in thetas.items():
+            want: dict = {}
+            for j, a in theta.items():
+                for k, c in constants:
+                    if j + k <= top:
+                        want[j + k] = want.get(j + k, 0) + Fraction(a, den) * c
+            want = {k: c for k, c in want.items() if c}
+            assert {k: Fraction(c, got_den) for k, c in got[m].items()} == want, (top, m)
+
+
+def test_a_theta_lambda_that_vanishes_builds_no_table_entry():
+    """At q-order 1/2 theta_lambda vanishes for every lambda with two
+    nonzero parts, since each F_m with m > 0 starts at q^(1/2): after
+    ``both``, normalization and descent, each table holds exactly the keys
+    x^lambda met in Theta_0, fewer than the even partitions under the cap."""
+    for kind in WittenKind:
+        model = RootModel(4, 2, degree_cap=8)
+        series_ = qt.gch_witten(model, kind, HALF, "both")
+        qt.descend_gch(qt.normalize_gch(series_, kind, 4, HALF), model)
+        met = _dominant_free_keys(model, _transposition_theta0(model, kind, HALF)._halves.values())
+        assert set(model._monomial_table) == set(model._shifted_orbit_table) == met, kind
+        x1 = model.root(1)
+        even = symroots._partition_products(model, {0: model.ring.one() + x1**2 + x1**4}, 0)[1]
+        assert met < set(even) and (len(met), len(even)) == (3, 4), kind
+
+
+def test_descending_a_witnessed_series_reaches_no_read(monkeypatch):
+    """The descent's row of the route-independence ledger: with every
+    binding of ``_fractional_read``, ``express_in_elementary`` and
+    ``find_asymmetry`` raising, the witnessed characters of the
+    witten_series catalogue, raw and normalized, descend to the
+    reference's series."""
+    cases = []
+    for n, l, kind, q in _witten_catalogue():
+        model = RootModel(n, l, degree_cap=8)
+        raw = qt.gch_witten(model, kind, q, "both")
+        for series_ in (raw, qt.normalize_gch(raw, kind, n, q)):
+            cases.append((model, series_, _reference_descend(series_, model)))
+    stubbed = _stub_bindings(
+        monkeypatch,
+        (symroots._fractional_read, express_in_elementary, symroots.find_asymmetry),
+        "the descent of a witnessed series reached the read",
+    )
+    assert stubbed >= {
+        "fracchern.qtheta._fractional_read",
+        "fracchern.symroots._fractional_read",
+        "fracchern.qtheta.express_in_elementary",
+        "fracchern.symroots.express_in_elementary",
+        "fracchern.symroots.find_asymmetry",
+    }
+    for model, series_, want in cases:
+        assert qt.descend_gch(series_, model) == want, (model.n, model.l)
+
+
+def test_a_series_witnessed_for_another_model_takes_the_read(monkeypatch):
+    """The partition form is trusted only for its own model object: another
+    model with the same rank, twist and cap reads every coefficient, and
+    gets the same series."""
+    reads = []
+    read = qt._fractional_read
+
+    def counting(p, model):
+        reads.append(model)
+        return read(p, model)
+
+    monkeypatch.setattr(qt, "_fractional_read", counting)
+    for kind in WittenKind:
+        model, other = RootModel(4, 2, degree_cap=8), RootModel(4, 2, degree_cap=8)
+        raw = qt.gch_witten(model, kind, 2, "both")
+        for series_ in (raw, qt.normalize_gch(raw, kind, 4, 2)):
+            want = qt.descend_gch(series_, model)
+            assert reads == []
+            assert qt.descend_gch(series_, other) == want
+            assert reads == [other] * len(series_._halves)
+            reads.clear()
 
 
 def test_a_monomial_table_entry_that_misses_m_lambda_is_an_engine_error(monkeypatch):
