@@ -38,18 +38,18 @@ sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 
 The theta route's series carries its partition form: the scalar series
 theta_lambda with the model they are summed over.  Normalizing it scales
-each theta_lambda by the constants of 1/theta0^n and sums again, and
-descending it for the same model is sum_lambda theta_lambda * M_lambda,
-with no read of its coefficients: its image under the back map is the
-series by construction.  Every other series is normalized by the series
-product and descended by the read and its check.
+each theta_lambda by the int constants of 1/theta0^n and sums again;
+every other series is normalized by the series product.  The descent of
+every series is sum_lambda theta_lambda * M_lambda: a series with no form
+for the same model is read into one, whose image must be the series.
 
 Every sum of products here (a series coefficient, a normalized
 coefficient, a cosh, a term of ``formal_exp``, a partition sum) is one
 ``gcring._sum_of_products``: this module never reads the coefficient
-layout.  The split of the one-root series, the products theta_lambda and
-their scaling are ``symroots._partition_products`` and
-``symroots._scaled_partition``, which read the keys and the numerators.
+layout.  The split of the one-root series into the products
+theta_lambda, and the read of a series into them, are
+``symroots._partition_products`` and ``symroots._read_partition``, which
+read the keys and the numerators.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from math import factorial
 
 from .errors import PreconditionError, VerificationError
 from .gcring import GradedPolynomial, RingMorphism, RingPresentation, _sum_of_products
-from .symroots import RootModel, _fractional_read, _monomial_in_fractional, _partition_products, _scaled_partition, _shifted_orbit, express_in_elementary
+from .symroots import RootModel, _monomial_in_fractional, _partition_products, _read_partition, _scalar_product, _shifted_orbit, express_in_elementary
 from .towers import BundleDescriptor
 
 class WittenKind(Enum):
@@ -472,23 +472,25 @@ def _euler_product(n: int, top: int) -> tuple:
 def _theta0_inverse(kind: WittenKind, n: int, top: int) -> tuple:
     """((2e, c), ...): the coefficients of 1/theta0^n to q^(top/2), where
     theta0 is ``theta_series`` at shift 0.  They are constants, so they are
-    found once per (kind, n, top) in the ring without generators."""
+    found once per (kind, n, top) in the ring without generators, and ints:
+    theta0 has int coefficients and constant term 1."""
     scalar = RingPresentation([], 0)
     q_order = Fraction(top, 2)
     theta0 = theta_series(kind, scalar.zero(), q_order)
     inverse = qseries_div_unit(HalfQSeries.unit(scalar, q_order), theta0 ** n)
-    return tuple((j, h.constant_term()) for j, h in inverse._halves.items())
+    return tuple((j, int(h.constant_term())) for j, h in inverse._halves.items())
 
 
 def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> HalfQSeries:
     """Divide by the n-th power of the shift-0 theta series: multiply by the
     series of the cached constant coefficients of 1/theta0^n
     (``_theta0_inverse``).  A series that carries its partition form is
-    normalized in it: each theta_lambda times those constants, truncated
-    at q_order, summed over the same B_lambda, and the result carries the
-    scaled form.  The degree-2p coefficients of the result are the
-    q-expansions whose modularity is governed by the degree-4 obstruction
-    class; they are emitted as formal series, not verified analytically.
+    normalized in it: each theta_lambda times those int constants (with
+    constant term 1, so none vanishes), truncated at q_order, summed over
+    the same B_lambda, and the result carries the scaled form.  The
+    degree-2p coefficients of the result are the q-expansions whose
+    modularity is governed by the degree-4 obstruction class; they are
+    emitted as formal series, not verified analytically.
     """
     top = _half_steps(q_order)
     # a kind or an n of another type is built uncached, so that it is
@@ -499,43 +501,41 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
     series._check_compatible(series.ring, top)
     if series._partition is not None:
         model, den, thetas = series._partition
-        return _witnessed(model, *_scaled_partition(den, thetas, inverse, top), top)
+        scale = dict(inverse)
+        return _witnessed(model, den, {m: _scalar_product(theta, scale, top) for m, theta in thetas.items()}, top)
     return qseries_mul(series, _constant_series(series.ring, inverse, top))
 
 
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     """Rewrite every coefficient c as a polynomial P in the fractional
-    classes f_k = sigma_k(x - a/l), in ascending q-order.
-
-    A series that carries its partition form for this model object is
-    sum_lambda theta_lambda * B_lambda, so its P is
-    sum_lambda theta_lambda * M_lambda: each M_lambda was checked, when
+    classes f_k = sigma_k(x - a/l): P is sum_lambda theta_lambda * M_lambda
+    over the series' partition form.  Each M_lambda was checked, when
     built, to map to m_lambda(x) under f_k -> sigma_k(x), and the root
     shift after that map is the back map (``RootModel._shift_maps``), so
-    the back map sends P to the series, and P is unique since the back map
-    is injective.  Every other series is read: P is read from the model's
-    table of monomial symmetric functions in the f's
-    (``symroots._fractional_read``), and its image under
-    f_k -> sigma_k(x - a/l), read from the same coefficients and the
-    model's table of m_lambda(x - a/l), must be c.  The first coefficient
-    whose image is not is refused as its reduction at a = 0, renamed
-    e_k -> f_k, refuses it (not symmetric in the roots), else as a
-    surviving twist class; no later coefficient is examined."""
+    the back map, which is injective, sends P to the form's sum over the
+    B_lambda = m_lambda(x - a/l).
+
+    A series that carries its form for this model object is that sum by
+    construction.  Every other series is read into a form
+    (``symroots._read_partition``) whose sum is compared with it in
+    ascending q-order; the first coefficient that differs is refused as
+    its reduction at a = 0 refuses it (not symmetric in the roots, or over
+    another ring), else as a surviving twist class."""
+    top = series._top
     if series._partition is not None and series._partition[0] is model:
-        return _fractional_sum(*series._partition, series._top)
-    f_ring, at_zero, rename, _ = model._fractional_maps
-    out = {}
-    for k, coeff in sorted(series._halves.items()):
-        # a coefficient over another ring has no read: the map a -> 0 refuses it
-        p, image = _fractional_read(coeff, model) if coeff.ring == model.ring else (None, None)
-        if p is None or image != coeff:
-            rename(express_in_elementary(at_zero(coeff), model))
-            raise PreconditionError(
-                "coefficient does not descend: twist class survives at "
-                f"q^{_format_half_steps(k)}"
-            )
-        out[k] = p
-    return HalfQSeries._from_halves(f_ring, out, series._top)
+        _, den, thetas = series._partition
+    else:
+        # a series over another ring has no read: the map a -> 0 refuses it
+        den, thetas = _read_partition(model, series._halves) if series.ring == model.ring else (1, {})
+        image = _witnessed(model, den, thetas, top)._halves
+        for k, coeff in sorted(series._halves.items()):
+            if image.get(k) != coeff:
+                express_in_elementary(model._fractional_maps[1](coeff), model)
+                raise PreconditionError(
+                    "coefficient does not descend: twist class survives at "
+                    f"q^{_format_half_steps(k)}"
+                )
+    return _fractional_sum(model, den, thetas, top)
 
 
 def modularity_obstruction(d: BundleDescriptor) -> GradedPolynomial:

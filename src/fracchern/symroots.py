@@ -486,41 +486,24 @@ def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
     return den**model.n, out
 
 
-def _scaled_partition(den: int, thetas: dict, constants, top: int) -> tuple:
-    """(den', {key: {2e: numerator over den'}}): each theta_lambda, given as
-    numerators over den, times the scalar series of the rational
-    ((2e, c), ...) constants, truncated at 2e = top, over den' = den times
-    the constants' common denominator.  With a constant term 1, as the
-    constants of 1/theta0^n have, no nonzero theta_lambda becomes zero, so
-    the products of ``_partition_products`` stay free of vanishing ones."""
-    common = lcm(*(c.denominator for _, c in constants))
-    scale = {j: c.numerator * (common // c.denominator) for j, c in constants}
-    return den * common, {m: _scalar_product(theta, scale, top) for m, theta in thetas.items()}
-
-
-def _fractional_read(p: GradedPolynomial, model: RootModel) -> tuple:
-    """(P, image): the polynomial P in f_1..f_n with P(f_k -> sigma_k(x - a/l))
-    == p, when p is such an image, and the image of P.  P is
-    sum c_lambda * M_lambda over p's dominant parameter-free keys x^lambda
-    (no a, no extra parameter), c_lambda the coefficient there, and its
-    image is sum c_lambda * B_lambda, each one ``_sum_of_products`` over
-    p's denominator from the same coefficients.
-
-    At a = 0 the image of P is P(sigma(x)), the parameter-free part of p,
-    so its dominant terms give P in the monomial symmetric basis, and
-    M_lambda changes that basis to the f's.  The image is linear in P and
-    B_lambda is the image of M_lambda, so a p that is no such image gives
-    an image that is not p: the caller compares them."""
+def _read_partition(model: RootModel, halves: dict) -> tuple:
+    """(den, {key of x^lambda: {2e: numerator}}) for a series over the roots
+    given as {2e: coefficient}: theta_lambda is the scalar series of the
+    dominant parameter-free term x^lambda (no a, no extra parameter), over
+    the coefficients' common denominator den.  The parameter-free part of
+    sum_lambda theta_lambda * B_lambda is sum_lambda theta_lambda *
+    m_lambda(x), so the read gives that form back; any other series reads
+    to a form whose sum over the B_lambda is not the series, which the
+    caller checks."""
     roots = model._dominance_masks[0]
     params = ((1 << model.ring.degree_shift) - 1) ^ roots
-    free = {m: c for m, c in p._terms.items() if not m & params}
-    read = _dominant_terms(model, free).items()
-    pairs = [(c, _monomial_in_fractional(model, m)) for m, c in read]
-    images = [(c, _shifted_orbit(model, m)) for m, c in read]
-    return (
-        _sum_of_products(model._fractional_maps[0], pairs, p._den),
-        _sum_of_products(model.ring, images, p._den),
-    )
+    den = lcm(*(p._den for p in halves.values()))
+    thetas: dict = {}
+    for k, p in halves.items():
+        free = {m: c for m, c in p._terms.items() if not m & params}
+        for m, num in _dominant_terms(model, free).items():
+            thetas.setdefault(m, {})[k] = num * (den // p._den)
+    return den, thetas
 
 
 def shifted_chern_sum(

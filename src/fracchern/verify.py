@@ -217,7 +217,8 @@ def q_series(max_n: int = 3, q_order: int = 4):
     the theta route's series must be the lambda route's series L before its
     map back to the roots, and normalizing commutes with the descent,
     normalize(L) == descend(normalize(theta)).  The back map is injective,
-    so this is the comparison over the roots."""
+    so this is the comparison over the roots.  P, built from the partition
+    form, must map back to the series under f_k -> sigma_k(x - a/l)."""
     scalar = RingPresentation([], 0)
     for kind, sign in ((qtheta.WittenKind.THETA3, 1), (qtheta.WittenKind.THETA2, -1)):
         series = qtheta._theta_product_form(kind, scalar.zero(), 8)
@@ -243,7 +244,8 @@ def q_series(max_n: int = 3, q_order: int = 4):
                 lam = qtheta._lambda_series(model, kind, top)
                 same = descended == lam and normalized == qtheta.normalize_gch(lam, kind, n, q_order)
                 yield same, f"theta_product and lambda_tensor expansions disagree at {where}"
-                yield True, f"descends at {where}"
+                back = descended._map_coefficients(model._fractional_maps[3])
+                yield back == series, f"descent does not map back at {where}"
 
 
 @_sweep("fixtures")

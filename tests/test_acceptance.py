@@ -106,6 +106,21 @@ def _theta_product_form_off_by_double(monkeypatch):
     monkeypatch.setattr(qtheta, "_theta_product_form", lambda *args: real(*args) * 2)
 
 
+def _shifted_orbit_with_a_twist(monkeypatch):
+    """B_lambda plus a^|lambda| for every B_lambda of more than one term:
+    the theta route's series moves, and its descent, read from the
+    partition form, does not."""
+    real = qtheta._shifted_orbit
+
+    def spoiled(model, m):
+        entry = real(model, m)
+        if len(entry._terms) > 1:
+            entry = entry + model.ring.gen("a") ** sum(model.ring.unpack(m))
+        return entry
+
+    monkeypatch.setattr(qtheta, "_shifted_orbit", spoiled)
+
+
 @pytest.mark.parametrize(
     "culprit,break_it,detail",
     [
@@ -120,8 +135,9 @@ def _theta_product_form_off_by_double(monkeypatch):
             "theta_product and lambda_tensor expansions disagree at n=1, l=1, theta2",
         ),
         (9, _theta_product_form_off_by_double, "triple product failed for theta3"),
+        (9, _shifted_orbit_with_a_twist, "descent does not map back at n=1, l=1, theta2"),
     ],
-    ids=["criterion_6_raises", "criterion_9_disagrees", "criterion_9_triple_product"],
+    ids=["criterion_6_raises", "criterion_9_disagrees", "criterion_9_triple_product", "criterion_9_maps_back"],
 )
 def test_failed_cross_check_fails_only_its_criterion(monkeypatch, capsys, culprit, break_it, detail):
     break_it(monkeypatch)

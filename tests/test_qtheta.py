@@ -8,7 +8,7 @@ import pytest
 from conftest import random_polynomial
 from fracchern import qtheta as qt
 from fracchern import symroots
-from fracchern.errors import EngineError, PreconditionError, SymmetryError, VerificationError
+from fracchern.errors import EngineError, PreconditionError, PresentationMismatch, SymmetryError, VerificationError
 from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
 from fracchern.spaces import working_cap
@@ -422,6 +422,7 @@ def test_normalization_by_the_cached_inverse_matches_division(kind, n, rng):
             q = Fraction(top, 2)
             series_ = _random_series(ring, top, rng)
             assert qt.normalize_gch(series_, kind, n, q) == normalize_by_division(series_, kind, n, q)
+            assert all(type(c) is int for _, c in qt._theta0_inverse(kind, n, top)), top
 
 
 @pytest.mark.parametrize(
@@ -578,27 +579,22 @@ def _stub_bindings(monkeypatch, functions, message) -> set:
 
 
 def _reference_descend(series, model):
-    """Descent by reduction: each coefficient reduced at a = 0 and renamed
-    e_k -> f_k up to the first refusal, then every coefficient reduced
-    before it mapped back to the roots and compared; the reference for
-    ``descend_gch``'s table read."""
+    """Descent by reduction, checked over the roots: each coefficient, in
+    ascending q-order, reduced at a = 0 and renamed e_k -> f_k, mapped back
+    by f_k -> sigma_k(x - a/l) and compared with the coefficient; the first
+    that the reduction refuses or that fails the comparison is refused.
+    The reference for ``descend_gch``'s partition form and its image by
+    the table of m_lambda(x - a/l)."""
     f_ring, at_zero, rename, back = model._fractional_maps
     out = {}
-    refusal = None
     for k, coeff in sorted(series._halves.items()):
-        try:
-            out[k] = rename(express_in_elementary(at_zero(coeff), model))
-        except EngineError as exc:
-            refusal = exc  # raised after the coefficients before k are checked
-            break
-    for k, image in zip(out, back.map_all(list(out.values()))):
-        if image != series._halves[k]:
+        p = rename(express_in_elementary(at_zero(coeff), model))
+        if back(p) != coeff:
             raise PreconditionError(
                 "coefficient does not descend: twist class survives at "
                 f"q^{qt._format_half_steps(k)}"
             )
-    if refusal is not None:
-        raise refusal
+        out[k] = p
     return HalfQSeries._from_halves(f_ring, out, series._top)
 
 
@@ -613,22 +609,6 @@ def _descent_outcome(descend, series, model):
 
 def _divisors(n):
     return [l for l in range(1, n + 1) if n % l == 0]
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_descend_is_the_reference_descent(n):
-    """The table read gives the reduction's series for every l | n, both
-    kinds, q-orders 1..4, raw and normalized, at criterion 9's cap, with
-    and without an extra parameter b."""
-    for l in _divisors(n):
-        for extra in ((), ("b",)):
-            model = RootModel(n, l, degree_cap=working_cap(n, 8), extra_even=extra)
-            for kind in WittenKind:
-                for q in range(1, 5):
-                    raw = qt.gch_witten(model, kind, q)
-                    for series_ in (raw, qt.normalize_gch(raw, kind, n, q)):
-                        want = _reference_descend(series_, model)
-                        assert qt.descend_gch(series_, model) == want, (l, extra, kind, q)
 
 
 def _refused_series():
@@ -661,6 +641,19 @@ def test_descend_refuses_as_the_reference_refuses():
         want = _descent_outcome(_reference_descend, series_, model)
         assert isinstance(want, tuple), series_
         assert _descent_outcome(qt.descend_gch, series_, model) == want
+
+
+def test_a_series_over_another_ring_descends_only_when_empty():
+    """A series over another ring than the model's roots is refused by the
+    map a -> 0 when it has a coefficient, and descends to the zero series
+    over the model's f-ring when it has none."""
+    model = RootModel(2, 2, degree_cap=8)
+    f_ring = model._fractional_maps[0]
+    with pytest.raises(PresentationMismatch, match="^polynomial is not over the morphism source$"):
+        qt.descend_gch(HalfQSeries(f_ring, {HALF: f_ring.gen("f1")}, 1), model)
+    for ring in (f_ring, RootModel(2, 2, degree_cap=8, extra_even=("b",)).ring):
+        got = qt.descend_gch(HalfQSeries(ring, {}, 1), model)
+        assert got == HalfQSeries(f_ring, {}, 1), ring
 
 
 def _plain(series):
@@ -974,61 +967,46 @@ def test_the_partition_sums_are_the_transposition_route(n):
                 assert qt.gch_witten(model, kind, q, "both") == want, where
 
 
-def _back_check_descend(series, model):
-    """Descent checked over the roots: each coefficient's read P mapped back
-    by f_k -> sigma_k(x - a/l) and compared with the coefficient, the first
-    that fails refused by the reduction at a = 0; the reference for
-    ``descend_gch``'s check by the table of m_lambda(x - a/l)."""
-    f_ring, at_zero, rename, back = model._fractional_maps
-    out = {}
-    for k, coeff in sorted(series._halves.items()):
-        p = symroots._fractional_read(coeff, model)[0] if coeff.ring == model.ring else None
-        if p is None or back(p) != coeff:
-            rename(express_in_elementary(at_zero(coeff), model))
-            raise PreconditionError(
-                "coefficient does not descend: twist class survives at "
-                f"q^{qt._format_half_steps(k)}"
-            )
-        out[k] = p
-    return HalfQSeries._from_halves(f_ring, out, series._top)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descend_is_the_reference_descent(n):
+    """The descent gives the reference's series on the grid of
+    ``_grid_models``, both kinds, q-orders 1/2..4, raw and normalized."""
+    for model in _grid_models(n):
+        for kind in WittenKind:
+            for q in HALF_ORDERS:
+                raw = qt.gch_witten(model, kind, q)
+                for series_ in (raw, qt.normalize_gch(raw, kind, n, q)):
+                    where = (model.l, model.ring.degree_cap, model.extra_even, kind, q)
+                    assert qt.descend_gch(series_, model) == _reference_descend(series_, model), where
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_descend_is_the_back_check_reference(n):
-    """The check by the table of m_lambda(x - a/l) gives the root-ring back
-    check's series or refusal on the grid of ``_grid_models``, both kinds,
-    q-orders 1/2..4, raw and normalized, and on each raw series with a
-    twist, an asymmetric term or b added to a coefficient; and every
-    B_lambda met is the back map's image of M_lambda."""
+    """The image by the table of m_lambda(x - a/l) refuses as the
+    reference's back check refuses on the grid of ``_grid_models``, both
+    kinds and q-orders 1/2..4, each raw series with a twist, an asymmetric
+    term or b added to a coefficient; and every B_lambda met is the back
+    map's image of M_lambda."""
     for model in _grid_models(n):
         ring = model.ring
         additions = [ring.gen("a"), ring.gen("x1")] + [ring.gen(b) for b in model.extra_even]
         for kind in WittenKind:
             for q in HALF_ORDERS:
                 raw = qt.gch_witten(model, kind, q)
-                cases = [raw, qt.normalize_gch(raw, kind, n, q)]
                 for i, extra in enumerate(additions):
                     coeffs = raw.coefficients
                     e = sorted(coeffs)[i % len(coeffs)]
                     coeffs[e] = coeffs[e] + extra
-                    cases.append(HalfQSeries(ring, coeffs, q))
-                for i, series_ in enumerate(cases):
+                    series_ = HalfQSeries(ring, coeffs, q)
                     where = (model.l, ring.degree_cap, model.extra_even, kind, q, i)
-                    want = _descent_outcome(_back_check_descend, series_, model)
-                    assert isinstance(want, tuple) == (i >= 2), where
+                    want = _descent_outcome(_reference_descend, series_, model)
+                    assert isinstance(want, tuple), where
                     assert _descent_outcome(qt.descend_gch, series_, model) == want, where
         back = model._fractional_maps[3]
         keys = set(model._shifted_orbit_table) | set(model._monomial_table)
         for m in keys:
             want = back(symroots._monomial_in_fractional(model, m))
             assert symroots._shifted_orbit(model, m) == want, (model.l, model.extra_even, m)
-
-
-def test_descend_refuses_as_the_back_check_refuses():
-    for model, series_ in _refused_series():
-        want = _descent_outcome(_back_check_descend, series_, model)
-        assert isinstance(want, tuple), series_
-        assert _descent_outcome(qt.descend_gch, series_, model) == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1083,24 +1061,6 @@ def test_arithmetic_drops_the_partition_form():
             assert qt.normalize_gch(got, kind, 3, 2) == qt.normalize_gch(want, kind, 3, 2), (kind, i)
 
 
-@pytest.mark.parametrize("den", [1, 6])
-def test_scaling_the_partition_products_is_rational_scaling(den):
-    """Each theta_lambda times a scalar series of rational constants, as
-    Fractions, to every truncation."""
-    thetas = {0: {0: 1, 1: -3, 4: 2}, 7: {2: 5, 3: 1}, 9: {0: -4}}
-    constants = ((0, Fraction(1)), (1, Fraction(-2, 3)), (3, Fraction(5, 4)), (4, 2))
-    for top in range(6):
-        got_den, got = symroots._scaled_partition(den, thetas, constants, top)
-        for m, theta in thetas.items():
-            want: dict = {}
-            for j, a in theta.items():
-                for k, c in constants:
-                    if j + k <= top:
-                        want[j + k] = want.get(j + k, 0) + Fraction(a, den) * c
-            want = {k: c for k, c in want.items() if c}
-            assert {k: Fraction(c, got_den) for k, c in got[m].items()} == want, (top, m)
-
-
 def test_a_theta_lambda_that_vanishes_builds_no_table_entry():
     """At q-order 1/2 theta_lambda vanishes for every lambda with two
     nonzero parts, since each F_m with m > 0 starts at q^(1/2): after
@@ -1119,7 +1079,7 @@ def test_a_theta_lambda_that_vanishes_builds_no_table_entry():
 
 def test_descending_a_witnessed_series_reaches_no_read(monkeypatch):
     """The descent's row of the route-independence ledger: with every
-    binding of ``_fractional_read``, ``express_in_elementary`` and
+    binding of ``_read_partition``, ``express_in_elementary`` and
     ``find_asymmetry`` raising, the witnessed characters of the
     witten_series catalogue, raw and normalized, descend to the
     reference's series."""
@@ -1131,12 +1091,12 @@ def test_descending_a_witnessed_series_reaches_no_read(monkeypatch):
             cases.append((model, series_, _reference_descend(series_, model)))
     stubbed = _stub_bindings(
         monkeypatch,
-        (symroots._fractional_read, express_in_elementary, symroots.find_asymmetry),
+        (symroots._read_partition, express_in_elementary, symroots.find_asymmetry),
         "the descent of a witnessed series reached the read",
     )
     assert stubbed >= {
-        "fracchern.qtheta._fractional_read",
-        "fracchern.symroots._fractional_read",
+        "fracchern.qtheta._read_partition",
+        "fracchern.symroots._read_partition",
         "fracchern.qtheta.express_in_elementary",
         "fracchern.symroots.express_in_elementary",
         "fracchern.symroots.find_asymmetry",
@@ -1147,16 +1107,16 @@ def test_descending_a_witnessed_series_reaches_no_read(monkeypatch):
 
 def test_a_series_witnessed_for_another_model_takes_the_read(monkeypatch):
     """The partition form is trusted only for its own model object: another
-    model with the same rank, twist and cap reads every coefficient, and
-    gets the same series."""
+    model with the same rank, twist and cap reads the series once, and gets
+    the same series."""
     reads = []
-    read = qt._fractional_read
+    read = qt._read_partition
 
-    def counting(p, model):
+    def counting(model, halves):
         reads.append(model)
-        return read(p, model)
+        return read(model, halves)
 
-    monkeypatch.setattr(qt, "_fractional_read", counting)
+    monkeypatch.setattr(qt, "_read_partition", counting)
     for kind in WittenKind:
         model, other = RootModel(4, 2, degree_cap=8), RootModel(4, 2, degree_cap=8)
         raw = qt.gch_witten(model, kind, 2, "both")
@@ -1164,7 +1124,7 @@ def test_a_series_witnessed_for_another_model_takes_the_read(monkeypatch):
             want = qt.descend_gch(series_, model)
             assert reads == []
             assert qt.descend_gch(series_, other) == want
-            assert reads == [other] * len(series_._halves)
+            assert reads == [other]
             reads.clear()
 
 
