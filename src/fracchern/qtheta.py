@@ -37,11 +37,14 @@ check.  At shift 0 the product form reduces to the classical sums
 sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
 
 The theta route's series carries its partition form: the scalar series
-theta_lambda with the model they are summed over.  Normalizing it scales
-each theta_lambda by the int constants of 1/theta0^n and sums again;
-every other series is normalized by the series product.  The descent of
-every series is sum_lambda theta_lambda * M_lambda: a series with no form
-for the same model is read into one, whose image must be the series.
+theta_lambda with the model they are summed over.  Its root-ring sum over
+the B_lambda is formed when its coefficients are first read, and kept;
+the form stays set after that.  Normalizing it scales each theta_lambda by
+the int constants of 1/theta0^n, again with no sum formed; every other
+series is normalized by the series product.  The descent of every series
+is sum_lambda theta_lambda * M_lambda: a series with no form for the same
+model is read into one, whose image must be the series.  So a theta-route
+series that is only normalized and descended forms no root-ring sum.
 
 Every sum of products here (a series coefficient, a normalized
 coefficient, a cosh, a term of ``formal_exp``, a partition sum) is one
@@ -126,7 +129,9 @@ class HalfQSeries:
     numerator over den}}.  Only the theta route of ``gch_witten`` and the
     normalization of a witnessed series set it; every constructor,
     arithmetic and ring map leaves it None, and equality, ``render`` and
-    ``to_json`` ignore it.
+    ``to_json`` ignore it.  A witnessed series holds only its witness
+    until its coefficients are first read: ``__getattr__`` then forms that
+    sum into ``_halves`` and keeps it, and ``_partition`` stays set.
     """
 
     __slots__ = ("ring", "_top", "_halves", "_partition")
@@ -147,6 +152,15 @@ class HalfQSeries:
                 coeffs[k] = poly
         self._halves = coeffs
         self._partition = None
+
+    def __getattr__(self, name):
+        # called only when the normal lookup fails: a witnessed series
+        # leaves _halves unset until its root-ring sum is first read
+        if name != "_halves":
+            raise AttributeError(name)
+        model, den, thetas = self._partition
+        self._halves = _partition_sum(model.ring, thetas, den, self._top, lambda m: _shifted_orbit(model, m))._halves
+        return self._halves
 
     @classmethod
     def _from_halves(cls, ring: RingPresentation, halves: dict, top: int) -> "HalfQSeries":
@@ -394,7 +408,9 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     and the root shift after that map is the back map
     (``RootModel._shift_maps``), so this is the comparison of the two
     routes over the shifted roots.  The series of "theta_product" and
-    "both" carries its partition form (``HalfQSeries._partition``).
+    "both" carries its partition form (``HalfQSeries._partition``) and
+    forms its sum over the B_lambda when its coefficients are first read
+    (``_witnessed``); the form stays set after that.
     """
     top = _q_top(q_order)
     if method == "lambda_tensor":
@@ -424,8 +440,13 @@ def _partition_sum(ring: RingPresentation, thetas: dict, den: int, top: int, ent
 def _witnessed(model: RootModel, den: int, thetas: dict, top: int) -> HalfQSeries:
     """sum_lambda theta_lambda * B_lambda over the roots, from the model's
     table of B_lambda = m_lambda(x - a/l), carrying (model, den, thetas)
-    as the witness of that form: the one place a witness is set."""
-    series = _partition_sum(model.ring, thetas, den, top, lambda m: _shifted_orbit(model, m))
+    as the witness of that form: the one place a witness is set.  The sum
+    is formed when the coefficients are first read
+    (``HalfQSeries.__getattr__``) and kept, and the witness stays set, so a
+    series that is only normalized and descended builds no B_lambda."""
+    series = HalfQSeries.__new__(HalfQSeries)
+    series.ring = model.ring
+    series._top = top
     series._partition = (model, den, thetas)
     return series
 
@@ -487,7 +508,8 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
     (``_theta0_inverse``).  A series that carries its partition form is
     normalized in it: each theta_lambda times those int constants (with
     constant term 1, so none vanishes), truncated at q_order, summed over
-    the same B_lambda, and the result carries the scaled form.  The
+    the same B_lambda when its coefficients are first read, and the result
+    carries the scaled form, which stays set after that read.  The
     degree-2p coefficients of the result are the q-expansions whose
     modularity is governed by the degree-4 obstruction class; they are
     emitted as formal series, not verified analytically.

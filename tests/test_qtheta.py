@@ -869,7 +869,7 @@ def test_the_lambda_route_reaches_no_theta_route_entry_point(monkeypatch):
     table built earlier can hide a call."""
     cases = [(n, l, kind) for n, l in ((3, 3), (4, 2)) for kind in WittenKind]
     expected = {
-        (n, l, kind): qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4)
+        (n, l, kind): _plain(qt.gch_witten(RootModel(n, l, degree_cap=8), kind, 4))
         for n, l, kind in cases
     }
     stubbed = _stub_bindings(monkeypatch, THETA_ROUTE, "the lambda route reached a theta-route entry point")
@@ -1064,17 +1064,127 @@ def test_arithmetic_drops_the_partition_form():
 def test_a_theta_lambda_that_vanishes_builds_no_table_entry():
     """At q-order 1/2 theta_lambda vanishes for every lambda with two
     nonzero parts, since each F_m with m > 0 starts at q^(1/2): after
-    ``both``, normalization and descent, each table holds exactly the keys
-    x^lambda met in Theta_0, fewer than the even partitions under the cap."""
+    ``both``, normalization and descent, the table of M_lambda holds
+    exactly the keys x^lambda met in Theta_0, fewer than the even
+    partitions under the cap, and the table of B_lambda is empty; reading
+    the raw series fills it with the same keys."""
     for kind in WittenKind:
         model = RootModel(4, 2, degree_cap=8)
         series_ = qt.gch_witten(model, kind, HALF, "both")
         qt.descend_gch(qt.normalize_gch(series_, kind, 4, HALF), model)
         met = _dominant_free_keys(model, _transposition_theta0(model, kind, HALF)._halves.values())
-        assert set(model._monomial_table) == set(model._shifted_orbit_table) == met, kind
+        assert model._shifted_orbit_table == {} and set(model._monomial_table) == met, kind
+        series_.render()
+        assert set(model._shifted_orbit_table) == met, kind
         x1 = model.root(1)
         even = symroots._partition_products(model, {0: model.ring.one() + x1**2 + x1**4}, 0)[1]
         assert met < set(even) and (len(met), len(even)) == (3, 4), kind
+
+
+def test_normalizing_and_descending_a_witnessed_series_forms_no_root_ring_sum(monkeypatch):
+    """The row of the route-independence ledger for the witten_series
+    pipeline (``both``, normalization, descent, ``render``): with every
+    binding of ``_shifted_orbit`` raising and each model's root shift
+    replaced by a map that raises, models built under the stubs give the
+    text of models built without them, and no table of B_lambda gets an
+    entry.  ``_orbit_sum`` stays bound: each M_lambda is checked, when
+    built, to map to it."""
+
+    def pipeline(model, kind, q):
+        series_ = qt.normalize_gch(qt.gch_witten(model, kind, q, "both"), kind, model.n, q)
+        return qt.descend_gch(series_, model).render()
+
+    expected = {
+        (n, l, kind, q): pipeline(RootModel(n, l, degree_cap=8), kind, q)
+        for n, l, kind, q in _witten_catalogue()
+    }
+    message = "normalizing and descending a witnessed series formed a root-ring sum"
+    stubbed = _stub_bindings(monkeypatch, (symroots._shifted_orbit,), message)
+    assert stubbed == {"fracchern.qtheta._shifted_orbit", "fracchern.symroots._shifted_orbit"}
+    models = {}
+    for (n, l, kind, q), want in expected.items():
+        model = models.get((n, l))
+        if model is None:
+            model = models[n, l] = RootModel(n, l, degree_cap=8)
+            model._shift_maps = (model._shift_maps[0], _forbidden_map(message))
+        assert pipeline(model, kind, q) == want, (n, l, kind, q)
+    assert all(model._shifted_orbit_table == {} for model in models.values())
+
+
+def _read_paths(model, other, plain, mapped_back):
+    """(name, read) for each way a series' coefficients are read; other is
+    a second model object with model's rank, twist, cap and parameters,
+    plain a series with no partition form equal to the series, and
+    mapped_back its descent mapped back to the roots, as criterion 9
+    compares it with the series."""
+    at_zero = model._fractional_maps[1]
+    return [
+        ("==", lambda s: (s == plain, plain == s)),
+        ("render", lambda s: s.render()),
+        ("to_json", lambda s: s.to_json()),
+        ("coefficients", lambda s: s.coefficients),
+        ("coefficient", lambda s: [s.coefficient(Fraction(k, 2)) for k in range(s._top + 1)]),
+        ("exponents", lambda s: s.exponents()),
+        ("is_zero", lambda s: s.is_zero),
+        ("repr", repr),
+        ("arithmetic", lambda s: (s + s, -s, s * 2, 2 * s, s * HalfQSeries.unit(s.ring, s.q_order))),
+        ("product on the right", lambda s: HalfQSeries.unit(s.ring, s.q_order) * s),
+        ("_map_coefficients", lambda s: s._map_coefficients(at_zero)),
+        ("criterion 9 maps back", lambda s: mapped_back == s),
+        ("descend read", lambda s: qt.descend_gch(s, other)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_deferred_root_ring_sum_is_the_eager_sum(n, monkeypatch):
+    """A witnessed series, raw and normalized, forms its root-ring sum on
+    its first read, by any read path, and that sum is the one
+    ``_partition_sum`` forms over the table of B_lambda at once: every read
+    gives what it gives on the eager series, a second read forms no sum,
+    and the partition form stays set; on the grid of ``_grid_models`` for
+    n <= 5 (n = 6 alone costs more than n <= 5 together, most of it in
+    ``render``), both kinds and q-orders 1/2..4."""
+    sums = []
+    partition_sum = qt._partition_sum
+
+    def counting(ring, thetas, den, top, entry):
+        sums.append((ring, thetas))
+        return partition_sum(ring, thetas, den, top, entry)
+
+    monkeypatch.setattr(qt, "_partition_sum", counting)
+    for model in _grid_models(n):
+        other = RootModel(n, model.l, degree_cap=model.ring.degree_cap, extra_even=model.extra_even)
+        back = model._fractional_maps[3]
+        for kind in WittenKind:
+            for q in HALF_ORDERS:
+                raw = qt.gch_witten(model, kind, q)
+                for witnessed in (raw, qt.normalize_gch(raw, kind, n, q)):
+                    _, den, thetas = witness = witnessed._partition
+                    top = witnessed._top
+                    eager = partition_sum(model.ring, thetas, den, top, lambda m: symroots._shifted_orbit(model, m))
+                    mapped_back = qt.descend_gch(witnessed, model)._map_coefficients(back)
+                    for name, read in _read_paths(model, other, eager, mapped_back):
+                        where = (model.l, model.ring.degree_cap, model.extra_even, kind, q, name)
+                        fresh = qt._witnessed(model, den, thetas, top)
+                        sums.clear()
+                        assert read(fresh) == read(eager), where
+                        assert [ring for ring, t in sums if t is thetas and ring is model.ring] == [model.ring], where
+                        sums.clear()
+                        assert fresh._halves == eager._halves and fresh._partition == witness, where
+                        assert sums == [], where
+
+
+def test_a_theta_route_series_over_a_broken_root_shift_fails_on_its_first_read():
+    """With the model's sigma_k(x - a/l) spoiled, ``theta_product`` returns
+    its witnessed series, and the first read of its coefficients raises the
+    root shift's one-line internal error."""
+    model = RootModel(3, 3, degree_cap=8)
+    sigma = model._shifted_sigma
+    model._shifted_sigma = sigma[:2] + [sigma[2] * 2] + sigma[3:]
+    series_ = qt.gch_witten(model, WittenKind.THETA2, 1, "theta_product")
+    with pytest.raises(EngineError, match="^the root shift does not send") as info:
+        series_.render()
+    assert type(info.value) is EngineError and "\n" not in str(info.value)
 
 
 def test_descending_a_witnessed_series_reaches_no_read(monkeypatch):
