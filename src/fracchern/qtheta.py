@@ -29,12 +29,13 @@ The two character constructions are deliberately independent:
 Their agreement (exact, at every truncation) is the module's central
 oracle: it checks the triple-product identity over n roots against the
 lambda route, which builds no theta factor.  The method "both" checks it
-over the f's: sum_lambda theta_lambda * M_lambda, M_lambda = m_lambda(x)
-written in the f's and checked once per model to map to m_lambda(x) under
-f_k -> sigma_k(x), must be the lambda series.  That map is injective, and
-the back map is that map followed by the root shift, so this is the same
-check.  At shift 0 the product form reduces to the classical sums
-sum_m q^{m^2/2} and sum_m (-1)^m q^{m^2/2}.
+over the f's: sum_lambda theta_lambda * M_lambda must be the lambda
+series.  M_lambda = m_lambda(x) written in the f's is a parameter-free E
+renamed e_k -> f_k, checked once per model to map to m_lambda(x) under
+e_k -> sigma_k(x), so the injective back map sends it to the root shift of
+m_lambda(x), B_lambda, and this is the same check.  At shift 0 the
+product form reduces to the classical sums sum_m q^{m^2/2} and
+sum_m (-1)^m q^{m^2/2}.
 
 The theta route's series carries its partition form: the scalar series
 theta_lambda with the model they are summed over.  Its root-ring sum over
@@ -403,14 +404,13 @@ def gch_witten(model: RootModel, kind: WittenKind, q_order, method: str = "theta
     nor a table of m_lambda, so it stays the independent reference.
     "both" insists that sum_lambda theta_lambda * M_lambda, from the
     model's table of M_lambda = m_lambda(x) in the f's, equals the lambda
-    route's series, and returns the theta route's series: each M_lambda is
-    checked to map to m_lambda(x) under the injective f_k -> sigma_k(x),
-    and the root shift after that map is the back map
-    (``RootModel._shift_maps``), so this is the comparison of the two
-    routes over the shifted roots.  The series of "theta_product" and
-    "both" carries its partition form (``HalfQSeries._partition``) and
-    forms its sum over the B_lambda when its coefficients are first read
-    (``_witnessed``); the form stays set after that.
+    route's series, and returns the theta route's series: the injective
+    back map sends each M_lambda to B_lambda (``RootModel``), so this is
+    the comparison of the two routes over the shifted roots.  The series
+    of "theta_product" and "both" carries its partition form
+    (``HalfQSeries._partition``) and forms its sum over the B_lambda when
+    its coefficients are first read (``_witnessed``); the form stays set
+    after that.
     """
     top = _q_top(q_order)
     if method == "lambda_tensor":
@@ -531,11 +531,9 @@ def normalize_gch(series: HalfQSeries, kind: WittenKind, n: int, q_order) -> Hal
 def descend_gch(series: HalfQSeries, model: RootModel) -> HalfQSeries:
     """Rewrite every coefficient c as a polynomial P in the fractional
     classes f_k = sigma_k(x - a/l): P is sum_lambda theta_lambda * M_lambda
-    over the series' partition form.  Each M_lambda was checked, when
-    built, to map to m_lambda(x) under f_k -> sigma_k(x), and the root
-    shift after that map is the back map (``RootModel._shift_maps``), so
-    the back map, which is injective, sends P to the form's sum over the
-    B_lambda = m_lambda(x - a/l).
+    over the series' partition form.  The back map, which is injective,
+    sends each M_lambda to B_lambda = m_lambda(x - a/l) (``RootModel``), so
+    it sends P to the form's sum over the B_lambda.
 
     A series that carries its form for this model object is that sum by
     construction.  Every other series is read into a form

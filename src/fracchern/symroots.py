@@ -31,16 +31,20 @@ class RootModel:
 
     ``params`` (a, then the extra even parameters) lead both ``ring`` (then
     x1..xn) and ``e_ring`` (then e1..en), so x_i and e_i share a slot.  Each
-    table is built on first use and kept: sigma_k(x), the transpositions and
-    the n-cycle, the shifted roots x_i - a/l and their sigma_k, the maps of
-    the fractional classes f_k = sigma_k(x - a/l), the root shift
-    x_i -> x_i - a/l and f_k -> sigma_k(x), the Newton tables
-    sigma_k(e^{+-r}) and the lambda route's one factor per level, their
-    product Lambda_t(E) * Lambda_t(E*).  Two tables are keyed by the
+    table is built on first use and kept: sigma_k(x), the map
+    e_k -> sigma_k(x) whose monomial images are the model's one table of
+    sigma products, the transpositions and the n-cycle, the shifted roots
+    x_i - a/l and their sigma_k, the maps of the fractional classes
+    f_k = sigma_k(x - a/l), the root shift x_i -> x_i - a/l, the Newton
+    tables sigma_k(e^{+-r}) and the lambda route's one factor per level,
+    their product Lambda_t(E) * Lambda_t(E*).  Two tables are keyed by the
     dominant parameter-free key of x^lambda and grow as keys are met:
     M_lambda, the monomial symmetric function m_lambda(x) written in
     f_1..f_n (``_monomial_in_fractional``), and B_lambda = m_lambda(x - a/l)
     over the roots, its image under the root shift (``_shifted_orbit``).
+    For a parameter-free e-ring E, the back map of E renamed e_k -> f_k is
+    the root shift of E mapped by e_k -> sigma_k(x), since the root shift
+    sends sigma_k(x) to sigma_k(x - a/l), which is checked when it is built.
     """
 
     def __init__(self, n: int, l: int, degree_cap: int | None = None, extra_even=()):
@@ -67,6 +71,15 @@ class RootModel:
     @cached_property
     def _sigma(self) -> list[GradedPolynomial]:
         return _esp(self.roots(), self.n, self.ring)
+
+    @cached_property
+    def _to_roots(self) -> RingMorphism:
+        """e_k -> sigma_k(x), each parameter to itself, with the ``_sigma``
+        entries as images: its monomial images are the model's one table of
+        sigma products, read by the elimination and the check of M_lambda."""
+        images = {name: self.ring.gen(name) for name in self.params}
+        images.update(zip(self.e_ring.names[len(self.params) :], self._sigma[1:]))
+        return RingMorphism(self.e_ring, self.ring, images)
 
     @cached_property
     def _dominance_masks(self) -> tuple:
@@ -103,21 +116,17 @@ class RootModel:
         return f_ring, at_zero, rename, back
 
     @cached_property
-    def _shift_maps(self):
-        """(lower, shift): f_k -> sigma_k(x) from the f-ring, and the root
-        shift x_i -> x_i - a/l of the root ring, fixing the parameters.  The
-        back map f_k -> sigma_k(x - a/l) is lower, then shift; that is
-        checked here on the generators, shift(sigma_k(x)) == sigma_k(x - a/l)
-        for every k, once per model."""
-        f_ring = self._fractional_maps[0]
-        lower = RingMorphism(f_ring, self.ring, dict(zip(f_ring.names, self._sigma[1:])))
+    def _root_shift(self) -> RingMorphism:
+        """The root shift x_i -> x_i - a/l of the root ring, fixing the
+        parameters, checked on the generators when it is built, once per
+        model: shift(sigma_k(x)) == sigma_k(x - a/l) for every k."""
         roots = {f"x{i}": r for i, r in enumerate(self._shifted, start=1)}
         shift = RingMorphism.substitution(self.ring, roots)
         if shift.map_all(self._sigma[1:]) != self._shifted_sigma[1:]:
             raise EngineError(
                 "the root shift does not send sigma_k(x) to sigma_k(x - a/l) (internal error)"
             )
-        return lower, shift
+        return shift
 
     @cached_property
     def _level_tables(self) -> list:
@@ -190,11 +199,8 @@ class RootModel:
         return list(self._shifted)
 
     def elementary_to_roots(self) -> RingMorphism:
-        """e_k -> sigma_k(x); parameters map to their namesakes."""
-        images = {name: self.ring.gen(name) for name in self.params}
-        for k in range(1, self.n + 1):
-            images[f"e{k}"] = elementary_symmetric(k, self)
-        return RingMorphism(self.e_ring, self.ring, images)
+        """e_k -> sigma_k(x), parameters to their namesakes: a new map each call."""
+        return RingMorphism(self.e_ring, self.ring, self._to_roots.images)
 
 
 def _check_k(k: int, n: int) -> None:
@@ -260,15 +266,6 @@ def find_asymmetry(p: GradedPolynomial, model: RootModel):
     return None
 
 
-def _sigma_power_product(model: RootModel, multiplicities: tuple) -> GradedPolynomial:
-    """prod_k sigma_k^{m_k} (multiplicities indexed from 1)."""
-    out = model.ring.one()
-    for k, m in enumerate(multiplicities, start=1):
-        if m:
-            out = out * elementary_symmetric(k, model) ** m
-    return out
-
-
 def _dominant_terms(model: RootModel, terms: dict) -> dict:
     """The terms whose root exponents are non-increasing, x1 >= ... >= xn.
 
@@ -283,11 +280,12 @@ def _dominant_terms(model: RootModel, terms: dict) -> dict:
 
 
 def _dominant_power(model: RootModel, multiplicities: tuple) -> GradedPolynomial:
-    """The dominant terms of prod_k sigma_k^{m_k}, cached per model; the
+    """The dominant terms of prod_k sigma_k^{m_k}, the image of
+    e^multiplicities under ``RootModel._to_roots``, cached per model; the
     leading monomial is among them, so the part stays monic."""
     cached = model._dominant_power_cache.get(multiplicities)
     if cached is None:
-        full = _sigma_power_product(model, multiplicities)
+        full = model._to_roots(model.e_ring.from_exponents({(0,) * len(model.params) + multiplicities: 1}))
         cached = _normal_form(model.ring, full._den, _dominant_terms(model, full._terms))
         model._dominant_power_cache[multiplicities] = cached
     return cached
@@ -410,16 +408,17 @@ def _orbit_sum(model: RootModel, m: int) -> GradedPolynomial:
 def _monomial_in_fractional(model: RootModel, m: int) -> GradedPolynomial:
     """M_lambda: the monomial symmetric function m_lambda(x) written in
     f_1..f_n, for the dominant parameter-free key m of x^lambda.  It is the
-    elimination of the single term x^lambda, renamed e_k -> f_k, built once
-    per model and key (``RootModel._monomial_table``) and checked when it
-    is built: f_k -> sigma_k(x) must send it to m_lambda(x)."""
+    elimination E of the single term x^lambda, renamed e_k -> f_k, built
+    once per model and key (``RootModel._monomial_table``) and checked when
+    it is built: ``RootModel._to_roots`` must send E to m_lambda(x), which
+    reads only the sigma products the elimination built."""
     table = model._monomial_table
     entry = table.get(m)
     if entry is None:
-        entry = model._fractional_maps[2](_eliminate(model, {m: 1}, 1))
-        if model._shift_maps[0](entry) != _orbit_sum(model, m):
+        elimination = _eliminate(model, {m: 1}, 1)
+        if model._to_roots(elimination) != _orbit_sum(model, m):
             raise EngineError("a monomial symmetric function in the f's misses m_lambda(x) (internal error)")
-        table[m] = entry
+        entry = table[m] = model._fractional_maps[2](elimination)
     return entry
 
 
@@ -427,12 +426,12 @@ def _shifted_orbit(model: RootModel, m: int) -> GradedPolynomial:
     """B_lambda = m_lambda(x - a/l): the root shift x_i -> x_i - a/l of
     m_lambda(x), for the dominant parameter-free key m of x^lambda, built
     once per model and key (``RootModel._shifted_orbit_table``).  It is the
-    back map's image of M_lambda: the shift after f_k -> sigma_k(x) is the
-    back map (``RootModel._shift_maps``), and M_lambda maps to m_lambda(x)."""
+    back map's image of M_lambda, E renamed e_k -> f_k: E is parameter-free
+    and e_k -> sigma_k(x) sends it to m_lambda(x) (``RootModel``)."""
     table = model._shifted_orbit_table
     entry = table.get(m)
     if entry is None:
-        entry = table[m] = model._shift_maps[1](_orbit_sum(model, m))
+        entry = table[m] = model._root_shift(_orbit_sum(model, m))
     return entry
 
 
@@ -467,12 +466,13 @@ def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
         for key, num in p._terms.items():
             split.setdefault(key // x1, {})[k] = num * (den // p._den)
     parts = sorted(split)
-    fields = [model.ring.generator_key(f"x{i}") for i in range(1, model.n + 1)]
-    limit = model.ring.key_limit
+    n, limit = model.n, model.ring.key_limit
+    fields = [model.ring.generator_key(f"x{i}") for i in range(1, n + 1)]
     out = {}
 
     def extend(i, key, theta, largest):
-        if i == model.n:
+        # a recursive closure is a cycle, freed late: it must not hold the model
+        if i == n:
             out[key] = theta
             return
         for m in parts:
@@ -483,7 +483,7 @@ def _partition_products(model: RootModel, halves: dict, top: int) -> tuple:
                 extend(i + 1, key + m * fields[i], product, m)
 
     extend(0, 0, {0: 1}, max(parts, default=0))
-    return den**model.n, out
+    return den**n, out
 
 
 def _read_partition(model: RootModel, halves: dict) -> tuple:

@@ -1,6 +1,7 @@
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,7 @@ from fracchern.gcring import RingMorphism, RingPresentation
 from fracchern.qtheta import HalfQSeries, WittenKind
 from fracchern.spaces import working_cap
 from fracchern.symroots import RootModel, _esp, express_in_elementary, shifted_total_chern
-from fracchern.verify import load_fixture
+from fracchern.verify import load_fixture, q_series
 
 HALF = Fraction(1, 2)
 
@@ -948,7 +949,7 @@ def test_the_partition_sums_are_the_transposition_route(n):
     theta_product and both give its root shift, on the grid of
     ``_grid_models``, both kinds and q-orders 1/2..4."""
     for model in _grid_models(n):
-        shift = model._shift_maps[1]
+        shift = model._root_shift
         for kind in WittenKind:
             for q in HALF_ORDERS:
                 where = (model.l, model.ring.degree_cap, model.extra_even, kind, q)
@@ -1049,7 +1050,7 @@ def test_arithmetic_drops_the_partition_form():
         lambda s: -s,
         lambda s: s * s,
         lambda s: s**2,
-        lambda s: s._map_coefficients(model._shift_maps[1]),
+        lambda s: s._map_coefficients(model._root_shift),
     ]
     for kind in WittenKind:
         witnessed = qt.gch_witten(model, kind, 2)
@@ -1087,17 +1088,19 @@ def test_normalizing_and_descending_a_witnessed_series_forms_no_root_ring_sum(mo
     binding of ``_shifted_orbit`` raising and each model's root shift
     replaced by a map that raises, models built under the stubs give the
     text of models built without them, and no table of B_lambda gets an
-    entry.  ``_orbit_sum`` stays bound: each M_lambda is checked, when
-    built, to map to it."""
+    entry; the models built without them build no root shift either.
+    ``_orbit_sum`` stays bound: each M_lambda is checked, when built, to
+    map to it."""
 
     def pipeline(model, kind, q):
         series_ = qt.normalize_gch(qt.gch_witten(model, kind, q, "both"), kind, model.n, q)
         return qt.descend_gch(series_, model).render()
 
-    expected = {
-        (n, l, kind, q): pipeline(RootModel(n, l, degree_cap=8), kind, q)
-        for n, l, kind, q in _witten_catalogue()
-    }
+    unstubbed, expected = {}, {}
+    for n, l, kind, q in _witten_catalogue():
+        model = unstubbed.setdefault((n, l), RootModel(n, l, degree_cap=8))
+        expected[n, l, kind, q] = pipeline(model, kind, q)
+    assert all("_root_shift" not in model.__dict__ for model in unstubbed.values())
     message = "normalizing and descending a witnessed series formed a root-ring sum"
     stubbed = _stub_bindings(monkeypatch, (symroots._shifted_orbit,), message)
     assert stubbed == {"fracchern.qtheta._shifted_orbit", "fracchern.symroots._shifted_orbit"}
@@ -1106,7 +1109,7 @@ def test_normalizing_and_descending_a_witnessed_series_forms_no_root_ring_sum(mo
         model = models.get((n, l))
         if model is None:
             model = models[n, l] = RootModel(n, l, degree_cap=8)
-            model._shift_maps = (model._shift_maps[0], _forbidden_map(message))
+            model._root_shift = _forbidden_map(message)
         assert pipeline(model, kind, q) == want, (n, l, kind, q)
     assert all(model._shifted_orbit_table == {} for model in models.values())
 
@@ -1255,15 +1258,49 @@ def test_a_monomial_table_entry_that_misses_m_lambda_is_an_engine_error(monkeypa
         assert type(info.value) is EngineError and "\n" not in str(info.value)
 
 
+def _lower(model):
+    """f_k -> sigma_k(x) from the model's f-ring, built from its sigma_k."""
+    f_ring = model._fractional_maps[0]
+    return RingMorphism(f_ring, model.ring, dict(zip(f_ring.names, model._sigma[1:])))
+
+
+def test_a_sigma_product_wrong_in_the_shared_table_fails_both_and_criterion_9(monkeypatch):
+    """The row of the route-independence ledger for the table of sigma
+    products: the elimination and the check of each M_lambda read the same
+    table, so a wrong product in it that both read passes the check.  With
+    the image of e1^2 seeded as sigma_1^2 + sigma_2 in every model (n >= 2),
+    M_(2) comes out as f1^2 - 3*f2 and is kept; the lambda route reads no
+    sigma product, so ``both`` raises VerificationError and criterion 9
+    fails with its mismatch."""
+    to_roots = RootModel._to_roots
+
+    def seeded(model):
+        f = to_roots.func(model)
+        if model.n >= 2:
+            sigma = model._sigma
+            f._memo[2 * model.e_ring.generator_key("e1")] = sigma[1] ** 2 + sigma[2]
+        return f
+
+    wrong = cached_property(seeded)
+    wrong.__set_name__(RootModel, "_to_roots")
+    monkeypatch.setattr(RootModel, "_to_roots", wrong)
+    model = RootModel(3, 3, degree_cap=8)
+    got = symroots._monomial_in_fractional(model, 2 * model.ring.generator_key("x1"))
+    assert got == model._fractional_maps[0].poly("f1^2 - 3*f2")
+    with pytest.raises(VerificationError, match="^theta_product and lambda_tensor expansions disagree$"):
+        qt.gch_witten(RootModel(3, 3, degree_cap=8), WittenKind.THETA2, 2, "both")
+    assert q_series(3, 2) == (False, "theta_product and lambda_tensor expansions disagree at n=2, l=1, theta2")
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_root_shift_carries_sigma_to_the_fractional_classes(n):
-    """The model's maps are f_k -> sigma_k(x) and x_i -> x_i - a/l fixing
-    the parameters, and their composite is the back map on the
-    generators, for every l | n, with and without b."""
+    """The model's root shift is x_i -> x_i - a/l fixing the parameters,
+    and after f_k -> sigma_k(x) it is the back map on the generators, for
+    every l | n, with and without b."""
     for l in _divisors(n):
         for extra in ((), ("b",)):
             model = RootModel(n, l, extra_even=extra)
-            lower, shift = model._shift_maps
+            lower, shift = _lower(model), model._root_shift
             f_ring, back = model._fractional_maps[0], model._fractional_maps[3]
             gens = [f_ring.gen(name) for name in f_ring.names]
             assert lower.map_all(gens) == model._sigma[1:], (l, extra)
@@ -1277,8 +1314,9 @@ def test_a_root_shift_that_misses_the_fractional_classes_is_an_engine_error():
     model = RootModel(3, 3, degree_cap=8)
     sigma = model._shifted_sigma
     model._shifted_sigma = sigma[:2] + [sigma[2] * 2] + sigma[3:]
+    series_ = qt.gch_witten(model, WittenKind.THETA2, 1, "both")
     with pytest.raises(EngineError, match="^the root shift does not send") as info:
-        qt.gch_witten(model, WittenKind.THETA2, 1, "both")
+        series_.render()
     assert "\n" not in str(info.value)
 
 
@@ -1312,9 +1350,8 @@ def test_the_lambda_side_of_both_reaches_no_theta_route_entry_point(monkeypatch)
     assert stubbed >= THETA_ROUTE_BINDINGS
     for n, l, kind in cases:
         model = RootModel(n, l, degree_cap=8)
-        lower = model._shift_maps[0]
-        model._shift_maps = (lower, _forbidden_map(message))
-        got = qt._lambda_series(model, kind, 8)._map_coefficients(lower)
+        model._root_shift = _forbidden_map(message)
+        got = qt._lambda_series(model, kind, 8)._map_coefficients(_lower(model))
         assert got == expected[n, l, kind], (n, l, kind)
 
 

@@ -174,11 +174,21 @@ def test_parameter_dropping_maps_walk_and_match_the_generic_path(n, extra, rng):
             assert f(q) == f._apply_generic(q)
 
 
+def _sigma_power_product(model, multiplicities):
+    """prod_k sigma_k^{m_k} (multiplicities indexed from 1), factor by
+    factor: the reference for the model's table of sigma products."""
+    out = model.ring.one()
+    for k, m in enumerate(multiplicities, start=1):
+        if m:
+            out = out * sr.elementary_symmetric(k, model) ** m
+    return out
+
+
 def test_lone_sigma_products_share_the_sigma_table():
     m = sr.RootModel(4, 2)
     for k in range(1, 5):
         unit = tuple(int(j == k) for j in range(1, 5))
-        assert sr._sigma_power_product(m, unit) is m._sigma[k]
+        assert _sigma_power_product(m, unit) is m._sigma[k]
 
 
 def test_untwisted_limit():
@@ -245,9 +255,35 @@ def test_sigma_power_product_stays_the_full_product():
     m = sr.RootModel(3, 3)
     e1 = sr.elementary_symmetric(1, m)
     assert sr.express_in_elementary(e1 * e1, m) == m.e_ring.poly("e1^2")
-    full = sr._sigma_power_product(m, (2, 0, 0))
+    full = _sigma_power_product(m, (2, 0, 0))
     assert full == e1**2 == m.ring.poly("x1^2 + x2^2 + x3^2 + 2*x1*x2 + 2*x1*x3 + 2*x2*x3")
     assert m._dominant_power_cache[(2, 0, 0)] == m.ring.poly("x1^2 + 2*x1*x2")
+
+
+def _multiplicities_under_cap(model):
+    """Every multiplicity vector (m_1..m_n) with prod_k e_k^{m_k} under the
+    model's cap."""
+    out = [()]
+    for k in range(1, model.n + 1):
+        out = [v + (m,) for v in out for m in range(model.ring.degree_cap // (2 * k) + 1)]
+    return [v for v in out if sum(2 * k * m for k, m in enumerate(v, start=1)) <= model.ring.degree_cap]
+
+
+@pytest.mark.parametrize("extra", [(), ("b",)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dominant_power_is_the_dominant_part_of_the_full_product(n, extra):
+    """The table of sigma products, e^mult under e_k -> sigma_k(x), gives
+    the dominant part of the factor-by-factor product for every
+    multiplicity vector under the cap, and the image of e_k is the model's
+    sigma_k itself."""
+    m = sr.RootModel(n, n, extra_even=extra)
+    for k in range(1, n + 1):
+        assert m._to_roots.images[f"e{k}"] is m._sigma[k]
+    for mult in _multiplicities_under_cap(m):
+        full = _sigma_power_product(m, mult)
+        got = sr._dominant_power(m, mult)
+        want = {key: Fraction(c, full._den) for key, c in sr._dominant_terms(m, full._terms).items()}
+        assert {key: Fraction(c, got._den) for key, c in got._terms.items()} == want, mult
 
 
 def test_express_rejects_a_polynomial_over_another_ring():
@@ -386,7 +422,7 @@ def _express_by_arithmetic(p, model):
         param, lam = exps[:n_params], exps[n_params:]
         mult = tuple(lam[k] - (lam[k + 1] if k + 1 < n else 0) for k in range(n))
         lead = model.ring.from_exponents({param + (0,) * n: lead_coef})
-        work = work - sr._sigma_power_product(model, mult) * lead
+        work = work - _sigma_power_product(model, mult) * lead
         out[param + mult] = lead_coef
     return model.e_ring.from_exponents(out)
 
